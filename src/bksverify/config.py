@@ -144,6 +144,18 @@ _SCHEMA = {
     },
 }
 
+# counts that select nothing, or index an empty rule, at 0
+_POSITIVE_COUNTS = (
+    "pairs_per_cell",
+    "panels",
+    "hermite_points",
+    "mc_samples",
+    "hl2_points_torus",
+    "hl2_points_su2",
+    "delta_points_torus",
+    "delta_points_su2",
+)
+
 _CHOICE_FIELDS = {
     "group": GROUP_KINDS,
     "normalization": NORMALIZATIONS,
@@ -165,6 +177,15 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("grid values must be nonnegative")
     if not cfg.s_grid:
         raise ConfigError("s_grid must not be empty")
+    for name in ("s_grid", "s_prime_grid"):
+        if not any(s > 0.0 for s in getattr(cfg, name)):
+            raise ConfigError(f"{name} needs at least one positive value")
+    for name in _POSITIVE_COUNTS:
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be at least 1")
+    if cfg.points_per_panel < 2 or cfg.points_per_panel % 2:
+        # an odd rule puts a node on a root hyperplane, with zero weight
+        raise ConfigError("points_per_panel must be even and at least 2")
     if cfg.tolerance_scale <= 0.0:
         raise ConfigError("tolerance scale must be positive")
     for key in cfg.tolerance_overrides:

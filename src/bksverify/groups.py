@@ -531,6 +531,34 @@ def character(group: GroupSpec, irrep: Irrep, arg: CartanArgument) -> complex:
 # SU(2) matrix elements
 
 
+_WIGNER_TERMS: dict = {}
+
+
+def _wigner_terms(twoj: int):
+    # Entry (row, col) of the spin-j matrix is a sum of monomials
+    # a^ea b^eb c^ec d^ed in the entries of g: column col expands
+    # (a u + c v)^(2j-col) (b u + d v)^col, row counts the powers of v.
+    # Returns the exponents of every monomial and the matrix that sums
+    # them, with their coefficients, into the flattened entries.
+    hit = _WIGNER_TERMS.get(twoj)
+    if hit is not None:
+        return hit
+    dim = twoj + 1
+    norms = [math.sqrt(math.factorial(twoj - k) * math.factorial(k)) for k in range(dim)]
+    terms = []
+    for col in range(dim):
+        p1, p2 = twoj - col, col
+        for i in range(p1 + 1):
+            for m in range(p2 + 1):
+                coef = math.comb(p1, i) * math.comb(p2, m) * norms[i + m] / norms[col]
+                terms.append((p1 - i, p2 - m, i, m, (i + m) * dim + col, coef))
+    ea, eb, ec, ed, pos, coef = (np.array(v) for v in zip(*terms))
+    scatter = np.zeros((len(terms), dim * dim))
+    scatter[np.arange(len(terms)), pos] = coef
+    _WIGNER_TERMS[twoj] = (ea, eb, ec, ed, scatter)
+    return _WIGNER_TERMS[twoj]
+
+
 def wigner_matrix(j, g) -> np.ndarray:
     """Spin-j representation matrix, holomorphic in the entries of g.
 
@@ -538,31 +566,28 @@ def wigner_matrix(j, g) -> np.ndarray:
     with the monomial basis ordered by descending weight, so a diagonal
     ``g = diag(a, 1/a)`` maps to ``diag(a^(2j), ..., a^(-2j))`` and
     ``j = 1/2`` returns ``g`` itself.  ``g`` must be a 2x2 complex matrix
-    with unit determinant to within 1e-12; the restriction to SU(2) is
+    (or an ``(N, 2, 2)`` stack, giving an ``(N, 2j+1, 2j+1)`` stack) with
+    unit determinant to within 1e-12; the restriction to SU(2) is
     unitary.
     """
     twoj = int(round(2 * float(j)))
     if abs(2 * float(j) - twoj) > 1e-12 or twoj < 0:
         raise ValueError("j must be a nonnegative half-integer")
     g = np.asarray(g, dtype=complex)
-    if g.shape != (2, 2):
-        raise ValueError("g must be a 2x2 matrix")
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if abs(det - 1.0) > 1e-12 * max(1.0, float(np.abs(g).max()) ** 2):
-        raise ValueError(f"determinant {det} is not 1 within tolerance")
-    a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-    dim = twoj + 1
-    fact = [math.factorial(k) for k in range(twoj + 1)]
-    norms = np.array([math.sqrt(fact[twoj - k] * fact[k]) for k in range(dim)])
-    out = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        p1 = twoj - col  # exponent of (a u + c v)
-        p2 = col
-        c1 = np.array([math.comb(p1, i) * a ** (p1 - i) * c**i for i in range(p1 + 1)])
-        c2 = np.array([math.comb(p2, i) * b ** (p2 - i) * d**i for i in range(p2 + 1)])
-        coeffs = np.convolve(c1, c2)
-        out[:, col] = coeffs * norms / norms[col]
-    return out
+    if g.ndim not in (2, 3) or g.shape[-2:] != (2, 2):
+        raise ValueError("g must be a 2x2 matrix or a stack of them")
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    bound = 1e-12 * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)) ** 2)
+    bad = np.abs(det - 1.0) > bound
+    if np.any(bad):
+        raise ValueError(f"determinant {det[bad].flat[0]} is not 1 within tolerance")
+    ea, eb, ec, ed, scatter = _wigner_terms(twoj)
+    powers = g[..., None] ** np.arange(twoj + 1)
+    monomials = powers[..., 0, 0, ea]
+    monomials *= powers[..., 0, 1, eb]
+    monomials *= powers[..., 1, 0, ec]
+    monomials *= powers[..., 1, 1, ed]
+    return (monomials @ scatter).reshape(g.shape[:-2] + (twoj + 1, twoj + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +595,16 @@ def wigner_matrix(j, g) -> np.ndarray:
 
 
 def ad_matrix(group: GroupSpec, Y) -> np.ndarray:
-    """Matrix of ad_Y in the orthonormal basis; real antisymmetric."""
+    """Matrix of ad_Y in the orthonormal basis; real antisymmetric.
+
+    Y of shape ``(dim,)`` gives one matrix, ``(N, dim)`` a stack of N.
+    """
     Y = np.asarray(Y, dtype=float)
-    if Y.shape != (group.dim,):
+    if Y.ndim not in (1, 2) or Y.shape[-1] != group.dim:
         raise ValueError(f"Y must have {group.dim} coordinates")
-    return np.tensordot(Y, group.ad_basis, axes=(0, 0))
+    # einsum sums each entry in the same order whatever the batch size, so
+    # a batch reproduces the one-vector results bit for bit
+    return np.einsum("...a,abc->...bc", Y, group.ad_basis)
 
 
 def root_values(group: GroupSpec, Y) -> np.ndarray:
@@ -584,13 +614,15 @@ def root_values(group: GroupSpec, Y) -> np.ndarray:
     Cartan subalgebra; the result is Ad-invariant and sorted ascending.
     The assignment of values to individual roots is only defined up to
     the Weyl group, which suffices for the symmetric functions used here.
+    A batch Y of shape ``(N, dim)`` gives one row per vector, from one
+    stacked eigen-solve.
     """
     npos = group.n_positive_roots
     if npos == 0:
-        return np.zeros(0)
+        return np.zeros(np.shape(Y)[:-1] + (0,))
     A = ad_matrix(group, Y)
     eigs = np.linalg.eigvalsh(1j * A)
-    return eigs[-npos:]
+    return eigs[..., -npos:]
 
 
 def algebra_element(group: GroupSpec, Y) -> np.ndarray:
@@ -598,7 +630,7 @@ def algebra_element(group: GroupSpec, Y) -> np.ndarray:
     if group.defining is None:
         raise ValueError("torus algebra vectors have no matrix realization here")
     Y = np.asarray(Y, dtype=float)
-    return np.tensordot(Y, group.defining, axes=(0, 0))
+    return np.einsum("...a,abc->...bc", Y, group.defining)
 
 
 def group_exp(group: GroupSpec, Y, factor: complex = 1.0):
@@ -607,14 +639,15 @@ def group_exp(group: GroupSpec, Y, factor: complex = 1.0):
     Tori are represented by complex angle vectors that add under
     composition; SU(2) and SU(3) by defining-representation matrices.
     ``factor = 1`` lands in the compact group, ``factor = i s`` on the
-    positive slice exp(i s Y).
+    positive slice exp(i s Y).  A batch Y of shape ``(N, dim)`` gives N
+    elements stacked along the first axis, from one stacked eigen-solve.
     """
     Y = np.asarray(Y, dtype=float)
     if group.kind == "torus":
         return factor * Y / math.sqrt(group.scale)
     A = algebra_element(group, Y)
     w, V = np.linalg.eigh(1j * A)
-    return (V * np.exp(-1j * factor * w)) @ V.conj().T
+    return (V * np.exp(-1j * factor * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
 
 
 def cartan_element(group: GroupSpec, arg: CartanArgument):
@@ -672,36 +705,48 @@ def character_element(group: GroupSpec, irrep: Irrep, g) -> complex:
     Uses the eigenvalues of the defining-representation matrix, so it is
     stable at Weyl-singular points: SU(2) characters become finite
     geometric sums, SU(3) characters Schur polynomials evaluated by the
-    Jacobi-Trudi determinant in complete homogeneous terms.
+    Jacobi-Trudi determinant in complete homogeneous terms.  A stack of
+    N elements (angle vectors ``(N, rank)`` or matrices ``(N, d, d)``)
+    gives an ``(N,)`` array from one stacked eigenvalue solve.
     """
     if group.kind == "torus":
-        return complex(np.exp(1j * np.dot(np.asarray(irrep.label, dtype=float), g)))
-    eigs = np.linalg.eigvals(np.asarray(g, dtype=complex))
-    if group.kind == "su2":
-        m = irrep.label[0]
-        x = eigs[np.argmax(np.abs(eigs))]
-        return complex(sum(x ** (m - 2 * k) for k in range(m + 1)))
-    p, q = irrep.label
-    return _schur_pq(p, q, eigs)
+        value = np.exp(1j * (np.asarray(g) @ np.asarray(irrep.label, dtype=float)))
+    else:
+        eigs = np.linalg.eigvals(np.asarray(g, dtype=complex))
+        if group.kind == "su2":
+            m = irrep.label[0]
+            top = np.argmax(np.abs(eigs), axis=-1)[..., None]
+            x = np.take_along_axis(eigs, top, axis=-1)[..., 0]
+            value = sum(x ** (m - 2 * k) for k in range(m + 1))
+        else:
+            p, q = irrep.label
+            value = _schur_pq(p, q, eigs)
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def _complete_homogeneous(xs: np.ndarray, kmax: int) -> np.ndarray:
-    h = np.zeros(kmax + 1, dtype=complex)
-    h[0] = 1.0
-    for x in xs:
-        powers = x ** np.arange(kmax + 1)
-        h = np.array([np.sum(h[: k + 1] * powers[k::-1]) for k in range(kmax + 1)])
+    # h_0..h_kmax of the variables along the last axis of xs
+    h = np.zeros(xs.shape[:-1] + (kmax + 1,), dtype=complex)
+    h[..., 0] = 1.0
+    for i in range(xs.shape[-1]):
+        powers = xs[..., i, None] ** np.arange(kmax + 1)
+        h = np.stack(
+            [np.sum(h[..., : k + 1] * powers[..., k::-1], axis=-1) for k in range(kmax + 1)],
+            axis=-1,
+        )
     return h
 
 
-def _schur_pq(p: int, q: int, eigs: np.ndarray) -> complex:
+def _schur_pq(p: int, q: int, eigs: np.ndarray) -> np.ndarray:
     mu = (p + q, q, 0)
     h = _complete_homogeneous(eigs, p + q + 2)
+    zero = np.zeros(h.shape[:-1], dtype=complex)
 
-    def hh(k: int) -> complex:
-        return h[k] if 0 <= k <= p + q + 2 else 0.0
+    def hh(k: int) -> np.ndarray:
+        return h[..., k] if 0 <= k <= p + q + 2 else zero
 
-    mat = np.array(
-        [[hh(mu[i] - i + j) for j in range(3)] for i in range(3)], dtype=complex
+    mat = np.stack(
+        [np.stack([hh(mu[i] - i + j) for j in range(3)], axis=-1) for i in range(3)],
+        axis=-2,
     )
-    return complex(np.linalg.det(mat))
+    return np.linalg.det(mat)

@@ -11,11 +11,13 @@ phi(s, s', Y) of the wedge density to the geometric mean of the two
 endpoint densities is the factor by which the prequantum BKS map fails
 to be parallel transport; its criticality at s = s' is checked by finite
 differences.
+
+eta, |Omega_s|^2, the wedge density and phi take one algebra vector of
+shape ``(dim,)`` and return a float, or a batch of shape ``(N, dim)``
+and return an ``(N,)`` array.
 """
 
 from __future__ import annotations
-
-import math
 
 import mpmath
 import numpy as np
@@ -47,23 +49,31 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def eta_from_roots(root_vals: np.ndarray) -> float:
-    """eta evaluated from the positive-root values alpha(Y)."""
-    return float(np.prod(_sinhc(np.asarray(root_vals, dtype=float))))
+def _scalar_or_array(x: np.ndarray):
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def eta(group: GroupSpec, Y) -> float:
+def eta_from_roots(root_vals: np.ndarray):
+    """eta evaluated from the positive-root values alpha(Y).
+
+    The roots run along the last axis; on Cartan vectors H the values
+    are simply ``H @ group.positive_roots.T``, no eigen-solve needed.
+    """
+    prod = np.prod(_sinhc(np.asarray(root_vals, dtype=float)), axis=-1)
+    return _scalar_or_array(prod)
+
+
+def eta(group: GroupSpec, Y):
     """Jacobian factor prod_{alpha>0} sinh(alpha(Y))/alpha(Y) >= 1.
 
     Ad-invariant; the root values are read off the spectrum of ad_Y, so Y
-    may sit anywhere in the algebra, not just the Cartan subalgebra.
+    may sit anywhere in the algebra, not just the Cartan subalgebra.  Tori
+    have no roots, so the empty product gives exactly 1.
     """
-    if group.kind == "torus":
-        return 1.0
     return eta_from_roots(root_values(group, Y))
 
 
-def omega_norm_sq(group: GroupSpec, s: float, Y) -> float:
+def omega_norm_sq(group: GroupSpec, s: float, Y):
     """Half-form density |Omega_s|^2 = s^n eta(sY)^2."""
     if s <= 0.0:
         raise ValueError("polarization parameter s must be positive")
@@ -71,7 +81,7 @@ def omega_norm_sq(group: GroupSpec, s: float, Y) -> float:
     return s**group.dim * eta(group, s * Y) ** 2
 
 
-def wedge_density(group: GroupSpec, s: float, s_prime: float, Y) -> float:
+def wedge_density(group: GroupSpec, s: float, s_prime: float, Y):
     """Closed form of the half-form wedge density, |Omega_{(s+s')/2}|^2.
 
     s' = 0 is admitted for the vertical-limit path; both parameters zero
@@ -156,12 +166,13 @@ def wedge_density_det(group: GroupSpec, s: float, s_prime: float, Y) -> complex:
         return complex(det * sign / b)
 
 
-def phi(group: GroupSpec, s: float, s_prime: float, Y) -> float:
+def phi(group: GroupSpec, s: float, s_prime: float, Y):
     """Prequantum pairing factor |Omega_{(s+s')/2}|^2 / (|Omega_s||Omega_s'|)."""
     if s <= 0.0 or s_prime <= 0.0:
         raise ValueError("phi requires s, s' > 0")
     num = wedge_density(group, s, s_prime, Y)
-    return num / math.sqrt(omega_norm_sq(group, s, Y) * omega_norm_sq(group, s_prime, Y))
+    den = np.sqrt(omega_norm_sq(group, s, Y) * omega_norm_sq(group, s_prime, Y))
+    return _scalar_or_array(num / den)
 
 
 def phi_flatness_residual(group: GroupSpec, s: float, Y, h: float) -> float:

@@ -271,19 +271,21 @@ def heat_kernel(
     return SeriesValue(complex(total), tail)
 
 
-def nu_density(group: GroupSpec, hbar0: float, s: float, x, Y) -> float:
+def nu_density(group: GroupSpec, hbar0: float, s: float, x, Y):
     """Density of the K-averaged heat-kernel measure in polar coordinates.
 
     Value (a_s s^{n/2} eta(Y))^{-1} e^{-|Y|^2/hbar}; constant in the
     compact coordinate x, which is accepted only to mirror the polar
-    decomposition of the argument.
+    decomposition of the argument.  Y of shape ``(dim,)`` gives a float,
+    ``(N, dim)`` an ``(N,)`` array.
     """
     if s <= 0.0:
         raise ValueError("the averaged measure needs s > 0")
     Y = np.asarray(Y, dtype=float)
     hbar = hbar0 * s
     norm = a_s(group, hbar0, s) * s ** (group.dim / 2.0) * eta(group, Y)
-    return math.exp(-float(Y @ Y) / hbar) / norm
+    value = np.exp(-np.sum(Y * Y, axis=-1) / hbar) / norm
+    return float(value) if value.ndim == 0 else value
 
 
 def cst_forward(hbar: float, f: BandLimitedFunction) -> BandLimitedFunction:
@@ -367,16 +369,17 @@ def hl2_inner_quadrature(
 
     def integrand(Y):
         gc = group_exp(group, Y, 1j)
-        total = 0.0 + 0.0j
+        total = np.zeros(len(Y), dtype=complex)
         for label in labels:
             if group.kind == "torus":
-                M = np.asarray([[character_element(group, irreps[label], gc)]])
+                M = character_element(group, irreps[label], gc)[:, None, None]
             else:
                 M = wigner_matrix(label[0] / 2.0, gc)
-            A = F.blocks[label] @ M.T
-            B = Fp.blocks[label] @ M.T
-            total += np.vdot(A, B) / dims[label]
-        return total * eta(group, Y) * math.exp(-float(Y @ Y) / hbar)
+            Mt = np.swapaxes(M, -1, -2)
+            A = F.blocks[label] @ Mt
+            B = Fp.blocks[label] @ Mt
+            total += np.einsum("nij,nij->n", A.conj(), B) / dims[label]
+        return total * eta(group, Y) * np.exp(-np.sum(Y * Y, axis=1) / hbar)
 
     quad = quadrature.hermite_quadrature(group, points, scale=math.sqrt(hbar))
     value, err = quadrature.integrate_algebra(integrand, quad)

@@ -39,8 +39,8 @@ from .groups import (
     weights_with_multiplicities,
     wigner_matrix,
 )
-from .halfform import eta, phi
-from .heat import BandLimitedFunction, a_s, l2_inner
+from .halfform import eta, eta_from_roots, phi
+from .heat import BandLimitedFunction, _su2_conjugation_intertwiner, a_s, l2_inner
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -69,8 +69,9 @@ class PrequantumSection:
     """Prequantum half-form section in the unit-length frame.
 
     The amplitude is a black-box sampler evaluated on algebra
-    quadrature nodes; it multiplies a frame of pointwise norm one, so
-    norms are plain integrals of |amplitude|^2 over the algebra
+    quadrature nodes: it maps an ``(N, dim)`` array of nodes to an
+    ``(N,)`` array of values.  It multiplies a frame of pointwise norm
+    one, so norms are plain integrals of |amplitude|^2 over the algebra
     direction.
     """
 
@@ -150,20 +151,36 @@ def char_gaussian_quadrature(
     )
 
 
-def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
+def _cartan_log_terms(group: GroupSpec, irrep: Irrep, t_chi: float, t_eta: float):
+    # Batched terms of the Cartan-reduced log integrands.  For nodes Y in
+    # the Cartan subalgebra (all of the algebra on tori) returns
+    # log chi_R(e^{i t_chi Y}) from the weight table, log eta(t_eta Y) from
+    # the root values H.alpha (no eigen-solve), and |Y|^2.  Tori have no
+    # roots, so log eta is exactly 0 there.
     mu, mult = weights_with_multiplicities(group, irrep)
     logmult = np.log(mult.astype(float))
-    idx = list(group.cartan_indices) if group.kind != "torus" else list(range(group.dim))
+    idx = list(group.cartan_indices)
+
+    def terms(Y):
+        H = Y[:, idx]
+        logchi = logsumexp(-t_chi * (H @ mu.T) + logmult, axis=1)
+        log_eta = np.log(eta_from_roots((t_eta * H) @ group.positive_roots.T))
+        return logchi, log_eta, np.einsum("ij,ij->i", Y, Y)
+
+    return terms
+
+
+def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
+    terms = _cartan_log_terms(group, irrep, t, t / 2.0)
     n = group.dim
 
     def logF(Y):
-        H = Y[idx]
-        logchi = float(logsumexp(-t * (mu @ H) + logmult))
+        logchi, log_eta, yy = terms(Y)
         return (
             logchi
-            - t * float(Y @ Y) / (2.0 * hbar0)
+            - t * yy / (2.0 * hbar0)
             + (n / 2.0) * math.log(t / 2.0)
-            + math.log(eta(group, (t / 2.0) * Y))
+            + log_eta
         )
 
     return logF
@@ -220,7 +237,7 @@ def _char_gaussian_hermite(group, hbar0, t, irrep, quad):
         chi = character_element(group, irrep, group_exp(group, Y, 1j * t))
         return (
             chi.real
-            * math.exp(-t * float(Y @ Y) / (2.0 * hbar0))
+            * np.exp(-t * np.einsum("ij,ij->i", Y, Y) / (2.0 * hbar0))
             * (t / 2.0) ** (n / 2.0)
             * eta(group, (t / 2.0) * Y)
         )
@@ -314,12 +331,14 @@ def default_char_factory(
     seed: int = 0,
     points_per_panel: int = 14,
     panels: int = 10,
+    hermite_points: int = 64,
 ):
     """Factory (t, irrep) -> quadrature rule for pairing assemblies.
 
     Deterministic backends rebuild the rule around each integrand's
     tilt; the Monte Carlo backend derives one child seed per (t, label)
     so results stay reproducible under any evaluation order.
+    ``hermite_points`` is the length of the recentered torus rule.
     """
     if backend == "monte-carlo":
         if group.kind == "torus":
@@ -335,7 +354,7 @@ def default_char_factory(
     if group.kind == "torus" or backend == "gauss-hermite-full":
 
         def factory(t, irrep):
-            return char_gaussian_quadrature(group, hbar0, t, irrep)
+            return char_gaussian_quadrature(group, hbar0, t, irrep, points=hermite_points)
 
         return factory
 
@@ -596,14 +615,11 @@ def _delta_one_scalar(group, hbar0, s, irrep, points_per_panel=16, panels=10):
     # e^{-hbar c_R} (a_s s^{n/2})^{-1} (1/d) *
     #   int chi_R(e^{2iY}) eta(Y) e^{-|Y|^2/hbar} dY,   contract 1.
     hbar = s * hbar0
-    mu, mult = weights_with_multiplicities(group, irrep)
-    logmult = np.log(mult.astype(float))
-    idx = list(group.cartan_indices) if group.kind != "torus" else list(range(group.dim))
+    terms = _cartan_log_terms(group, irrep, 2.0, 1.0)
 
     def logF(Y):
-        H = Y[idx]
-        logchi = float(logsumexp(-2.0 * (mu @ H) + logmult))
-        return logchi + math.log(eta(group, Y)) - float(Y @ Y) / hbar
+        logchi, log_eta, yy = terms(Y)
+        return logchi + log_eta - yy / hbar
 
     tilt = highest_weight(group, irrep.label) + group.rho
     shift = hbar * float(np.linalg.norm(tilt))
@@ -650,13 +666,6 @@ def verify_delta_identity(
     )
 
 
-def _su2_epsilon(d: int) -> np.ndarray:
-    C = np.zeros((d, d))
-    for a in range(d):
-        C[a, d - 1 - a] = (-1.0) ** a
-    return C
-
-
 def _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points):
     # After the two exact compact-direction integrals (dual-pairing
     # orthogonality in the smeared variable, conjugate orthogonality in
@@ -665,20 +674,23 @@ def _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points):
     #   int C^T [(W_- Wx2^{-1})^T conj(W_+)] C  eta(Y) e^{-|Y|^2/hbar''} dY
     # with W_pm the irrep lifts of exp(i(1 pm t)Y).  The two lifts are
     # built separately so the deformation parameter stays live in the
-    # numerics instead of cancelling analytically.
+    # numerics instead of cancelling analytically.  Nodes are summed in
+    # fixed-size batches, in node order.
     hbar_pp = 0.5 * (s + s_prime) * hbar0
     s_pp = 0.5 * (s + s_prime)
     j = irrep.label[0] / 2.0
     d = irrep.dim
-    C = _su2_epsilon(d)
+    C = _su2_conjugation_intertwiner(d)
     Wx2_inv = wigner_matrix(j, np.linalg.inv(x2))
     quad = quadrature.hermite_quadrature(group, points, scale=math.sqrt(hbar_pp))
     total = np.zeros((d, d), dtype=complex)
-    for Y, w in zip(quad.nodes, quad.weights):
+    for part in quadrature.batches(len(quad.nodes)):
+        Y, w = quad.nodes[part], quad.weights[part]
         Wp = wigner_matrix(j, group_exp(group, Y, 1j * (1.0 + t)))
         Wm = wigner_matrix(j, group_exp(group, Y, 1j * (1.0 - t)))
-        S = C.T @ ((Wm @ Wx2_inv).T @ np.conj(Wp)) @ C
-        total += (w * eta(group, Y) * math.exp(-float(Y @ Y) / hbar_pp)) * S
+        S = C.T @ (np.swapaxes(Wm @ Wx2_inv, -1, -2) @ np.conj(Wp)) @ C
+        coef = w * eta(group, Y) * np.exp(-np.einsum("ij,ij->i", Y, Y) / hbar_pp)
+        total += np.einsum("n,nij->ij", coef, S)
     norm = a_s(group, hbar0, s_pp) * s_pp ** (group.dim / 2.0)
     return math.exp(-hbar_pp * irrep.casimir) * total / norm
 
@@ -807,7 +819,7 @@ def preq_map_apply(s: float, s_prime: float, secp: PrequantumSection) -> Prequan
     amp = secp.amplitude
 
     def new_amp(Y):
-        return math.sqrt(phi(group, s, s_prime, np.asarray(Y, dtype=float))) * amp(Y)
+        return np.sqrt(phi(group, s, s_prime, np.asarray(Y, dtype=float))) * amp(Y)
 
     return PrequantumSection(group=group, s=s, amplitude=new_amp, tag="unit-frame")
 
@@ -827,6 +839,6 @@ def preq_norm_sq(sec: PrequantumSection, quad: quadrature.AlgebraQuadrature):
     """Squared prequantum norm: the algebra integral of |amplitude|^2."""
 
     def F(Y):
-        return abs(sec.amplitude(Y)) ** 2
+        return np.abs(sec.amplitude(Y)) ** 2
 
     return quadrature.integrate_algebra(F, quad)

@@ -16,6 +16,12 @@ the group.  Three algebra backends cover the regimes that occur:
 Group backends: trapezoid grids on tori (exact below the resolution),
 an Euler-angle product rule on SU(2), and seeded Haar samples.
 
+Algebra integrands are batched: an integrand takes an ``(N, dim)``
+array of nodes and returns an ``(N,)`` array of values, so a rule costs
+one array call per block of at most ``BATCH`` nodes instead of one
+Python call per node.  Group integrands still take one element at a
+time.
+
 Deterministic rules carry a coarser companion rule; the reported error
 estimate is the difference between the two resolutions.  Accumulation
 is compensated and in fixed node order, so identical (backend,
@@ -55,8 +61,6 @@ class AlgebraQuadrature:
     samples: int = 0
     seed: int = 0
     scale: float = 1.0
-    weyl_c: float | None = None
-    error_policy: str = "companion"
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -70,20 +74,36 @@ class GroupQuadrature:
     seed: int = 0
 
 
+# nodes per integrand call: bounds the memory a batched integrand holds
+# at once (a few kB per node for SU(2) Wigner or SU(3) eigen-solves)
+BATCH = 512
+
+_WEYL_CACHE: dict = {}
+
+
+def batches(n: int):
+    """Slices covering range(n) in order, BATCH entries at most each."""
+    return (slice(start, min(start + BATCH, n)) for start in range(0, n, BATCH))
+
+
 def weyl_constant(group: GroupSpec) -> float:
     """Constant c_K with int_k F dY = c_K int_t F(H) prod alpha(H)^2 dH.
 
     Holds for Ad-invariant F; calibrated on the exact Gaussian
     int_k e^{-|Y|^2} dY = pi^{dim/2}.  The Cartan-side integral has a
     polynomial integrand, so a small Gauss-Hermite rule is exact.
+    Computed once per (group, scale).
     """
     if group.kind == "torus":
         raise ValueError("torus integrals need no Weyl reduction")
-    x, w = roots_hermite(8)
-    H = _tensor_nodes(x, group.rank)
-    W = _tensor_weights(w, group.rank)
-    jac = np.prod((H @ group.positive_roots.T) ** 2, axis=1)
-    return math.pi ** (group.dim / 2) / math.fsum(W * jac)
+    key = (group.kind, group.scale)
+    if key not in _WEYL_CACHE:
+        x, w = np.polynomial.hermite.hermgauss(8)
+        H = _tensor_nodes(x, group.rank)
+        W = _tensor_weights(w, group.rank)
+        jac = np.prod((H @ group.positive_roots.T) ** 2, axis=1)
+        _WEYL_CACHE[key] = math.pi ** (group.dim / 2) / math.fsum(W * jac)
+    return _WEYL_CACHE[key]
 
 
 def _tensor_nodes(x: np.ndarray, rank: int) -> np.ndarray:
@@ -138,7 +158,6 @@ def cartan_quadrature(
         weights=weights,
         coarse_nodes=cnodes,
         coarse_weights=cweights,
-        weyl_c=c_k,
     )
 
 
@@ -190,7 +209,6 @@ def algebra_montecarlo(
         samples=samples,
         seed=seed,
         scale=scale,
-        error_policy="stderr",
     )
 
 
@@ -202,25 +220,35 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray):
     return math.fsum(weights * values)
 
 
-def _evaluate(F, nodes: np.ndarray) -> np.ndarray:
-    values = np.asarray([F(Y) for Y in nodes])
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced a non-finite sample")
+def _checked(F, nodes: np.ndarray) -> np.ndarray:
+    values = np.asarray(F(nodes))
+    if values.shape != (len(nodes),):
+        raise ValueError(
+            f"integrand returned shape {values.shape} for {len(nodes)} nodes; "
+            "expected one value per node"
+        )
+    _require_finite(values)
     return values
+
+
+def _values(F, nodes: np.ndarray) -> np.ndarray:
+    # one integrand call per batch of nodes, in node order
+    return np.concatenate([_checked(F, nodes[part]) for part in batches(len(nodes))])
 
 
 def integrate_algebra(F, quad: AlgebraQuadrature):
     """Integral of F over the algebra, as (value, error_estimate).
 
-    F maps one algebra vector to a real or complex number.  For the
-    cartan-reduced backend F must be Ad-invariant; the deterministic
-    error estimate is the difference against the companion resolution,
-    the Monte Carlo one a standard error.
+    F maps an ``(N, dim)`` array of algebra vectors to an ``(N,)`` array
+    of real or complex values; it is called once per batch of at most
+    BATCH nodes.  For the cartan-reduced backend F must be Ad-invariant;
+    the deterministic error estimate is the difference against the
+    companion resolution, the Monte Carlo one a standard error.
     """
     if quad.backend == "monte-carlo":
         return _montecarlo_algebra(F, quad)
-    value = _weighted_sum(quad.weights, _evaluate(F, quad.nodes))
-    coarse = _weighted_sum(quad.coarse_weights, _evaluate(F, quad.coarse_nodes))
+    value = _weighted_sum(quad.weights, _values(F, quad.nodes))
+    coarse = _weighted_sum(quad.coarse_weights, _values(F, quad.coarse_nodes))
     return value, abs(value - coarse)
 
 
@@ -228,16 +256,16 @@ def integrate_algebra_log(logF, quad: AlgebraQuadrature):
     """log of the integral of e^{logF} >= 0, as (log_value, log_error).
 
     Overflow-safe route for positive integrands whose scale exceeds
-    float range; logF must be real-valued.  Deterministic backends
-    only.
+    float range; logF follows the batched contract of integrate_algebra
+    and must be real-valued.  Deterministic backends only.
     """
     if quad.backend == "monte-carlo":
         raise ValueError("log-space evaluation needs a deterministic backend")
     with np.errstate(divide="ignore"):
         logw = np.log(quad.weights)
         logw_c = np.log(quad.coarse_weights)
-    value = float(logsumexp(_evaluate(logF, quad.nodes) + logw))
-    coarse = float(logsumexp(_evaluate(logF, quad.coarse_nodes) + logw_c))
+    value = float(logsumexp(_values(logF, quad.nodes) + logw))
+    coarse = float(logsumexp(_values(logF, quad.coarse_nodes) + logw_c))
     return value, abs(value - coarse)
 
 
@@ -245,12 +273,15 @@ def _montecarlo_algebra(F, quad: AlgebraQuadrature):
     rng = np.random.default_rng(quad.seed)
     dim = quad.group.dim
     norm = (2.0 * math.pi) ** (dim / 2.0) * quad.scale**dim
-    xi = rng.standard_normal((quad.samples, dim))
-    ratios = np.asarray(
-        [F(quad.scale * x) * norm * math.exp(0.5 * float(x @ x)) for x in xi]
-    )
-    if not np.all(np.isfinite(ratios)):
-        raise ValueError("integrand produced a non-finite sample")
+    parts = []
+    for part in batches(quad.samples):
+        # consecutive draws continue one stream: the batches split the
+        # samples of a single (samples, dim) draw
+        xi = rng.standard_normal((part.stop - part.start, dim))
+        values = _checked(F, quad.scale * xi)
+        parts.append(values * norm * np.exp(0.5 * np.sum(xi * xi, axis=1)))
+    ratios = np.concatenate(parts)
+    _require_finite(ratios)
     value = ratios.mean()
     stderr = float(np.std(ratios, ddof=1) / math.sqrt(quad.samples))
     if not np.iscomplexobj(ratios):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import pairing, quadrature
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .groups import GroupSpec, casimir, enumerate_irreps, group_spec, make_irrep
 from .halfform import phi_flatness_residual, wedge_density, wedge_density_det
 from .heat import (
@@ -390,7 +390,7 @@ def _job_prequantum(group, tol, seed, mc_samples=200_000):
     s_from, s_to = 4.0, 1.0
 
     def amp(Y):
-        return math.exp(-0.5 * float(np.dot(Y, Y)))
+        return np.exp(-0.5 * np.sum(Y * Y, axis=-1))
 
     sec = PrequantumSection(group=group, s=s_from, amplitude=amp)
     mapped = pairing.preq_map_apply(s_to, s_from, sec)
@@ -427,14 +427,16 @@ def build_jobs(cfg: RunConfig) -> list:
     factory = pairing.default_char_factory(
         group, cfg.hbar0, backend=cfg.char_backend, samples=cfg.mc_samples,
         seed=cfg.seed, points_per_panel=cfg.points_per_panel, panels=cfg.panels,
+        hermite_points=cfg.hermite_points,
     )
     s_pos = [s for s in cfg.s_grid if s > 0.0]
     sp_pos = [s for s in cfg.s_prime_grid if s > 0.0]
     s_mid = _grid_value_near(s_pos, 1.0)
     sp_mid = _grid_value_near(sp_pos, 0.5) if sp_pos else s_mid
     if kind == "su3":
-        # cartan-reduced rules on the 2d torus are ~1s per integral, so
-        # su3 runs one representative cell instead of the full grid
+        # su3 runs one representative cell instead of the full grid; the
+        # batched integrands make the full grid affordable, and widening
+        # it is a change of its own (same branch in pairing_factor_rows)
         cells = [(s_mid, sp_mid)]
         cells_with_zero = cells + [(s_mid, 0.0)]
     else:
@@ -569,7 +571,12 @@ def build_jobs(cfg: RunConfig) -> list:
 def _thread_count(cfg: RunConfig) -> int:
     env = os.environ.get("BKS_VERIFIER_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"BKS_VERIFIER_THREADS must be an integer, got {env!r}"
+            ) from None
     if cfg.threads > 0:
         return cfg.threads
     return min(8, os.cpu_count() or 1)
@@ -687,6 +694,7 @@ def pairing_factor_rows(cfg: RunConfig) -> list:
     factory = pairing.default_char_factory(
         group, cfg.hbar0, backend=cfg.char_backend, samples=cfg.mc_samples,
         seed=cfg.seed, points_per_panel=cfg.points_per_panel, panels=cfg.panels,
+        hermite_points=cfg.hermite_points,
     )
     s_pos = [s for s in cfg.s_grid if s > 0.0]
     sp_pos = [s for s in cfg.s_prime_grid if s > 0.0]

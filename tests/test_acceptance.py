@@ -212,7 +212,7 @@ def test_criterion_09_delta_identities():
 
 
 def test_criterion_10_prequantum_contrast(unitarity_grid):
-    amp = lambda Y: math.exp(-float(np.dot(Y, Y)) / 2.0)
+    amp = lambda Y: np.exp(-np.sum(Y * Y, axis=1) / 2.0)
     secp = pairing.PrequantumSection(SU2, 4.0, amp)
     quad = quadrature.hermite_quadrature(SU2, 24, scale=1.0)
     n0, _ = pairing.preq_norm_sq(secp, quad)

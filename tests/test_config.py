@@ -82,6 +82,54 @@ def test_rejections(text):
         config.parse_config(text)
 
 
+def test_rejects_zero_pairs_per_cell():
+    # no pairs would leave the random pairing checks passing on nothing
+    with pytest.raises(config.ConfigError, match="pairs_per_cell"):
+        config.parse_config("[run]\npairs_per_cell = 0\n")
+
+
+def test_rejects_zero_panels():
+    with pytest.raises(config.ConfigError, match="panels"):
+        config.parse_config("[quadrature]\npanels = 0\n")
+
+
+@pytest.mark.parametrize("points", ["1", "0", "-2", "7", "13"])
+def test_rejects_odd_or_short_points_per_panel(points):
+    with pytest.raises(config.ConfigError, match="points_per_panel"):
+        config.parse_config(f"[quadrature]\npoints_per_panel = {points}\n")
+
+
+def test_accepts_even_points_per_panel():
+    assert config.parse_config("[quadrature]\npoints_per_panel = 2\n").points_per_panel == 2
+
+
+@pytest.mark.parametrize("grid", ["0.0", "0.0, 0.0"])
+def test_rejects_s_prime_grid_without_positive_value(grid):
+    with pytest.raises(config.ConfigError, match="s_prime_grid"):
+        config.parse_config(f"[run]\ns_prime_grid = {grid}\n")
+
+
+@pytest.mark.parametrize("key", [
+    "hermite_points", "mc_samples", "hl2_points_torus", "hl2_points_su2",
+    "delta_points_torus", "delta_points_su2",
+])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_rejects_nonpositive_point_counts(key, value):
+    with pytest.raises(config.ConfigError, match=key):
+        config.parse_config(f"[quadrature]\n{key} = {value}\n")
+
+
+def test_rejects_non_integer_thread_variable(monkeypatch, tmp_path):
+    from bksverify import cli, suite
+
+    monkeypatch.setenv("BKS_VERIFIER_THREADS", "abc")
+    with pytest.raises(config.ConfigError, match="BKS_VERIFIER_THREADS"):
+        suite._thread_count(config.RunConfig())
+    code = cli.main(["verify", "factorization", "--group", "torus",
+                     "--out", str(tmp_path)])
+    assert code == 2
+
+
 def test_config_error_is_value_error():
     assert issubclass(config.ConfigError, ValueError)
 

@@ -273,3 +273,35 @@ def test_torus_group_spec_describe_roundtrip():
     g = groups.group_spec("torus", n=2)
     text = g.describe()
     assert "U(1)^2" in text and "unit_volume" in text
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
+def test_batched_elements_and_characters_match_one_element_calls(kind):
+    # a stack of N nodes gives the N one-node results: group_exp from one
+    # stacked eigen-solve, characters from stacked eigenvalues (not from
+    # the weight table), Wigner matrices from one monomial table
+    group = groups.group_spec(kind, n=2)
+    rng = np.random.default_rng(21)
+    Y = rng.standard_normal((25, group.dim)) * 0.6
+    g = groups.group_exp(group, Y, 0.8j)
+    np.testing.assert_allclose(g, np.array([groups.group_exp(group, y, 0.8j) for y in Y]),
+                               rtol=1e-14, atol=0.0)
+    labels = {"torus": [(1, -2), (0, 3)], "su2": [(0,), (1,), (4,)],
+              "su3": [(1, 0), (1, 1), (2, 1)]}[kind]
+    for label in labels:
+        irrep = groups.make_irrep(group, label)
+        chi = groups.character_element(group, irrep, g)
+        one = np.array([groups.character_element(group, irrep, x) for x in g])
+        np.testing.assert_allclose(chi, one, rtol=1e-14, err_msg=str(label))
+        if kind == "su2":
+            W = groups.wigner_matrix(label[0] / 2.0, g)
+            one_w = np.array([groups.wigner_matrix(label[0] / 2.0, x) for x in g])
+            np.testing.assert_allclose(W, one_w, rtol=1e-14, atol=0.0)
+
+
+def test_wigner_rejects_bad_determinant_in_a_stack():
+    su2 = groups.group_spec("su2")
+    g = groups.group_exp(su2, np.zeros((3, 3)))
+    g[1] *= 1.01
+    with pytest.raises(ValueError, match="determinant"):
+        groups.wigner_matrix(0.5, g)

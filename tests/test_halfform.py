@@ -189,3 +189,37 @@ def test_phi_bounded_on_ball():
         vals.append(halfform.phi(SU2, 1.0, 2.0, Y))
     assert np.all(np.isfinite(vals))
     assert max(vals) < 10.0
+
+
+@pytest.mark.parametrize("group", [TORUS, SU2, SU3], ids=lambda g: g.kind)
+def test_batched_densities_match_one_vector_calls(group):
+    # the (N, dim) forms are the (dim,) forms row by row
+    rng = np.random.default_rng(13)
+    Y = rng.standard_normal((40, group.dim)) * 1.5
+    cases = {
+        "eta": lambda y: halfform.eta(group, y),
+        "omega": lambda y: halfform.omega_norm_sq(group, 0.8, y),
+        "wedge": lambda y: halfform.wedge_density(group, 0.8, 2.5, y),
+        "phi": lambda y: halfform.phi(group, 0.8, 2.5, y),
+        "root_values": lambda y: groups.root_values(group, y),
+    }
+    for name, f in cases.items():
+        batch = f(Y)
+        rows = np.array([f(y) for y in Y])
+        assert batch.shape == rows.shape, name
+        np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("group", [SU2, SU3], ids=lambda g: g.kind)
+def test_cartan_eta_from_root_products_matches_eigen_solve(group):
+    # on Cartan vectors the root values are H . alpha, so eta needs no
+    # spectrum of ad_Y; the eigen-solve sees the same values up to sign
+    rng = np.random.default_rng(14)
+    H = rng.standard_normal((30, group.rank)) * 1.2
+    Y = np.zeros((30, group.dim))
+    Y[:, list(group.cartan_indices)] = H
+    direct = halfform.eta_from_roots(H @ group.positive_roots.T)
+    np.testing.assert_allclose(direct, halfform.eta(group, Y), rtol=1e-12)
+    np.testing.assert_allclose(
+        np.sort(np.abs(H @ group.positive_roots.T), axis=1),
+        np.sort(groups.root_values(group, Y), axis=1), rtol=1e-12)

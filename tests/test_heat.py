@@ -94,6 +94,7 @@ def test_nu_density_closed_forms():
 def test_nu_density_unit_mass_su2():
     s, hbar0 = 1.0, 1.0
     quad = quadrature.hermite_quadrature(SU2, 40, scale=math.sqrt(hbar0 * s))
+    # batched integrand: (N, 3) nodes -> (N,) values
     val, _ = quadrature.integrate_algebra(
         lambda Y: heat.nu_density(SU2, hbar0, s, None, Y)
         * halfform.omega_norm_sq(SU2, s, Y), quad)

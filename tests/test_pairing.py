@@ -108,15 +108,16 @@ def test_schur_reduction_direct_3d():
     quad = quadrature.hermite_quadrature(SU2, 28, scale=math.sqrt(hbar0 / t))
 
     def weight(Y):
-        r2 = float(np.dot(Y, Y))
+        # batched: (N, 3) nodes -> (N,) values
+        r2 = np.sum(Y * Y, axis=1)
         from bksverify import halfform
-        return math.exp(-t * r2 / (2 * hbar0)) * (t / 2.0) ** 1.5 * halfform.eta(SU2, (t / 2.0) * Y)
+        return np.exp(-t * r2 / (2 * hbar0)) * (t / 2.0) ** 1.5 * halfform.eta(SU2, (t / 2.0) * Y)
 
     entries = {}
     for (i, j) in ((0, 0), (1, 1), (0, 1)):
         val, _ = quadrature.integrate_algebra(
             lambda Y, i=i, j=j: groups.wigner_matrix(
-                m / 2.0, groups.group_exp(SU2, Y, factor=1j * t))[i, j] * weight(Y),
+                m / 2.0, groups.group_exp(SU2, Y, factor=1j * t))[:, i, j] * weight(Y),
             quad)
         entries[(i, j)] = val
     assert abs(entries[(0, 1)]) <= 1e-8 * abs(entries[(0, 0)])
@@ -367,7 +368,7 @@ def test_report_pass_flag_matches_tolerance():
 def test_prequantum_map_contrast():
     # Gaussian amplitude, s' = 4 -> s = 1: the prequantum map changes the
     # norm while parallel transport preserves it
-    amp = lambda Y: math.exp(-float(np.dot(Y, Y)) / 2.0)
+    amp = lambda Y: np.exp(-np.sum(Y * Y, axis=1) / 2.0)
     secp = pairing.PrequantumSection(SU2, 4.0, amp)
     quad = quadrature.hermite_quadrature(SU2, 24, scale=1.0)
     n0, _ = pairing.preq_norm_sq(secp, quad)
@@ -382,15 +383,15 @@ def test_prequantum_map_contrast():
 
 def test_prequantum_torus_constant_multiplier():
     # abelian phi is constant in Y: multiplier sqrt((s+s')/(2 sqrt(s s')))
-    amp = lambda Y: math.exp(-float(np.dot(Y, Y)) / 2.0)
+    amp = lambda Y: np.exp(-np.sum(Y * Y, axis=1) / 2.0)
     secp = pairing.PrequantumSection(TORUS, 4.0, amp)
     mapped = pairing.preq_map_apply(1.0, 4.0, secp)
-    Y = np.array([0.4])
-    assert mapped.amplitude(Y) == pytest.approx(math.sqrt(1.25) * amp(Y), rel=1e-12)
+    Y = np.array([[0.4], [-1.1], [2.0]])
+    np.testing.assert_allclose(mapped.amplitude(Y), math.sqrt(1.25) * amp(Y), rtol=1e-12)
 
 
 def test_prequantum_tag_mismatch_rejected():
-    amp = lambda Y: 1.0
+    amp = lambda Y: np.ones(len(Y))
     odd = pairing.PrequantumSection(SU2, 2.0, amp, tag="half-form-frame")
     with pytest.raises(ValueError):
         pairing.preq_map_apply(1.0, 2.0, odd)

@@ -28,7 +28,8 @@ def test_weyl_constant_rejects_torus():
 
 
 def gauss(Y):
-    return math.exp(-float(np.dot(Y, Y)))
+    # batched integrand: (N, dim) nodes -> (N,) values
+    return np.exp(-np.sum(Y * Y, axis=1))
 
 
 def test_cartan_gaussian_calibration():
@@ -59,7 +60,7 @@ def test_hermite_polynomial_exactness():
     for k, want in ((0, math.sqrt(math.pi)), (2, math.sqrt(math.pi) / 2),
                     (4, 3 * math.sqrt(math.pi) / 4), (14, math.sqrt(math.pi) * 135135 / 2 ** 7)):
         val, _ = quadrature.integrate_algebra(
-            lambda Y, k=k: float(Y[0] ** k) * gauss(Y), quad)
+            lambda Y, k=k: Y[:, 0] ** k * gauss(Y), quad)
         assert val == pytest.approx(want, rel=1e-12)
 
 
@@ -67,7 +68,7 @@ def test_hermite_tensor_moment_su2():
     # int Y1^2 Y2^4 e^{-|Y|^2} over R^3 = (sqrt(pi)/2)(3 sqrt(pi)/4) sqrt(pi)
     quad = quadrature.hermite_quadrature(SU2, 10)
     val, _ = quadrature.integrate_algebra(
-        lambda Y: float(Y[0] ** 2 * Y[1] ** 4) * gauss(Y), quad)
+        lambda Y: Y[:, 0] ** 2 * Y[:, 1] ** 4 * gauss(Y), quad)
     want = (math.sqrt(math.pi) / 2) * (3 * math.sqrt(math.pi) / 4) * math.sqrt(math.pi)
     assert val == pytest.approx(want, rel=1e-12)
 
@@ -75,7 +76,7 @@ def test_hermite_tensor_moment_su2():
 def test_hermite_odd_integrand_vanishes():
     quad = quadrature.hermite_quadrature(SU2, 12)
     val, _ = quadrature.integrate_algebra(
-        lambda Y: float(Y[0] ** 3 + Y[2]) * gauss(Y), quad)
+        lambda Y: (Y[:, 0] ** 3 + Y[:, 2]) * gauss(Y), quad)
     assert abs(val) < 1e-12
 
 
@@ -88,7 +89,7 @@ def test_hermite_recentering():
     # shifted Gaussian: int e^{-(y - 1.3)^2} dy with a recentered rule
     quad = quadrature.hermite_quadrature(TORUS, 24, scale=1.0, center=np.array([1.3]))
     val, _ = quadrature.integrate_algebra(
-        lambda Y: math.exp(-float((Y[0] - 1.3) ** 2)), quad)
+        lambda Y: np.exp(-(Y[:, 0] - 1.3) ** 2), quad)
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
@@ -105,7 +106,7 @@ def test_montecarlo_seeded_determinism():
 
 
 def test_montecarlo_error_estimate_shrinks():
-    f = lambda Y: gauss(Y) * float(np.dot(Y, Y))
+    f = lambda Y: gauss(Y) * np.sum(Y * Y, axis=1)
     _, e_small = quadrature.integrate_algebra(f, quadrature.algebra_montecarlo(SU2, 10_000, seed=1))
     _, e_big = quadrature.integrate_algebra(f, quadrature.algebra_montecarlo(SU2, 160_000, seed=1))
     # sqrt(16) = 4 improvement expected, allow slack
@@ -194,4 +195,68 @@ def test_haar_montecarlo_su3_moments():
 def test_integrate_algebra_rejects_nonfinite():
     quad = quadrature.hermite_quadrature(TORUS, 8)
     with pytest.raises(ValueError):
-        quadrature.integrate_algebra(lambda Y: float("nan"), quad)
+        quadrature.integrate_algebra(lambda Y: np.full(len(Y), np.nan), quad)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda Y: 1.0,                       # a scalar for the whole batch
+    lambda Y: np.ones((len(Y), 1)),      # a column, not a vector
+    lambda Y: np.ones(len(Y) + 1),       # one value too many
+    lambda Y: np.ones(Y.shape),          # per coordinate, not per node
+])
+def test_integrate_algebra_rejects_wrong_shape(bad):
+    for quad in (quadrature.hermite_quadrature(SU2, 6),
+                 quadrature.cartan_quadrature(SU2, 6.0, points_per_panel=4, panels=2),
+                 quadrature.algebra_montecarlo(SU2, 100, seed=0)):
+        with pytest.raises(ValueError, match="shape"):
+            quadrature.integrate_algebra(bad, quad)
+    with pytest.raises(ValueError, match="shape"):
+        quadrature.integrate_algebra_log(bad, quadrature.hermite_quadrature(SU2, 6))
+
+
+def test_integrand_called_per_batch_in_node_order():
+    # one array call per batch of at most BATCH nodes: the fine nodes
+    # first, then the companion nodes, each in rule order
+    seen = []
+
+    def f(Y):
+        seen.append(Y.copy())
+        return gauss(Y)
+
+    quad = quadrature.hermite_quadrature(SU2, 12)
+    quadrature.integrate_algebra(f, quad)
+    batch = quadrature.BATCH
+    assert len(seen) == -(-len(quad.nodes) // batch) - (-len(quad.coarse_nodes) // batch)
+    assert all(len(Y) <= batch for Y in seen)
+    np.testing.assert_array_equal(
+        np.concatenate(seen), np.concatenate([quad.nodes, quad.coarse_nodes]))
+
+
+def test_montecarlo_batches_split_one_draw():
+    # the batched sampler sees exactly the samples of one seeded draw
+    n = 2 * quadrature.BATCH + 5
+    sizes = []
+
+    def f(Y):
+        sizes.append(len(Y))
+        return gauss(Y)
+
+    val, _ = quadrature.integrate_algebra(f, quadrature.algebra_montecarlo(SU2, n, seed=3))
+    assert sizes == [quadrature.BATCH, quadrature.BATCH, 5]
+    xi = np.random.default_rng(3).standard_normal((n, 3))
+    ratios = gauss(xi) * (2 * math.pi) ** 1.5 * np.exp(0.5 * np.sum(xi * xi, axis=1))
+    assert val == ratios.mean()
+
+
+def test_weyl_constant_matches_scipy_rule():
+    # the cached numpy Gauss-Hermite rule agrees with scipy's to roundoff
+    from scipy.special import roots_hermite
+
+    for g in (SU2, SU3):
+        x, w = roots_hermite(8)
+        H = np.stack(np.meshgrid(*([x] * g.rank), indexing="ij"), -1).reshape(-1, g.rank)
+        W = np.prod(np.stack(np.meshgrid(*([w] * g.rank), indexing="ij"), -1), -1).ravel()
+        jac = np.prod((H @ g.positive_roots.T) ** 2, axis=1)
+        want = math.pi ** (g.dim / 2) / math.fsum(W * jac)
+        assert quadrature.weyl_constant(g) == pytest.approx(want, rel=1e-14)
+        assert quadrature.weyl_constant(groups.group_spec(g.kind)) == quadrature.weyl_constant(g)

@@ -154,3 +154,15 @@ def test_tolerance_scale_and_override_reach_reports():
                    tolerance_overrides={"wedge": 1e-5})
     rep2 = suite.run_suite(cfg)
     assert rep2.reports[0][1].tolerance == pytest.approx(1e-5)
+
+
+def test_hermite_points_reach_the_torus_character_rule():
+    # the key sets the length of the torus character rule: the reports of
+    # 8 and 64 points differ, 64 being the default
+    def reports(**kw):
+        rep = suite.run_suite(fast_cfg(identities=("bks-factor",), **kw))
+        return [(k, r.lhs, r.error_estimate) for k, r in rep.reports]
+
+    default = reports()
+    assert reports(hermite_points=64) == default
+    assert reports(hermite_points=8) != default
