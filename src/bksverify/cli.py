@@ -15,8 +15,6 @@ flags override it.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -35,11 +33,19 @@ from .config import (
 from .groups import calibrate_scale, group_spec, make_irrep
 from .heat import a_s
 from .suite import (
+    bks_factor_tolerance,
     emit_factor_table,
     emit_table,
     pairing_factor_rows,
     run_suite,
+    write_rows,
 )
+
+_CALIBRATE_COLUMNS = (
+    "group", "dim", "rank", "scale", "unit_volume_scale", "rho_norm_sq",
+    "density_prefactor", "a_s_at_1",
+)
+_CONVERGENCE_COLUMNS = ("backend", "resolution", "rel_error", "error_estimate")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -76,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
+def _make_config(args: argparse.Namespace, **overrides) -> RunConfig:
+    """The --config file (or the defaults) with the flags and ``overrides``
+    applied, validated."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
     for name, attr in (
         ("group", "group"),
         ("hbar0", "hbar0"),
@@ -98,11 +105,8 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _make_config(args)
-    if args.identity != "all":
-        merged = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-        merged["identities"] = (args.identity,)
-        cfg = default_config(**merged)
+    only = {} if args.identity == "all" else {"identities": (args.identity,)}
+    cfg = _make_config(args, **only)
     report = run_suite(cfg)
     paths = emit_table(report, cfg.format, cfg.out_dir)
     for key, rep in report.reports:
@@ -125,7 +129,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     cfg = _make_config(args)
     rows = pairing_factor_rows(cfg)
     path = emit_factor_table(rows, cfg.format, cfg.out_dir)
-    bar = (1e-10 if cfg.group == "torus" else 1e-6) * cfg.tolerance_scale
+    bar = bks_factor_tolerance(cfg)
     worst = max((row["residual"] for row in rows), default=0.0)
     for row in rows:
         print(f"{row['irrep']:<10} s={row['s']:<5g} s'={row['s_prime']:<5g} "
@@ -151,17 +155,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             "density_prefactor": (math.pi * cfg.hbar0) ** (group.dim / 2.0),
             "a_s_at_1": a_s(group, cfg.hbar0, 1.0),
         })
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"calibrate.{cfg.format}")
-    with open(path, "w", encoding="utf-8") as fh:
-        if cfg.format == "json":
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(rows[0]))
-            for row in rows:
-                writer.writerow(list(row.values()))
+    write_rows(rows, _CALIBRATE_COLUMNS, cfg.format, path)
     for row in rows:
         print(f"{row['group']:<8} scale {row['scale']:.12g}  "
               f"|rho|^2 {row['rho_norm_sq']:.12g}  "
@@ -219,19 +214,8 @@ def _convergence_rows(cfg: RunConfig) -> list:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _make_config(args)
     rows = _convergence_rows(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"convergence.{cfg.format}")
-    with open(path, "w", encoding="utf-8") as fh:
-        if cfg.format == "json":
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["backend", "resolution", "rel_error",
-                             "error_estimate"])
-            for row in rows:
-                writer.writerow([row["backend"], row["resolution"],
-                                 row["rel_error"], row["error_estimate"]])
+    write_rows(rows, _CONVERGENCE_COLUMNS, cfg.format, path)
     for row in rows:
         print(f"{row['backend']:<18} {row['resolution']:>8}  "
               f"rel_error {row['rel_error']:.3e}")

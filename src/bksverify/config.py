@@ -44,7 +44,7 @@ IDENTITY_FAMILIES = (
 
 GROUP_KINDS = ("torus", "su2", "su3")
 NORMALIZATIONS = ("unit_volume", "reference")
-CHAR_BACKENDS = ("cartan-reduced", "gauss-hermite-full", "monte-carlo")
+CHAR_BACKENDS = ("cartan-reduced", "monte-carlo")
 FORMATS = ("json", "csv")
 
 
@@ -173,6 +173,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("hbar0 must be positive")
     if cfg.torus_rank < 1:
         raise ConfigError("torus_rank must be at least 1")
+    if cfg.threads < 0:
+        raise ConfigError("threads must be 0 (automatic) or positive")
     if any(s < 0.0 for s in cfg.s_grid + cfg.s_prime_grid):
         raise ConfigError("grid values must be nonnegative")
     if not cfg.s_grid:

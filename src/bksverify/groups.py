@@ -35,13 +35,11 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "CartanArgument",
     "GroupSpec",
     "Irrep",
     "ad_matrix",
     "calibrate_scale",
     "casimir",
-    "character",
     "dim_irrep",
     "enumerate_irreps",
     "make_irrep",
@@ -103,23 +101,6 @@ class Irrep:
     casimir: float
 
 
-@dataclass(frozen=True)
-class CartanArgument:
-    """A complexified torus point exp(z H) with H in the Cartan subalgebra.
-
-    ``H`` holds real coordinates with respect to the orthonormal basis of
-    the Cartan subalgebra; ``z`` is the complex multiplier.  ``z = 1``
-    gives an ordinary torus element, ``z = i t`` the positive elements
-    reached by the polarization flow.
-    """
-
-    H: tuple
-    z: complex = 1.0
-
-    def cartan_complex(self) -> np.ndarray:
-        return complex(self.z) * np.asarray(self.H, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
     """Conventions for one compact group at one inner-product scale."""
@@ -132,7 +113,6 @@ class GroupSpec:
     positive_roots: np.ndarray
     rho: np.ndarray
     weyl_elements: tuple
-    weyl_dets: tuple
     ad_basis: np.ndarray
     cartan_indices: tuple
     defining: np.ndarray | None
@@ -145,12 +125,6 @@ class GroupSpec:
     @property
     def rho_norm_sq(self) -> float:
         return float(np.dot(self.rho, self.rho))
-
-    def cartan_embed(self, H) -> np.ndarray:
-        """Embed Cartan coordinates into full algebra coordinates."""
-        Y = np.zeros(self.dim)
-        Y[list(self.cartan_indices)] = np.asarray(H, dtype=float)
-        return Y
 
     def describe(self) -> str:
         name = {"torus": f"U(1)^{self.rank}", "su2": "SU(2)", "su3": "SU(3)"}[self.kind]
@@ -183,7 +157,7 @@ def _resolve_scale(kind: str, normalization: str) -> float:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def _weyl_closure(simple_roots: np.ndarray) -> tuple[tuple, tuple]:
+def _weyl_closure(simple_roots: np.ndarray) -> tuple:
     """Generate the Weyl group from simple reflections by closure."""
     rank = simple_roots.shape[1]
     refls = []
@@ -203,8 +177,7 @@ def _weyl_closure(simple_roots: np.ndarray) -> tuple[tuple, tuple]:
                     elements.append(cand)
                     nxt.append(cand)
         frontier = nxt
-    dets = tuple(int(round(np.linalg.det(w))) for w in elements)
-    return tuple(elements), dets
+    return tuple(elements)
 
 
 def torus_group(n: int = 1, normalization: str = "unit_volume") -> GroupSpec:
@@ -221,7 +194,6 @@ def torus_group(n: int = 1, normalization: str = "unit_volume") -> GroupSpec:
         positive_roots=np.zeros((0, n)),
         rho=np.zeros(n),
         weyl_elements=(np.eye(n),),
-        weyl_dets=(1,),
         ad_basis=np.zeros((n, n, n)),
         cartan_indices=tuple(range(n)),
         defining=None,
@@ -248,7 +220,6 @@ def su2_group(normalization: str = "unit_volume") -> GroupSpec:
         positive_roots=root,
         rho=root[0] / 2.0,
         weyl_elements=(np.eye(1), -np.eye(1)),
-        weyl_dets=(1, -1),
         ad_basis=ad_basis,
         cartan_indices=(2,),
         defining=defining,
@@ -263,7 +234,7 @@ def su3_group(normalization: str = "unit_volume") -> GroupSpec:
     alpha23 = np.array([-math.sqrt(2.0) / 2.0, math.sqrt(6.0) / 2.0]) * s
     alpha13 = alpha12 + alpha23
     roots = np.stack([alpha12, alpha23, alpha13])
-    weyl_elements, weyl_dets = _weyl_closure(np.stack([alpha12, alpha23]))
+    weyl_elements = _weyl_closure(np.stack([alpha12, alpha23]))
     f = np.zeros((8, 8, 8))
     coupling = math.sqrt(2.0 / scale)
     for (a, b, c), val in _SU3_F.items():
@@ -285,7 +256,6 @@ def su3_group(normalization: str = "unit_volume") -> GroupSpec:
         positive_roots=roots,
         rho=0.5 * roots.sum(axis=0),
         weyl_elements=weyl_elements,
-        weyl_dets=weyl_dets,
         ad_basis=ad_basis,
         cartan_indices=(2, 7),
         defining=defining,
@@ -405,7 +375,7 @@ def enumerate_irreps(group: GroupSpec, casimir_cutoff: float) -> list[Irrep]:
 
 
 # ---------------------------------------------------------------------------
-# weight systems (used by the stable character paths)
+# weight systems
 
 _WEIGHT_CACHE: dict = {}
 
@@ -469,62 +439,6 @@ def _su3_weight_system(group: GroupSpec, irrep: Irrep) -> tuple[np.ndarray, np.n
         rows.append(lam - a * simple[0] - b * simple[1])
         counts.append(m)
     return np.asarray(rows), np.asarray(counts, dtype=int)
-
-
-# ---------------------------------------------------------------------------
-# characters
-
-
-def _signed_exp_sum(exponents: np.ndarray, signs: np.ndarray) -> tuple[complex, float]:
-    """Sum of signs*exp(exponents) returned as (mantissa, log-shift)."""
-    shift = float(np.max(exponents.real))
-    return complex(np.sum(signs * np.exp(exponents - shift))), shift
-
-
-def _character_regular(group: GroupSpec, irrep: Irrep, Hc: np.ndarray):
-    """Weyl-quotient character at exp(Hc), or None when the denominator degenerates."""
-    lam_rho = np.asarray(irrep.weight) + group.rho
-    rho = group.rho
-    num_exp = np.array([1j * np.dot(w @ lam_rho, Hc) for w in group.weyl_elements])
-    den_exp = np.array([1j * np.dot(w @ rho, Hc) for w in group.weyl_elements])
-    dets = np.asarray(group.weyl_dets, dtype=float)
-    num, num_shift = _signed_exp_sum(num_exp, dets)
-    den, den_shift = _signed_exp_sum(den_exp, dets)
-    if abs(den) < 1e-8:
-        return None
-    return num / den * np.exp(num_shift - den_shift)
-
-
-def character(group: GroupSpec, irrep: Irrep, arg: CartanArgument) -> complex:
-    """Character at the complexified torus point exp(z H).
-
-    Torus characters are single exponentials.  For SU(2) and SU(3) the
-    Weyl character formula is evaluated with overflow-shifted numerator
-    and denominator sums.  At Weyl-denominator zeros the limit is taken
-    by perturbing the argument along the regular direction dual to rho
-    and extrapolating the symmetric average in the perturbation size
-    (one Richardson step on the even Taylor expansion).
-    """
-    Hc = arg.cartan_complex()
-    if group.kind == "torus":
-        return complex(np.exp(1j * np.dot(np.asarray(irrep.weight), Hc)))
-    value = _character_regular(group, irrep, Hc)
-    if value is not None:
-        return value
-    direction = group.rho / np.linalg.norm(group.rho)
-    lam_rho_norm = float(np.linalg.norm(np.asarray(irrep.weight) + group.rho))
-    eps = 3e-3 / max(1.0, lam_rho_norm)
-    for _ in range(6):
-        probes = [
-            _character_regular(group, irrep, Hc + delta * direction)
-            for delta in (eps, -eps, eps / 2.0, -eps / 2.0)
-        ]
-        if all(p is not None for p in probes):
-            coarse = 0.5 * (probes[0] + probes[1])
-            fine = 0.5 * (probes[2] + probes[3])
-            return (4.0 * fine - coarse) / 3.0
-        eps *= 1.37
-    raise ArithmeticError("character perturbation fallback failed to find regular points")
 
 
 # ---------------------------------------------------------------------------
@@ -650,47 +564,10 @@ def group_exp(group: GroupSpec, Y, factor: complex = 1.0):
     return (V * np.exp(-1j * factor * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
 
 
-def cartan_element(group: GroupSpec, arg: CartanArgument):
-    """Group element exp(z H) for a Cartan argument."""
-    Hc = arg.cartan_complex()
-    if group.kind == "torus":
-        return Hc / math.sqrt(group.scale)
-    cartan_gens = group.defining[list(group.cartan_indices)]
-    A = np.tensordot(np.asarray(arg.H, dtype=float), cartan_gens, axes=(0, 0))
-    w, V = np.linalg.eigh(1j * A)
-    return (V * np.exp(-1j * complex(arg.z) * w)) @ V.conj().T
-
-
-def identity_element(group: GroupSpec):
-    if group.kind == "torus":
-        return np.zeros(group.rank, dtype=complex)
-    d = group.defining.shape[1]
-    return np.eye(d, dtype=complex)
-
-
-def compose(group: GroupSpec, g1, g2):
-    if group.kind == "torus":
-        return g1 + g2
-    return g1 @ g2
-
-
-def inverse(group: GroupSpec, g):
-    if group.kind == "torus":
-        return -g
-    return np.linalg.inv(g)
-
-
-def star(group: GroupSpec, g):
-    """Antiholomorphic extension of inversion: fixes exp(iY), inverts K."""
-    if group.kind == "torus":
-        return -np.conj(g)
-    return np.conj(g).T
-
-
 def random_element(group: GroupSpec, rng: np.random.Generator):
     """Haar sample: uniform angles, or QR of a Ginibre matrix det-normalized."""
     if group.kind == "torus":
-        return rng.uniform(0.0, 2.0 * math.pi, group.rank).astype(complex)
+        return rng.uniform(0.0, 2.0 * math.pi, group.rank)
     d = group.defining.shape[1]
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     qmat, rmat = np.linalg.qr(z)

@@ -89,9 +89,7 @@ def wedge_density(group: GroupSpec, s: float, s_prime: float, Y):
     """
     if s < 0.0 or s_prime < 0.0 or s + s_prime <= 0.0:
         raise ValueError("need s, s' >= 0 with s + s' > 0")
-    mid = 0.5 * (s + s_prime)
-    Y = np.asarray(Y, dtype=float)
-    return mid**group.dim * eta(group, mid * Y) ** 2
+    return omega_norm_sq(group, 0.5 * (s + s_prime), Y)
 
 
 def _exp_and_phi1(A: mpmath.matrix, t: float) -> tuple[mpmath.matrix, mpmath.matrix]:
@@ -170,8 +168,15 @@ def phi(group: GroupSpec, s: float, s_prime: float, Y):
     """Prequantum pairing factor |Omega_{(s+s')/2}|^2 / (|Omega_s||Omega_s'|)."""
     if s <= 0.0 or s_prime <= 0.0:
         raise ValueError("phi requires s, s' > 0")
-    num = wedge_density(group, s, s_prime, Y)
-    den = np.sqrt(omega_norm_sq(group, s, Y) * omega_norm_sq(group, s_prime, Y))
+    # the root values of tY are t times those of Y, so one eigen-solve of
+    # ad_Y serves all three densities |Omega_t|^2 = t^n eta(tY)^2
+    rv = root_values(group, Y)
+
+    def density(t):
+        return t**group.dim * eta_from_roots(t * rv) ** 2
+
+    num = density(0.5 * (s + s_prime))
+    den = np.sqrt(density(s) * density(s_prime))
     return _scalar_or_array(num / den)
 
 

@@ -43,24 +43,6 @@ class SeriesValue(NamedTuple):
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class HeatParameters:
-    """Base Planck constant and the scale s of one polarization, hbar = s*hbar0."""
-
-    hbar0: float
-    s: float
-
-    def __post_init__(self) -> None:
-        if self.hbar0 <= 0.0:
-            raise ValueError("hbar0 must be positive")
-        if self.s < 0.0:
-            raise ValueError("s must be nonnegative")
-
-    @property
-    def hbar(self) -> float:
-        return self.hbar0 * self.s
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class BandLimitedFunction:
     """Finite coefficient table {irrep label: d_R x d_R complex block}.
 

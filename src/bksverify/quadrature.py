@@ -39,7 +39,7 @@ from scipy.special import roots_hermite
 from numpy.polynomial.legendre import leggauss
 from scipy.special import logsumexp
 
-from .groups import GroupSpec
+from .groups import GroupSpec, random_element
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -333,17 +333,6 @@ def _euler_values(f, resolution: int):
     return np.asarray(values), np.asarray(weights)
 
 
-def _haar_sample(group: GroupSpec, rng: np.random.Generator):
-    if group.kind == "torus":
-        return rng.uniform(0.0, 2.0 * math.pi, group.rank)
-    d = group.defining.shape[1]
-    a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(a)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
-    det = np.linalg.det(q)
-    return q * (det / abs(det)) ** (-1.0 / d)
-
-
 def integrate_group(f, quad: GroupQuadrature):
     """Normalized-Haar integral of f, as (value, error_estimate).
 
@@ -366,7 +355,7 @@ def integrate_group(f, quad: GroupQuadrature):
         return value, abs(value - _weighted_sum(cweights, cvalues))
     if quad.backend == "haar-mc":
         rng = np.random.default_rng(quad.seed)
-        values = np.asarray([f(_haar_sample(quad.group, rng)) for _ in range(quad.samples)])
+        values = np.asarray([f(random_element(quad.group, rng)) for _ in range(quad.samples)])
         _require_finite(values)
         value = values.mean()
         stderr = float(np.std(values, ddof=1) / math.sqrt(quad.samples))

@@ -17,6 +17,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .heat import (
     make_function,
     random_band_limited,
 )
-from .pairing import PairingReport, PrequantumSection, QuantumSection
+from .pairing import PairingReport, PrequantumSection, QuantumSection, _report
 
 
 @dataclass(frozen=True)
@@ -114,25 +115,6 @@ def _fmt(x: float) -> str:
 # -- job bodies ----------------------------------------------------------
 
 
-def _mk_report(identity, group, params, lhs, rhs, residual, error, tolerance,
-               passed=None):
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    if passed is None:
-        passed = bool(residual <= tolerance)
-    return PairingReport(
-        identity=identity,
-        group=group.describe(),
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=float(residual),
-        rel_residual=float(residual / scale),
-        error_estimate=float(error),
-        tolerance=float(tolerance),
-        passed=bool(passed),
-    )
-
-
 def _job_wedge(group, tol, seed, samples=100):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -146,7 +128,7 @@ def _job_wedge(group, tol, seed, samples=100):
         rel = abs(det - direct) / abs(direct)
         if rel > worst:
             worst, worst_vals = rel, (direct, det)
-    return _mk_report(
+    return _report(
         "wedge", group, {"samples": samples},
         worst_vals[1], worst_vals[0], worst, 0.0, tol,
     )
@@ -159,7 +141,7 @@ def _job_phi_flatness(group, tol, seed, samples=100, h=1e-4):
         Y = rng.standard_normal(group.dim)
         s = float(rng.uniform(0.25, 3.0))
         worst = max(worst, phi_flatness_residual(group, s, Y, h))
-    return _mk_report(
+    return _report(
         "phi-flatness", group, {"samples": samples, "h": h},
         worst, 0.0, worst, 0.0, tol,
     )
@@ -177,7 +159,7 @@ def _job_cst_analytic(group, hbar0, s, band, tol, seed):
     rhs = l2_inner(f, fp)
     scale = math.sqrt(abs(l2_inner(f, f)) * abs(l2_inner(fp, fp)))
     rel = abs(lhs - rhs) / scale
-    return _mk_report(
+    return _report(
         "cst-unitarity", group,
         {"route": "analytic", "hbar0": hbar0, "s": s, "band_limit": band},
         lhs, rhs, rel, 0.0, tol,
@@ -199,7 +181,7 @@ def _job_cst_quadrature(group, hbar0, s, band, points, tol, seed):
     rhs = hl2_inner(group, hbar0, s, F, Fp)
     scale = math.sqrt(abs(l2_inner(f, f)) * abs(l2_inner(fp, fp)))
     rel = abs(lhs - rhs) / scale
-    return _mk_report(
+    return _report(
         "cst-unitarity", group,
         {"route": "quadrature", "hbar0": hbar0, "s": s, "band_limit": band,
          "points": points},
@@ -226,7 +208,7 @@ def _job_pairing_random(group, hbar0, s, sp, band, n_pairs, factory, tol, seed):
         rel = abs(val - target) / scale
         if rel > worst:
             worst, worst_vals, err_worst = rel, (val, target), err / scale
-    return _mk_report(
+    return _report(
         "pairing", group,
         {"hbar0": hbar0, "s": s, "s_prime": sp, "band_limit": band,
          "pairs": n_pairs},
@@ -252,7 +234,7 @@ def _job_pairing_orthogonal(group, hbar0, s, sp, band, factory, tol, seed):
     amid = a_s(group, hbar0, 0.5 * (s + sp))
     scale = amid * math.sqrt(abs(l2_inner(f, f)) * abs(l2_inner(f_perp, f_perp)))
     rel = abs(val) / scale
-    return _mk_report(
+    return _report(
         "pairing", group,
         {"hbar0": hbar0, "s": s, "s_prime": sp, "band_limit": band,
          "orthogonal": True},
@@ -282,7 +264,7 @@ def _job_bks_factor(group, hbar0, s, sp, irrep, factory, tol):
     else:
         lhs, rhs = log_num, log_closed
         params["scale"] = "log"
-    return _mk_report("bks-factor", group, params, lhs, rhs, rel, e1 + e2, tol)
+    return _report("bks-factor", group, params, lhs, rhs, rel, e1 + e2, tol)
 
 
 def _job_factorization(group, hbar0, cells, triples, irrep, tol):
@@ -306,7 +288,7 @@ def _job_factorization(group, hbar0, cells, triples, irrep, tol):
             + _factor_log(group, hbar0, s2, s3, irrep)
         one_step = _factor_log(group, hbar0, s1, s3, irrep)
         comp_worst = max(comp_worst, abs(math.expm1(two_step - one_step)))
-    return _mk_report(
+    return _report(
         "factorization", group,
         {"hbar0": hbar0, "irrep": str(irrep.label), "cells": len(usable),
          "composition_residual": comp_worst},
@@ -324,7 +306,7 @@ def _job_vertical_direct(group, hbar0, s, band, factory, tol, seed):
         abs(l2_inner(f, f)) * abs(l2_inner(fp, fp))
     )
     rel = abs(val - target) / scale
-    return _mk_report(
+    return _report(
         "vertical-limit", group,
         {"route": "direct", "hbar0": hbar0, "s": s, "band_limit": band},
         val, target, rel, err / scale, tol,
@@ -354,7 +336,7 @@ def _job_vertical_extrapolation(group, hbar0, s, band, factory, seed):
     # estimate is pure quadrature noise; a floor keeps the comparison
     # from pitting one rounding artifact against another
     floor = 1e-10 * max(abs(target), 1.0)
-    return _mk_report(
+    return _report(
         "vertical-limit", group,
         {"route": "extrapolation", "hbar0": hbar0, "s": s,
          "s_prime_nodes": [s1, s3], "band_limit": band},
@@ -370,7 +352,7 @@ def _job_continuity(group, hbar0, band, factory, tol_halving, tol_torus, seed):
     ratios = rep.params["ratios"]
     if group.kind == "torus":
         worst = max(abs(r - 1.0) for r in ratios)
-        return _mk_report(
+        return _report(
             "continuity", group,
             {"hbar0": hbar0, "s_list": list(s_list), "ratios": ratios},
             ratios[-1], 1.0, worst, rep.error_estimate, tol_torus,
@@ -378,7 +360,7 @@ def _job_continuity(group, hbar0, band, factory, tol_halving, tol_torus, seed):
     gaps = [abs(r - 1.0) for r in ratios]
     halvings = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
     worst = max(abs(h - 2.0) for h in halvings)
-    return _mk_report(
+    return _report(
         "continuity", group,
         {"hbar0": hbar0, "s_list": list(s_list), "ratios": ratios,
          "halvings": halvings, "model_residual": rep.abs_residual},
@@ -407,7 +389,7 @@ def _job_prequantum(group, tol, seed, mc_samples=200_000):
     # inverted check: the prequantum map must FAIL to preserve the norm
     # while parallel transport preserves it exactly
     drift = abs(n2 / n0 - 1.0)
-    return _mk_report(
+    return _report(
         "prequantum", group,
         {"s": s_to, "s_prime": s_from, "transport_drift": drift,
          "check": "norm ratio must differ from 1 beyond tolerance"},
@@ -419,10 +401,19 @@ def _job_prequantum(group, tol, seed, mc_samples=200_000):
 # -- job list ------------------------------------------------------------
 
 
-def build_jobs(cfg: RunConfig) -> list:
-    """All jobs for the configured group and identity selection."""
+class _RunContext(NamedTuple):
+    group: GroupSpec
+    band: float
+    factory: object  # (t, irrep) -> character-Gaussian quadrature rule
+    s_pos: list
+    s_mid: float
+    cells: list  # (s, s') with both positive
+    cells_with_zero: list  # (s, s') over the whole s' grid, 0 included
+
+
+def _run_context(cfg: RunConfig) -> _RunContext:
+    """Group, band limit, character-rule factory and (s, s') cells of a run."""
     group = group_spec(cfg.group, n=cfg.torus_rank, normalization=cfg.normalization)
-    kind = group.kind
     band = cfg.band_limit if cfg.band_limit is not None else default_band_limit(group)
     factory = pairing.default_char_factory(
         group, cfg.hbar0, backend=cfg.char_backend, samples=cfg.mc_samples,
@@ -432,16 +423,27 @@ def build_jobs(cfg: RunConfig) -> list:
     s_pos = [s for s in cfg.s_grid if s > 0.0]
     sp_pos = [s for s in cfg.s_prime_grid if s > 0.0]
     s_mid = _grid_value_near(s_pos, 1.0)
-    sp_mid = _grid_value_near(sp_pos, 0.5) if sp_pos else s_mid
-    if kind == "su3":
+    if group.kind == "su3":
         # su3 runs one representative cell instead of the full grid; the
         # batched integrands make the full grid affordable, and widening
-        # it is a change of its own (same branch in pairing_factor_rows)
-        cells = [(s_mid, sp_mid)]
+        # it is a change of its own
+        cells = [(s_mid, _grid_value_near(sp_pos, 0.5))]
         cells_with_zero = cells + [(s_mid, 0.0)]
     else:
         cells = [(s, sp) for s in s_pos for sp in sp_pos]
         cells_with_zero = [(s, sp) for s in s_pos for sp in cfg.s_prime_grid]
+    return _RunContext(group, band, factory, s_pos, s_mid, cells, cells_with_zero)
+
+
+def bks_factor_tolerance(cfg: RunConfig) -> float:
+    """Bar on the relative BKS-factor residual, for verify and the table."""
+    return _tol(cfg, "bks-factor", 1e-10 if cfg.group == "torus" else 1e-6)
+
+
+def build_jobs(cfg: RunConfig) -> list:
+    """All jobs for the configured group and identity selection."""
+    group, band, factory, s_pos, s_mid, cells, cells_with_zero = _run_context(cfg)
+    kind = group.kind
     triples = [(s_pos[0], s_mid, s_pos[-1])]
     band_irreps = [r for r in enumerate_irreps(group, band) if r.casimir > 0.0]
     if kind == "torus":
@@ -496,7 +498,7 @@ def build_jobs(cfg: RunConfig) -> list:
                         group, cfg.hbar0, s, sp, band, factory, t,
                         _job_seed(cfg.seed, k)))
         elif family == "bks-factor":
-            tol = _tol(cfg, family, 1e-10 if kind == "torus" else 1e-6)
+            tol = bks_factor_tolerance(cfg)
             for irrep in band_irreps:
                 for s, sp in cells:
                     key = (f"bks-factor/{kind}/{irrep.label}/"
@@ -689,19 +691,8 @@ def emit_table(report: SuiteReport, fmt: str, out_dir: str) -> list:
 
 def pairing_factor_rows(cfg: RunConfig) -> list:
     """Rows (irrep, s, s', numeric factor, closed factor, residual)."""
-    group = group_spec(cfg.group, n=cfg.torus_rank, normalization=cfg.normalization)
-    band = cfg.band_limit if cfg.band_limit is not None else default_band_limit(group)
-    factory = pairing.default_char_factory(
-        group, cfg.hbar0, backend=cfg.char_backend, samples=cfg.mc_samples,
-        seed=cfg.seed, points_per_panel=cfg.points_per_panel, panels=cfg.panels,
-        hermite_points=cfg.hermite_points,
-    )
-    s_pos = [s for s in cfg.s_grid if s > 0.0]
-    sp_pos = [s for s in cfg.s_prime_grid if s > 0.0]
-    if group.kind == "su3":
-        cells = [(_grid_value_near(s_pos, 1.0), _grid_value_near(sp_pos, 0.5))]
-    else:
-        cells = [(s, sp) for s in s_pos for sp in sp_pos]
+    ctx = _run_context(cfg)
+    group, band, factory, cells = ctx.group, ctx.band, ctx.factory, ctx.cells
     rows = []
     for irrep in enumerate_irreps(group, band):
         if irrep.casimir <= 0.0:
@@ -725,23 +716,27 @@ def pairing_factor_rows(cfg: RunConfig) -> list:
     return rows
 
 
-def emit_factor_table(rows: list, fmt: str, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"pairing-factors.{fmt}")
+_FACTOR_COLUMNS = (
+    "irrep", "s", "s_prime", "numeric_factor", "closed_factor", "residual",
+)
+
+
+def write_rows(rows: list, columns: tuple, fmt: str, path: str) -> None:
+    """Write dict rows as an indented JSON list, or as CSV under a
+    ``columns`` header (written even when there are no rows)."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "json":
             json.dump(rows, fh, indent=2)
             fh.write("\n")
         else:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["irrep", "s", "s_prime", "numeric_factor", "closed_factor",
-                 "residual"]
-            )
+            writer.writerow(columns)
             for row in rows:
-                writer.writerow([
-                    row["irrep"], row["s"], row["s_prime"],
-                    row["numeric_factor"], row["closed_factor"],
-                    row["residual"],
-                ])
+                writer.writerow([row[c] for c in columns])
+
+
+def emit_factor_table(rows: list, fmt: str, out_dir: str) -> str:
+    path = os.path.join(out_dir, f"pairing-factors.{fmt}")
+    write_rows(rows, _FACTOR_COLUMNS, fmt, path)
     return path

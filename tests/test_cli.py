@@ -1,5 +1,6 @@
 """Command line interface and the frozen golden report."""
 
+import csv
 import json
 import os
 
@@ -61,6 +62,17 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_rejected_backend_exit_code(tmp_path, capsys):
+    # the full Hermite rule is not a character backend of its own
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[quadrature]\nchar_backend = gauss-hermite-full\n",
+                   encoding="utf-8")
+    code = cli.main(["table", "pairing-factors", "--config", str(bad),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "char_backend" in capsys.readouterr().err
+
+
 def test_unknown_identity_rejected_by_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch"])
@@ -77,6 +89,52 @@ def test_table_pairing_factors(tmp_path, capsys):
         lines = fh.read().splitlines()
     assert lines[0].startswith("irrep")
     assert len(lines) == 1 + 8
+
+
+def test_table_bar_is_the_bks_factor_tolerance(tmp_path, capsys):
+    # the table passes and fails on the same bar as the bks-factor checks
+    with open(GOLDEN_CFG, encoding="utf-8") as fh:
+        text = fh.read()
+    tight = tmp_path / "tight.cfg"
+    tight.write_text(text + "\n[tolerances]\nbks-factor = 1e-30\n",
+                     encoding="utf-8")
+    code = cli.main(["table", "pairing-factors", "--config", str(tight),
+                     "--out", str(tmp_path)])
+    assert code == 1
+
+
+def test_empty_pairing_factor_table_writes_header_only(tmp_path, capsys):
+    # below the first nontrivial Casimir no irrep enters the table
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("[run]\ngroup = torus\nband_limit = 1.0\n", encoding="utf-8")
+    for fmt in ("csv", "json"):
+        code = cli.main(["table", "pairing-factors", "--config", str(empty),
+                         "--out", str(tmp_path), "--format", fmt])
+        assert code == 0
+    with open(tmp_path / "pairing-factors.csv", encoding="utf-8") as fh:
+        assert fh.read() == "irrep,s,s_prime,numeric_factor,closed_factor,residual\n"
+    with open(tmp_path / "pairing-factors.json", encoding="utf-8") as fh:
+        assert json.load(fh) == []
+
+
+@pytest.mark.parametrize("command, stem", [
+    (["table", "pairing-factors", "--config", GOLDEN_CFG], "pairing-factors"),
+    (["calibrate"], "calibrate"),
+    (["convergence", "--group", "torus"], "convergence"),
+])
+def test_csv_header_equals_json_keys(tmp_path, capsys, command, stem):
+    tables = {}
+    for fmt in ("json", "csv"):
+        assert cli.main(command + ["--out", str(tmp_path), "--format", fmt]) == 0
+        with open(tmp_path / f"{stem}.{fmt}", encoding="utf-8") as fh:
+            tables[fmt] = json.load(fh) if fmt == "json" else list(csv.reader(fh))
+    rows = tables["json"]
+    assert rows
+    header, *lines = tables["csv"]
+    assert header == list(rows[0])
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert line == [str(row[key]) for key in header]
 
 
 def test_calibrate(tmp_path, capsys):

@@ -66,6 +66,8 @@ def test_identities_all_keyword():
     "[run]\ngroup = so3\n",
     "[run]\nformat = yaml\n",
     "[quadrature]\nchar_backend = simpson\n",
+    "[quadrature]\nchar_backend = gauss-hermite-full\n",
+    "[run]\nthreads = -1\n",
     "[run]\nnormalization = none\n",
     "[run]\nhbar0 = 0\n",
     "[run]\nhbar0 = many\n",

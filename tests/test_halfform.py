@@ -161,6 +161,26 @@ def test_phi_symmetric_and_normalized(s, sp, seed):
     assert halfform.phi(SU2, s, sp, Y) > 0.0
 
 
+@pytest.mark.parametrize("group", [SU2, SU3], ids=lambda g: g.kind)
+def test_phi_is_one_eigen_solve_of_the_density_ratio(group, monkeypatch):
+    # phi scales the root values of Y instead of solving ad_{sY}, ad_{s'Y}
+    # and ad_{mid Y}; it still equals the ratio of the three densities
+    rng = np.random.default_rng(15)
+    Y = rng.standard_normal((20, group.dim)) * 1.5
+    s, sp = 0.8, 2.5
+    want = halfform.wedge_density(group, s, sp, Y) / np.sqrt(
+        halfform.omega_norm_sq(group, s, Y) * halfform.omega_norm_sq(group, sp, Y))
+    calls = []
+
+    def counted(g, y):
+        calls.append(np.shape(y))
+        return groups.root_values(g, y)
+
+    monkeypatch.setattr(halfform, "root_values", counted)
+    np.testing.assert_allclose(halfform.phi(group, s, sp, Y), want, rtol=1e-12)
+    assert calls == [Y.shape]
+
+
 def test_phi_flatness_torus_quadratic_in_h():
     rng = np.random.default_rng(10)
     Y = rng.standard_normal(1)
