@@ -169,6 +169,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
         value = getattr(cfg, name)
         if value not in choices:
             raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    if cfg.group == "torus" and cfg.char_backend == "monte-carlo":
+        # the torus character integral is a 1-D Gaussian per circle; the
+        # pairing assemblies use the recentered Hermite rule there
+        raise ConfigError("char_backend monte-carlo is not available on tori")
+    if not cfg.out_dir:
+        raise ConfigError("out_dir must not be empty")
     if cfg.hbar0 <= 0.0:
         raise ConfigError("hbar0 must be positive")
     if cfg.torus_rank < 1:

@@ -701,17 +701,6 @@ def _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points):
     return math.exp(-hbar_pp * irrep.casimir) * total / norm
 
 
-def _torus_theta(lam, hbar, phases, kmax):
-    # Truncated heat kernel sum_k e^{-hbar k^2/(2 lam)} e^{i k phase};
-    # phases may be complex and of any array shape.  Gaussian weight and
-    # oscillation are fused into one exponent: at imaginary phase the
-    # factors alone overflow and underflow while their product does not.
-    ks = np.arange(-kmax, kmax + 1, dtype=float)
-    ph = np.asarray(phases, dtype=complex)
-    exponents = 1j * ph[..., None] * ks - hbar * ks**2 / (2.0 * lam)
-    return np.sum(np.exp(exponents), axis=-1)
-
-
 def _torus_theta_kmax(lam, hbar, beta_max):
     # Smallest band with hbar k^2/(2 lam) - k beta_max >= 46, keeping
     # dropped terms below 1e-20 even after the angle sums.
@@ -721,7 +710,25 @@ def _torus_theta_kmax(lam, hbar, beta_max):
 
 def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
     # Fully direct route: truncated theta kernels, trapezoid sums in
-    # both compact angles, Hermite in the fiber coordinate.
+    # both compact angles, Hermite in the fiber coordinate.  Only the
+    # first circle carries the label; with rho = 0 the other circles
+    # integrate to exactly 1, so the normalization is the one-circle
+    # sqrt(pi hbar0 s'') at every rank.
+    #
+    # The truncated kernel is separable in the angles,
+    #   Theta(theta_g - theta_1 + i c beta)
+    #     = sum_k a_k(beta) e^{i k theta_g} e^{-i k theta_1},
+    #   a_k(beta) = e^{-hbar k^2/(2 lam) - k c beta},
+    # with c = 1 + t (hbar) in the first kernel and c = 1 - t (hbar')
+    # in the second.  The kernel is thus the unit-modulus angle table
+    # E = e^{i theta k}, built once, times a real weight per (node, k).
+    # Each weight is one fused real exponent: at large |beta| the
+    # Gaussian factor underflows and the growth factor overflows while
+    # their product does not.  The trapezoid sum over theta_1, the
+    # kernel on the theta_g grid and the Hermite sum are then matrix
+    # products with E.  They stay direct sums over the grid, not the
+    # orthogonality their exact values follow from, so the route keeps
+    # testing that cancellation numerically.
     #
     # Cancellation bound: individual kernel terms grow like
     # e^{g(t) x^2} against the e^{-x^2} weight, with
@@ -738,9 +745,7 @@ def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
     s_pp = 0.5 * (s + s_prime)
     sigma = math.sqrt(hbar_pp)
     xs, ws = np.polynomial.hermite.hermgauss(gh_points)
-    theta1 = 2.0 * math.pi * np.arange(m_grid) / m_grid
-    thetag = 2.0 * math.pi * np.arange(m_grid) / m_grid
-    f1 = np.exp(1j * k * theta1)
+    theta = 2.0 * math.pi * np.arange(m_grid) / m_grid
     beta_max = sigma * float(np.max(np.abs(xs))) / math.sqrt(lam) * (1.0 + abs(t))
     kmax = max(
         _torus_theta_kmax(lam, hbar, beta_max),
@@ -749,18 +754,17 @@ def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
     )
     if 2 * kmax + 1 > m_grid:
         raise ValueError(f"angle grid aliases the kernel; need >= {2 * kmax + 2}")
-    total = 0.0 + 0.0j
-    for x, w in zip(xs, ws):
-        y = sigma * x
-        beta = y / math.sqrt(lam)
-        # the e^{-y^2/hbar''} measure factor cancels the Hermite weight
-        ph_a = thetag[:, None] - theta1[None, :] + 1j * (1.0 + t) * beta
-        inner = _torus_theta(lam, hbar, ph_a, kmax).conj() @ f1 / m_grid
-        ph_b = thetag - theta2 + 1j * (1.0 - t) * beta
-        ker_b = _torus_theta(lam, hbar_p, ph_b, kmax)
-        total += w * sigma * complex(np.mean(inner * ker_b))
-    norm = a_s(group, hbar0, s_pp) * s_pp ** (group.dim / 2.0)
-    return total / norm
+    ks = np.arange(-kmax, kmax + 1, dtype=float)
+    E = np.exp(1j * np.outer(theta, ks))
+    # the e^{-y^2/hbar''} measure factor cancels the Hermite weight
+    beta_k = np.outer(sigma * xs / math.sqrt(lam), ks)
+    a = np.exp(-hbar * ks**2 / (2.0 * lam) - (1.0 + t) * beta_k)
+    b = np.exp(-hbar_p * ks**2 / (2.0 * lam) - (1.0 - t) * beta_k)
+    c = E.T @ np.exp(1j * k * theta) / m_grid
+    inner = (a * c) @ E.conj().T
+    ker_b = (b * np.exp(-1j * ks * theta2)) @ E.T
+    total = sigma * (ws @ np.mean(inner * ker_b, axis=1))
+    return complex(total) / math.sqrt(math.pi * hbar0 * s_pp)
 
 
 def verify_delta_two(

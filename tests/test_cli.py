@@ -73,6 +73,27 @@ def test_rejected_backend_exit_code(tmp_path, capsys):
     assert "char_backend" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "delta"], ["table", "pairing-factors"]])
+def test_monte_carlo_on_torus_exit_code(tmp_path, capsys, command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[run]\ngroup = torus\n[quadrature]\nchar_backend = monte-carlo\n",
+                   encoding="utf-8")
+    code = cli.main(command + ["--config", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    assert "monte-carlo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "delta", "--group", "torus"], ["table", "pairing-factors", "--group", "torus"],
+    ["calibrate"], ["convergence", "--group", "torus"],
+])
+def test_empty_out_exit_code(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command + ["--out", ""]) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_unknown_identity_rejected_by_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch"])

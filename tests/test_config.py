@@ -23,7 +23,7 @@ format = csv
 threads = 2
 
 [quadrature]
-char_backend = monte-carlo
+char_backend = cartan-reduced
 mc_samples = 2000
 delta_points_torus = 32
 
@@ -41,7 +41,7 @@ def test_parse_full_config():
     assert cfg.s_grid == (0.5, 1.0) and cfg.s_prime_grid == (0.0, 1.0)
     assert cfg.identities == ("pairing", "bks-factor")
     assert cfg.format == "csv" and cfg.threads == 2
-    assert cfg.char_backend == "monte-carlo" and cfg.mc_samples == 2000
+    assert cfg.char_backend == "cartan-reduced" and cfg.mc_samples == 2000
     assert cfg.delta_points_torus == 32
     assert cfg.tolerance_scale == 10.0
     assert cfg.tolerance_overrides == {"unitarity": 1e-4}
@@ -68,6 +68,8 @@ def test_identities_all_keyword():
     "[quadrature]\nchar_backend = simpson\n",
     "[quadrature]\nchar_backend = gauss-hermite-full\n",
     "[run]\nthreads = -1\n",
+    "[run]\ngroup = torus\n[quadrature]\nchar_backend = monte-carlo\n",
+    "[run]\nout_dir =\n",
     "[run]\nnormalization = none\n",
     "[run]\nhbar0 = 0\n",
     "[run]\nhbar0 = many\n",
@@ -82,6 +84,13 @@ def test_identities_all_keyword():
 def test_rejections(text):
     with pytest.raises(config.ConfigError):
         config.parse_config(text)
+
+
+def test_monte_carlo_backend_only_off_tori():
+    cfg = config.parse_config("[run]\ngroup = su2\n[quadrature]\nchar_backend = monte-carlo\n")
+    assert cfg.char_backend == "monte-carlo"
+    with pytest.raises(config.ConfigError, match="monte-carlo"):
+        config.default_config(group="torus", char_backend="monte-carlo")
 
 
 def test_rejects_zero_pairs_per_cell():

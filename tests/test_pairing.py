@@ -357,6 +357,63 @@ def test_delta_two_deterministic_given_seed():
     assert reps[0].abs_residual == reps[1].abs_residual
 
 
+def _brute_delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
+    # node by node, with the kernel as a fused-exponent theta sum over
+    # full (theta_g, theta_1) grids of complex phases
+    lam = group.scale
+    hbar, hbar_p = s * hbar0, s_prime * hbar0
+    sigma = math.sqrt(0.5 * (hbar + hbar_p))
+    xs, ws = np.polynomial.hermite.hermgauss(gh_points)
+    theta = 2.0 * math.pi * np.arange(m_grid) / m_grid
+    beta_max = sigma * float(np.max(np.abs(xs))) / math.sqrt(lam) * (1.0 + abs(t))
+    kmax = max(pairing._torus_theta_kmax(lam, hbar, beta_max),
+               pairing._torus_theta_kmax(lam, hbar_p, beta_max), abs(k) + 2)
+    ks = np.arange(-kmax, kmax + 1, dtype=float)
+
+    def theta_sum(h, phases):
+        return np.sum(np.exp(1j * phases[..., None] * ks - h * ks**2 / (2.0 * lam)), axis=-1)
+
+    total = 0.0
+    for x, w in zip(xs, ws):
+        beta = sigma * x / math.sqrt(lam)
+        ph_a = theta[:, None] - theta[None, :] + 1j * (1.0 + t) * beta
+        inner = theta_sum(hbar, ph_a).conj() @ np.exp(1j * k * theta) / m_grid
+        ker_b = theta_sum(hbar_p, theta - theta2 + 1j * (1.0 - t) * beta)
+        total += w * sigma * np.mean(inner * ker_b)
+    return total / math.sqrt(math.pi * hbar0 * 0.5 * (s + s_prime))
+
+
+@pytest.mark.parametrize("hbar0", [0.25, 1.0])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("points", [8, 48])
+def test_separable_torus_kernel_matches_brute_force(hbar0, k, points):
+    args = (TORUS, hbar0, 1.0, 0.5, 0.3, k, 2.1, 64, points)
+    val = pairing._delta_two_torus(*args)
+    ref = _brute_delta_two_torus(*args)
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_delta_two_torus_small_hbar0(label):
+    rep = pairing.verify_delta_two(TORUS, 0.25, 1.0, 0.5, 0.3,
+                                   groups.make_irrep(TORUS, (label,)),
+                                   tolerance=1e-8, t_alt=0.55, points=48)
+    assert rep.passed and rep.abs_residual <= 1e-8
+    assert rep.params["t_dependence"] <= 1e-8
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("label", [0, 1])
+def test_delta_two_torus_higher_rank(rank, label):
+    # the kernel integrates the first circle only; the others give 1
+    group = groups.group_spec("torus", n=rank)
+    irrep = groups.make_irrep(group, (label,) + (0,) * (rank - 1))
+    rep = pairing.verify_delta_two(group, 1.0, 1.0, 0.5, 0.3, irrep,
+                                   tolerance=1e-8, t_alt=0.55, points=48)
+    assert rep.passed and rep.abs_residual <= 1e-8
+    assert rep.params["t_dependence"] <= 1e-8
+
+
 def test_report_pass_flag_matches_tolerance():
     rep = pairing.verify_factorization(SU2, 1.0, 1.5, 0.5, groups.make_irrep(SU2, (1,)))
     assert rep.passed == (rep.abs_residual <= rep.tolerance)
