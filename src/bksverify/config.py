@@ -69,7 +69,7 @@ class RunConfig:
     identities: tuple[str, ...] = IDENTITY_FAMILIES
     out_dir: str = "reports"
     format: str = "json"
-    threads: int = 0  # 0 -> automatic; BKS_VERIFIER_THREADS overrides either way
+    threads: int = 0  # 0 or 1, the same: the suite runs on one thread
 
     # [quadrature]
     char_backend: str = "cartan-reduced"
@@ -179,8 +179,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("hbar0 must be positive")
     if cfg.torus_rank < 1:
         raise ConfigError("torus_rank must be at least 1")
-    if cfg.threads < 0:
-        raise ConfigError("threads must be 0 (automatic) or positive")
+    if cfg.threads not in (0, 1):
+        raise ConfigError(
+            f"threads must be 0 or 1, got {cfg.threads}: the suite runs on one thread"
+        )
     if any(s < 0.0 for s in cfg.s_grid + cfg.s_prime_grid):
         raise ConfigError("grid values must be nonnegative")
     if not cfg.s_grid:

@@ -116,7 +116,6 @@ class GroupSpec:
     ad_basis: np.ndarray
     cartan_indices: tuple
     defining: np.ndarray | None
-    reference_volume: float
 
     @property
     def n_positive_roots(self) -> int:
@@ -197,7 +196,6 @@ def torus_group(n: int = 1, normalization: str = "unit_volume") -> GroupSpec:
         ad_basis=np.zeros((n, n, n)),
         cartan_indices=tuple(range(n)),
         defining=None,
-        reference_volume=(2.0 * math.pi) ** n,
     )
 
 
@@ -223,7 +221,6 @@ def su2_group(normalization: str = "unit_volume") -> GroupSpec:
         ad_basis=ad_basis,
         cartan_indices=(2,),
         defining=defining,
-        reference_volume=SU2_REFERENCE_VOLUME,
     )
 
 
@@ -259,7 +256,6 @@ def su3_group(normalization: str = "unit_volume") -> GroupSpec:
         ad_basis=ad_basis,
         cartan_indices=(2, 7),
         defining=defining,
-        reference_volume=SU3_REFERENCE_VOLUME,
     )
 
 

@@ -156,34 +156,24 @@ def char_gaussian_quadrature(
     )
 
 
-def _cartan_log_terms(group: GroupSpec, irrep: Irrep, t_chi: float, t_eta: float):
-    # Batched terms of the Cartan-reduced log integrands.  For nodes Y in
-    # the Cartan subalgebra (all of the algebra on tori) returns
-    # log chi_R(e^{i t_chi Y}) from the weight table, log eta(t_eta Y) from
-    # the root values H.alpha (no eigen-solve), and |Y|^2.  Tori have no
-    # roots, so log eta is exactly 0 there.
+def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
+    # Batched Cartan-reduced log integrand of G_R(t).  For nodes Y in the
+    # Cartan subalgebra (all of the algebra on tori) log chi_R(e^{i t Y})
+    # comes from the weight table and log eta(t Y / 2) from the root
+    # values H.alpha (no eigen-solve).  Tori have no roots, so log eta is
+    # exactly 0 there.
     mu, mult = weights_with_multiplicities(group, irrep)
     logmult = np.log(mult.astype(float))
     idx = list(group.cartan_indices)
-
-    def terms(Y):
-        H = Y[:, idx]
-        logchi = logsumexp(-t_chi * (H @ mu.T) + logmult, axis=1)
-        log_eta = np.log(eta_from_roots((t_eta * H) @ group.positive_roots.T))
-        return logchi, log_eta, np.einsum("ij,ij->i", Y, Y)
-
-    return terms
-
-
-def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
-    terms = _cartan_log_terms(group, irrep, t, t / 2.0)
     n = group.dim
 
     def logF(Y):
-        logchi, log_eta, yy = terms(Y)
+        H = Y[:, idx]
+        logchi = logsumexp(-t * (H @ mu.T) + logmult, axis=1)
+        log_eta = np.log(eta_from_roots((0.5 * t * H) @ group.positive_roots.T))
         return (
             logchi
-            - t * yy / (2.0 * hbar0)
+            - t * np.einsum("ij,ij->i", Y, Y) / (2.0 * hbar0)
             + (n / 2.0) * math.log(t / 2.0)
             + log_eta
         )
@@ -617,29 +607,15 @@ def continuity_check(
 # -- delta identities ----------------------------------------------------
 
 
-def _delta_one_scalar(group, hbar0, s, irrep, points_per_panel=16, panels=10):
+def _delta_one_scalar(group, hbar0, s, irrep):
     # e^{-hbar c_R} (a_s s^{n/2})^{-1} (1/d) *
     #   int chi_R(e^{2iY}) eta(Y) e^{-|Y|^2/hbar} dY,   contract 1.
+    # The integral is G_R(2) at base constant hbar = s hbar0.
     hbar = s * hbar0
-    terms = _cartan_log_terms(group, irrep, 2.0, 1.0)
-
-    def logF(Y):
-        logchi, log_eta, yy = terms(Y)
-        return logchi + log_eta - yy / hbar
-
-    tilt = highest_weight(group, irrep.label) + group.rho
-    shift = hbar * float(np.linalg.norm(tilt))
-    sigma = math.sqrt(hbar / 2.0)
-    if group.kind == "torus":
-        quad = quadrature.hermite_quadrature(
-            group, 48, scale=sigma, center=-hbar * tilt
-        )
-    else:
-        quad = quadrature.cartan_quadrature(
-            group, shift + 9.0 * sigma,
-            points_per_panel=points_per_panel, panels=panels,
-        )
-    logv, logerr = quadrature.integrate_algebra_log(logF, quad)
+    quad = char_gaussian_quadrature(
+        group, hbar, 2.0, irrep, points_per_panel=16, panels=10, points=48
+    )
+    logv, logerr = char_gaussian_log(group, hbar, 2.0, irrep, quad)
     lognorm = (
         math.log(a_s(group, hbar0, s))
         + (group.dim / 2.0) * math.log(s)
@@ -744,7 +720,13 @@ def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
     hbar_pp = 0.5 * (hbar + hbar_p)
     s_pp = 0.5 * (s + s_prime)
     sigma = math.sqrt(hbar_pp)
-    xs, ws = np.polynomial.hermite.hermgauss(gh_points)
+    # The surviving term a_{-k} b_{-k} = e^{2 x0 x - x0^2} puts the
+    # Gaussian at x0 = k sigma / sqrt(lam), out of the nodes' reach at
+    # large hbar0 or k, so the nodes are recentered there, x = u + x0,
+    # and the weight factor e^{-2 x0 u - x0^2} joins the fused exponent.
+    u, ws = np.polynomial.hermite.hermgauss(gh_points)
+    x0 = k * sigma / math.sqrt(lam)
+    xs = u + x0
     theta = 2.0 * math.pi * np.arange(m_grid) / m_grid
     beta_max = sigma * float(np.max(np.abs(xs))) / math.sqrt(lam) * (1.0 + abs(t))
     kmax = max(
@@ -758,7 +740,8 @@ def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
     E = np.exp(1j * np.outer(theta, ks))
     # the e^{-y^2/hbar''} measure factor cancels the Hermite weight
     beta_k = np.outer(sigma * xs / math.sqrt(lam), ks)
-    a = np.exp(-hbar * ks**2 / (2.0 * lam) - (1.0 + t) * beta_k)
+    a = np.exp(-hbar * ks**2 / (2.0 * lam) - (1.0 + t) * beta_k
+               - (2.0 * x0 * u + x0 * x0)[:, None])
     b = np.exp(-hbar_p * ks**2 / (2.0 * lam) - (1.0 - t) * beta_k)
     c = E.T @ np.exp(1j * k * theta) / m_grid
     inner = (a * c) @ E.conj().T

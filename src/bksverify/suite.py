@@ -1,9 +1,10 @@
-"""Identity suite: a parallel map over verification jobs, merged deterministically.
+"""Identity suite: verification jobs run in one serial loop, sorted by key.
 
 Every job is pure given (config, job key): random draws come from a
-generator seeded by hashing the key against the config seed, so the
-thread count and completion order cannot change any number in the
-report.  Failures are recorded per job and do not abort the run.
+generator seeded by hashing the key against the config seed, so a job
+gives the same numbers whether it runs alone (``verify IDENTITY``) or
+among all the others (``verify all``).  Failures are recorded per job
+and do not abort the run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import pairing, quadrature
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .groups import GroupSpec, casimir, enumerate_irreps, group_spec, make_irrep
 from .halfform import phi_flatness_residual, wedge_density, wedge_density_det
 from .heat import (
@@ -570,20 +570,6 @@ def build_jobs(cfg: RunConfig) -> list:
 # -- runner --------------------------------------------------------------
 
 
-def _thread_count(cfg: RunConfig) -> int:
-    env = os.environ.get("BKS_VERIFIER_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"BKS_VERIFIER_THREADS must be an integer, got {env!r}"
-            ) from None
-    if cfg.threads > 0:
-        return cfg.threads
-    return min(8, os.cpu_count() or 1)
-
-
 def _error_report(key: str, cfg: RunConfig, exc: Exception) -> PairingReport:
     return PairingReport(
         identity=key.split("/", 1)[0],
@@ -604,18 +590,13 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     t0 = time.perf_counter()
     jobs = build_jobs(cfg)
 
-    def run_one(job: Job):
+    results = []
+    for job in jobs:
         try:
-            return job.key, job.thunk()
+            rep = job.thunk()
         except Exception as exc:  # recorded, not raised
-            return job.key, _error_report(job.key, cfg, exc)
-
-    workers = _thread_count(cfg)
-    if workers == 1 or len(jobs) <= 1:
-        results = [run_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
+            rep = _error_report(job.key, cfg, exc)
+        results.append((job.key, rep))
     results.sort(key=lambda pair: pair[0])
     passed = sum(1 for _, rep in results if rep.passed)
     errors = sum(1 for _, rep in results if "error" in rep.params)

@@ -20,7 +20,7 @@ pairs_per_cell = 1
 identities = pairing, bks-factor
 out_dir = /tmp/out
 format = csv
-threads = 2
+threads = 1
 
 [quadrature]
 char_backend = cartan-reduced
@@ -40,7 +40,7 @@ def test_parse_full_config():
     assert cfg.band_limit == 160.0
     assert cfg.s_grid == (0.5, 1.0) and cfg.s_prime_grid == (0.0, 1.0)
     assert cfg.identities == ("pairing", "bks-factor")
-    assert cfg.format == "csv" and cfg.threads == 2
+    assert cfg.format == "csv" and cfg.threads == 1
     assert cfg.char_backend == "cartan-reduced" and cfg.mc_samples == 2000
     assert cfg.delta_points_torus == 32
     assert cfg.tolerance_scale == 10.0
@@ -68,6 +68,7 @@ def test_identities_all_keyword():
     "[quadrature]\nchar_backend = simpson\n",
     "[quadrature]\nchar_backend = gauss-hermite-full\n",
     "[run]\nthreads = -1\n",
+    "[run]\nthreads = 2\n",
     "[run]\ngroup = torus\n[quadrature]\nchar_backend = monte-carlo\n",
     "[run]\nout_dir =\n",
     "[run]\nnormalization = none\n",
@@ -128,17 +129,6 @@ def test_rejects_s_prime_grid_without_positive_value(grid):
 def test_rejects_nonpositive_point_counts(key, value):
     with pytest.raises(config.ConfigError, match=key):
         config.parse_config(f"[quadrature]\n{key} = {value}\n")
-
-
-def test_rejects_non_integer_thread_variable(monkeypatch, tmp_path):
-    from bksverify import cli, suite
-
-    monkeypatch.setenv("BKS_VERIFIER_THREADS", "abc")
-    with pytest.raises(config.ConfigError, match="BKS_VERIFIER_THREADS"):
-        suite._thread_count(config.RunConfig())
-    code = cli.main(["verify", "factorization", "--group", "torus",
-                     "--out", str(tmp_path)])
-    assert code == 2
 
 
 def test_config_error_is_value_error():

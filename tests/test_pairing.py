@@ -359,11 +359,14 @@ def test_delta_two_deterministic_given_seed():
 
 def _brute_delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
     # node by node, with the kernel as a fused-exponent theta sum over
-    # full (theta_g, theta_1) grids of complex phases
+    # full (theta_g, theta_1) grids of complex phases, on Hermite nodes
+    # recentered at the surviving Gaussian's peak k sigma / sqrt(lam)
     lam = group.scale
     hbar, hbar_p = s * hbar0, s_prime * hbar0
     sigma = math.sqrt(0.5 * (hbar + hbar_p))
-    xs, ws = np.polynomial.hermite.hermgauss(gh_points)
+    u, ws = np.polynomial.hermite.hermgauss(gh_points)
+    x0 = k * sigma / math.sqrt(lam)
+    xs, ws = u + x0, ws * np.exp(-2.0 * x0 * u - x0 * x0)
     theta = 2.0 * math.pi * np.arange(m_grid) / m_grid
     beta_max = sigma * float(np.max(np.abs(xs))) / math.sqrt(lam) * (1.0 + abs(t))
     kmax = max(pairing._torus_theta_kmax(lam, hbar, beta_max),
@@ -393,9 +396,17 @@ def test_separable_torus_kernel_matches_brute_force(hbar0, k, points):
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("label", [0, 1])
-def test_delta_two_torus_small_hbar0(label):
-    rep = pairing.verify_delta_two(TORUS, 0.25, 1.0, 0.5, 0.3,
+# ids: the label at hbar0 = 0.25, else hbar0-label; at hbar0 = 3 and at
+# label 2 the surviving Gaussian lies past unshifted Hermite nodes
+@pytest.mark.parametrize("hbar0, label", [
+    pytest.param(0.25, 0, id="0"),
+    pytest.param(0.25, 1, id="1"),
+    pytest.param(3.0, 0, id="3-0"),
+    pytest.param(3.0, 1, id="3-1"),
+    pytest.param(1.0, 2, id="1-2"),
+])
+def test_delta_two_torus_small_hbar0(hbar0, label):
+    rep = pairing.verify_delta_two(TORUS, hbar0, 1.0, 0.5, 0.3,
                                    groups.make_irrep(TORUS, (label,)),
                                    tolerance=1e-8, t_alt=0.55, points=48)
     assert rep.passed and rep.abs_residual <= 1e-8

@@ -58,11 +58,9 @@ def test_run_suite_passes_and_summary_counts():
     assert rep.wall_clock > 0.0
 
 
-def test_render_json_reproducible_across_runs_and_threads(monkeypatch):
+def test_render_json_reproducible_across_runs():
     cfg = fast_cfg()
-    monkeypatch.setenv("BKS_VERIFIER_THREADS", "1")
     first = suite.render_json(suite.run_suite(cfg))
-    monkeypatch.setenv("BKS_VERIFIER_THREADS", "4")
     second = suite.render_json(suite.run_suite(cfg))
     assert first == second
     payload = json.loads(first)
