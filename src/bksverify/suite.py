@@ -140,7 +140,7 @@ def _job_phi_flatness(group, tol, seed, samples=100, h=1e-4):
     for _ in range(samples):
         Y = rng.standard_normal(group.dim)
         s = float(rng.uniform(0.25, 3.0))
-        worst = max(worst, phi_flatness_residual(group, s, Y, h))
+        worst = max(worst, abs(phi_flatness_residual(group, s, Y, h)))
     return _report(
         "phi-flatness", group, {"samples": samples, "h": h},
         worst, 0.0, worst, 0.0, tol,
@@ -368,7 +368,7 @@ def _job_continuity(group, hbar0, band, factory, tol_halving, tol_torus, seed):
     )
 
 
-def _job_prequantum(group, tol, seed, mc_samples=200_000):
+def _job_prequantum(group, tol, seed, mc_samples):
     s_from, s_to = 4.0, 1.0
 
     def amp(Y):
@@ -562,8 +562,10 @@ def build_jobs(cfg: RunConfig) -> list:
                 continue
             tol = _tol(cfg, family, 1e-3)
             key = f"prequantum/{kind}"
+            # the SU(3) norm is a Monte Carlo sum; 200 000 samples cap its cost
             add(key, lambda t=tol, k=key: _job_prequantum(
-                group, t, _job_seed(cfg.seed, k)))
+                group, t, _job_seed(cfg.seed, k),
+                mc_samples=min(cfg.mc_samples, 200_000)))
     return jobs
 
 

@@ -61,7 +61,7 @@ def test_criterion_02_phi_flatness():
         for _ in range(100):
             Y = 0.5 * rng.standard_normal(group.dim)
             s = rng.uniform(0.2, 2.0)
-            worst = max(worst, halfform.phi_flatness_residual(group, s, Y, h=1e-4))
+            worst = max(worst, abs(halfform.phi_flatness_residual(group, s, Y, h=1e-4)))
         assert worst <= 1e-6, (group.kind, worst)
 
 

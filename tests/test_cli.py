@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -186,3 +188,12 @@ def test_parser_help_mentions_subcommands():
     text = parser.format_help()
     for word in ("verify", "table", "calibrate", "convergence"):
         assert word in text
+
+
+def test_command_imports_no_mpmath():
+    # mpmath is a test-only dependency: the installed command must not need it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, bksverify.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"

@@ -129,6 +129,95 @@ def test_wedge_identity_random_sweep():
     assert worst < 1e-8
 
 
+def _wedge_det_2n_reference(group, s, s_prime, Y):
+    """The defining 2n x 2n determinant in mpmath, block by block."""
+    mpmath = pytest.importorskip("mpmath")
+    A = groups.ad_matrix(group, Y)
+    n = group.dim
+    budget = (s + s_prime) * float(np.sum(np.abs(groups.root_values(group, Y))))
+
+    def exp_and_phi1(Amp, t):
+        # e^{-itA} and it*phi1(-itA) by series at 1-norm 1e-3 and doubling
+        arg = (-1j * t) * Amp
+        norm, k = mpmath.mnorm(arg, 1), 0
+        while norm > 1e-3:
+            norm, k = norm * 0.5, k + 1
+        As = arg / (2 ** k)
+        eye = mpmath.eye(n)
+        E, P, term = mpmath.zeros(n), mpmath.zeros(n), mpmath.eye(n)
+        for j in range(1, max(12, int(mpmath.mp.dps / 2.5)) + 1):
+            E += term
+            P += term / j
+            term = term * As / j
+        E += term
+        for _ in range(k):
+            P = P * (E + eye) / 2
+            E = E * E
+        return E, (1j * t) * P
+
+    with mpmath.workdps(40 + int(0.6 * budget)):
+        Amp = mpmath.matrix(A.tolist())
+        Ms, Ns = exp_and_phi1(Amp, s)
+        Mp, Np = exp_and_phi1(Amp, s_prime)
+        big = mpmath.zeros(2 * n)
+        for i in range(n):
+            for j in range(n):
+                big[i, j] = mpmath.conj(Ms[i, j])
+                big[i, n + j] = mpmath.conj(Ns[i, j])
+                big[n + i, j] = Mp[i, j]
+                big[n + i, n + j] = Np[i, j]
+        sign = (-1) ** (n * (n - 1) // 2)
+        return complex(mpmath.det(big) * sign / (mpmath.mpc(2j) ** n * sign))
+
+
+@pytest.mark.parametrize("group,samples", [(SU2, 5), (SU3, 3)], ids=["su2", "su3"])
+def test_wedge_det_matches_the_2n_determinant(group, samples):
+    # det N_{s+s'} in fixed point against the unreduced block determinant
+    rng = np.random.default_rng(16)
+    for _ in range(samples):
+        Y = rng.standard_normal(group.dim)
+        s, sp = (float(v) for v in rng.uniform(0.25, 3.0, size=2))
+        det = halfform.wedge_density_det(group, s, sp, Y)
+        ref = _wedge_det_2n_reference(group, s, sp, Y)
+        assert abs(det - ref) / abs(ref) < 1e-12
+
+
+@pytest.mark.parametrize("group", [SU2, SU3], ids=lambda g: g.kind)
+def test_wedge_det_at_the_largest_exponent_budget(group):
+    # s = s' = 3 and |Y| = 5: entries near e^{6 alpha(Y)}, far past float64
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        Y = rng.standard_normal(group.dim)
+        Y *= 5.0 / np.linalg.norm(Y)
+        det = halfform.wedge_density_det(group, 3.0, 3.0, Y)
+        closed = halfform.wedge_density(group, 3.0, 3.0, Y)
+        assert abs(det - closed) / closed < 1e-10
+
+
+def test_wedge_det_is_exact_on_the_torus():
+    # ad_Y = 0, so N_t = it exactly; the golden wedge/torus row needs rel 0
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        s, sp = (float(v) for v in rng.uniform(0.05, 5.0, size=2))
+        Y = rng.standard_normal(1)
+        assert halfform.wedge_density_det(TORUS, s, sp, Y) == complex(
+            halfform.wedge_density(TORUS, s, sp, Y), 0.0)
+
+
+def test_gaussian_det_bareiss():
+    # a zero leading pivot forces a row swap; a singular matrix gives 0
+    swap = np.array([[0, 1, 2], [3, 0, 1], [1, 1, 0]], dtype=object)
+    assert halfform._gaussian_det(swap, 0 * swap) == (7, 0)
+    rng = np.random.default_rng(19)
+    re = rng.integers(-9, 10, size=(5, 5))
+    im = rng.integers(-9, 10, size=(5, 5))
+    dr, di = halfform._gaussian_det(re.astype(object), im.astype(object))
+    want = np.linalg.det(re + 1j * im)
+    assert (dr, di) == (round(want.real), round(want.imag))
+    singular = np.array([[1, 2], [2, 4]], dtype=object)
+    assert halfform._gaussian_det(singular, singular) == (0, 0)
+
+
 def test_phi_trivial_values():
     rng = np.random.default_rng(8)
     Y = rng.standard_normal(3)

@@ -164,3 +164,51 @@ def test_hermite_points_reach_the_torus_character_rule():
     default = reports()
     assert reports(hermite_points=64) == default
     assert reports(hermite_points=8) != default
+
+
+@pytest.mark.parametrize("kind", ["su2", "su3"])
+def test_wedge_job_fails_when_the_closed_form_is_off(kind, monkeypatch):
+    # a 1e-3 relative error in one route must show against the other
+    from bksverify import groups
+    group = groups.group_spec(kind)
+    assert suite._job_wedge(group, 1e-8, 5, samples=3).passed
+    closed = suite.wedge_density
+    monkeypatch.setattr(suite, "wedge_density",
+                        lambda *a: closed(*a) * (1.0 + 1e-3))
+    rep = suite._job_wedge(group, 1e-8, 5, samples=3)
+    assert not rep.passed
+    assert rep.abs_residual == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2"])
+def test_phi_flatness_job_fails_on_a_negative_slope(kind, monkeypatch):
+    # phi * (1 - 1e-3 (s' - s)) has d/ds' = -1e-3 at s' = s: the job keeps
+    # the magnitude of the central difference, so the sign cannot hide it
+    from bksverify import groups, halfform
+    group = groups.group_spec(kind)
+    # the O(h^2) truncation stays visible and under the bar
+    rep = suite._job_phi_flatness(group, 1e-6, 5, samples=10)
+    assert rep.passed and rep.abs_residual > 0.0
+    phi = halfform.phi
+    monkeypatch.setattr(halfform, "phi",
+                        lambda g, s, sp, Y: phi(g, s, sp, Y) * (1.0 - 1e-3 * (sp - s)))
+    rep = suite._job_phi_flatness(group, 1e-6, 5, samples=10)
+    assert not rep.passed
+    assert rep.abs_residual == pytest.approx(1e-3, rel=1e-3)
+
+
+def test_mc_samples_reach_the_su3_prequantum_norm(monkeypatch):
+    from bksverify import quadrature
+    seen = []
+    montecarlo = quadrature.algebra_montecarlo
+
+    def spy(group, samples, seed, **kw):
+        seen.append(samples)
+        return montecarlo(group, samples, seed, **kw)
+
+    monkeypatch.setattr(quadrature, "algebra_montecarlo", spy)
+    cfg = config.default_config(group="su3", identities=("prequantum",), mc_samples=2000)
+    rep = suite.run_suite(cfg)
+    assert seen == [2000]
+    assert [k for k, _ in rep.reports] == ["prequantum/su3"]
+    assert rep.summary["passed"] == 1
