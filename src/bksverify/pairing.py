@@ -11,16 +11,20 @@ is the character-Gaussian integral
              eta((t/2) Y) dY
 
 with contract value d_R (pi hbar0)^{n/2} e^{t hbar0 (c_R+|rho|^2)/2}.
-The verifier computes G_R by independent backends (Weyl-reduced
-quadrature, full Gauss-Hermite, importance-sampled Monte Carlo) and
-assembles each identity from the numeric values.  Exponents grow
-linearly in t c_R, so assemblies run in log space wherever float range
-could overflow.
+``char_gaussian_log`` is the one entry to G_R: it returns log G_R(t)
+by the backend the rule carries (Weyl-reduced quadrature on the weight
+table, full Gauss-Hermite on defining-matrix eigenvalues, or
+importance-sampled Monte Carlo), and every identity is assembled from
+those logs.  Exponents grow linearly in t c_R, so assemblies stay in
+log space wherever float range could overflow.  The BKS block factor
+has one closed exponent, ``bks_exponent``, and one numeric log,
+``bks_factor_log``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import zlib
 
@@ -185,42 +189,30 @@ def char_gaussian_log(
     group: GroupSpec, hbar0: float, t: float, irrep: Irrep,
     quad: quadrature.AlgebraQuadrature,
 ):
-    """log G_R(t) with a log-scale error estimate.
+    """log G_R(t) with a relative error estimate, by the backend the rule
+    carries.
 
-    The integrand is a positive weight sum, so the log-space route is
-    exact in shape and immune to e^{t hbar0 c_R} growth.
+    Contract: log d_R (pi hbar0)^{n/2} + t hbar0 (c_R+|rho|^2)/2.  Off
+    tori a full Gauss-Hermite rule takes the eigenvalue route, which
+    never reads the weight table; Monte Carlo rules take the Weyl-reduced
+    Gaussian moment.  The Cartan-reduced integrand is a positive weight
+    sum, so its log-space route is immune to e^{t hbar0 c_R} growth.
     """
     if t <= 0.0:
         raise ValueError("the character-Gaussian integral needs t > 0")
     if quad.backend == "monte-carlo":
-        return _char_gaussian_mc_log(group, hbar0, t, irrep, quad)
+        if group.kind == "torus":
+            raise ValueError("use a deterministic backend on tori")
+        mean, stderr = _char_mc_moment(group, hbar0, t, irrep, quad.samples, quad.seed)
+        if mean <= 0.0:
+            raise ValueError("Monte Carlo moment estimate is not positive; add samples")
+        return _char_mc_prefactor_log(group, hbar0, t, irrep) + math.log(mean), stderr / mean
     if quad.backend == "cartan-reduced" or group.kind == "torus":
         return quadrature.integrate_algebra_log(
             _char_log_integrand(group, hbar0, t, irrep), quad
         )
     value, err = _char_gaussian_hermite(group, hbar0, t, irrep, quad)
     return math.log(value), err / value
-
-
-def char_gaussian_integral(
-    group: GroupSpec, hbar0: float, t: float, irrep: Irrep,
-    quad: quadrature.AlgebraQuadrature,
-):
-    """G_R(t) with an error estimate, by the backend the rule carries.
-
-    Contract: d_R (pi hbar0)^{n/2} e^{t hbar0 (c_R+|rho|^2)/2}.  The
-    value can exceed float range at large t c_R; use char_gaussian_log
-    there.
-    """
-    if t <= 0.0:
-        raise ValueError("the character-Gaussian integral needs t > 0")
-    if quad.backend == "monte-carlo":
-        return _char_gaussian_mc(group, hbar0, t, irrep, quad)
-    if quad.backend == "gauss-hermite-full" and group.kind != "torus":
-        return _char_gaussian_hermite(group, hbar0, t, irrep, quad)
-    logv, logerr = char_gaussian_log(group, hbar0, t, irrep, quad)
-    value = math.exp(logv) if logv < 709.0 else math.inf
-    return value, value * logerr
 
 
 def _char_gaussian_hermite(group, hbar0, t, irrep, quad):
@@ -282,23 +274,6 @@ def _char_mc_prefactor_log(group, hbar0, t, irrep):
     )
 
 
-def _char_gaussian_mc(group, hbar0, t, irrep, quad):
-    if group.kind == "torus":
-        raise ValueError("use a deterministic backend on tori")
-    mean, stderr = _char_mc_moment(group, hbar0, t, irrep, quad.samples, quad.seed)
-    pref = math.exp(_char_mc_prefactor_log(group, hbar0, t, irrep))
-    return pref * mean, pref * stderr
-
-
-def _char_gaussian_mc_log(group, hbar0, t, irrep, quad):
-    if group.kind == "torus":
-        raise ValueError("use a deterministic backend on tori")
-    mean, stderr = _char_mc_moment(group, hbar0, t, irrep, quad.samples, quad.seed)
-    if mean <= 0.0:
-        raise ValueError("Monte Carlo moment estimate is not positive; add samples")
-    return _char_mc_prefactor_log(group, hbar0, t, irrep) + math.log(mean), stderr / mean
-
-
 def char_moment_oracle(group: GroupSpec, hbar0: float, t: float, irrep: Irrep) -> float:
     """Exact value of the Monte Carlo moment, for calibration tests.
 
@@ -347,20 +322,10 @@ def default_char_factory(
         return factory
     if backend != "cartan-reduced":
         raise ValueError(f"unknown backend {backend!r}")
-    if group.kind == "torus":
-
-        def factory(t, irrep):
-            return char_gaussian_quadrature(group, hbar0, t, irrep, points=hermite_points)
-
-        return factory
-
-    def factory(t, irrep):
-        return char_gaussian_quadrature(
-            group, hbar0, t, irrep,
-            points_per_panel=points_per_panel, panels=panels,
-        )
-
-    return factory
+    return functools.partial(
+        char_gaussian_quadrature, group, hbar0,
+        points_per_panel=points_per_panel, panels=panels, points=hermite_points,
+    )
 
 
 # -- quantum pairings ----------------------------------------------------
@@ -370,8 +335,8 @@ def _common_labels(f: BandLimitedFunction, fp: BandLimitedFunction):
     return sorted(set(f.blocks) & set(fp.blocks))
 
 
-def _assemble_pair(group, hbar0, t, s_total, f, fp, quad_factory):
-    # Per-block sum of e^{-s_total hbar0 c/2} <f_R, f'_R> G_R(t) / d^2.
+def _assemble_pair(group, hbar0, t, f, fp, quad_factory):
+    # Per-block sum of e^{-t hbar0 c/2} <f_R, f'_R> G_R(t) / d^2.
     # The transform exponent and G_R grow oppositely like e^{t hbar0 c/2},
     # so each block is combined in log magnitude before the phase sum;
     # multiplying the float extremes directly would underflow first.
@@ -390,7 +355,7 @@ def _assemble_pair(group, hbar0, t, s_total, f, fp, quad_factory):
         )
         logmags.append(
             math.log(abs(raw))
-            - 0.5 * s_total * hbar0 * irrep.casimir
+            - 0.5 * t * hbar0 * irrep.casimir
             + log_g
             - 2.0 * math.log(irrep.dim)
         )
@@ -422,17 +387,14 @@ def quantum_pair(sec: QuantumSection, secp: QuantumSection, quad_factory=None):
     group = _check_same_group(sec, secp)
     if sec.s <= 0.0 or secp.s <= 0.0:
         raise ValueError("use vertical_pair when one parameter is 0")
-    t = sec.s + secp.s
-    return _assemble_pair(group, sec.hbar0, t, t, sec.f, secp.f, quad_factory)
+    return _assemble_pair(group, sec.hbar0, sec.s + secp.s, sec.f, secp.f, quad_factory)
 
 
 def quantum_norm_sq(sec: QuantumSection, quad_factory=None):
     """Numeric squared norm; contract a_s |f|^2 for s > 0 and the
     rescaled (pi hbar0)^{n/2} |f|^2 at s = 0."""
     if sec.s == 0.0:
-        group = sec.f.group
-        value = (math.pi * sec.hbar0) ** (group.dim / 2.0) * l2_inner(sec.f, sec.f)
-        return value.real, 0.0
+        return vertical_inner(sec.hbar0, sec.f, sec.f).real, 0.0
     value, err = quantum_pair(sec, sec, quad_factory)
     return value.real, err
 
@@ -447,7 +409,7 @@ def vertical_pair(hbar0: float, s: float, f: BandLimitedFunction,
     """
     if s <= 0.0:
         raise ValueError("vertical pairing needs s > 0")
-    return _assemble_pair(f.group, hbar0, s, s, f, fp, quad_factory)
+    return _assemble_pair(f.group, hbar0, s, f, fp, quad_factory)
 
 
 def vertical_inner(hbar0: float, f: BandLimitedFunction,
@@ -456,21 +418,27 @@ def vertical_inner(hbar0: float, f: BandLimitedFunction,
     return (math.pi * hbar0) ** (f.group.dim / 2.0) * l2_inner(f, fp)
 
 
+def bks_exponent(group: GroupSpec, hbar0: float, s: float, s_prime: float,
+                 irrep: Irrep) -> float:
+    """Closed log of the block factor, -((s-s')/2) hbar0 (c_R + |rho|^2)."""
+    return -0.5 * (s - s_prime) * hbar0 * (irrep.casimir + group.rho_norm_sq)
+
+
 def bks_factor_closed(group: GroupSpec, hbar0: float, s: float, s_prime: float,
                       irrep: Irrep) -> float:
     """Closed-form block factor e^{-((s-s')/2) hbar0 (c_R + |rho|^2)}."""
-    return math.exp(-0.5 * (s - s_prime) * hbar0 * (irrep.casimir + group.rho_norm_sq))
+    return math.exp(bks_exponent(group, hbar0, s, s_prime, irrep))
 
 
-def bks_factor_numeric(
+def bks_factor_log(
     group: GroupSpec, hbar0: float, s: float, s_prime: float, irrep: Irrep,
     quad_factory=None,
 ):
-    """Pairing factor on one irrep block from numeric integrals.
+    """log G_R(s+s') - log G_R(2s), the numeric log of the block factor.
 
     Ratio of the cross pairing against the norm on a fixed holomorphic
-    matrix element, G_R(s+s')/G_R(2s); contract bks_factor_closed.
-    Returned as (value, error_estimate).
+    matrix element; contract bks_exponent.  Returned with the summed
+    relative error estimate of the two integrals.
     """
     if s <= 0.0 or s_prime <= 0.0:
         raise ValueError("the factor ratio needs s, s' > 0")
@@ -482,8 +450,20 @@ def bks_factor_numeric(
     log_norm, err_norm = char_gaussian_log(
         group, hbar0, 2.0 * s, irrep, quad_factory(2.0 * s, irrep)
     )
-    value = math.exp(log_cross - log_norm)
-    return value, value * (err_cross + err_norm)
+    return log_cross - log_norm, err_cross + err_norm
+
+
+def bks_factor_numeric(
+    group: GroupSpec, hbar0: float, s: float, s_prime: float, irrep: Irrep,
+    quad_factory=None,
+):
+    """Pairing factor on one irrep block from numeric integrals,
+    e^{bks_factor_log}; contract bks_factor_closed.  Returned as
+    (value, error_estimate).
+    """
+    log_value, log_err = bks_factor_log(group, hbar0, s, s_prime, irrep, quad_factory)
+    value = math.exp(log_value)
+    return value, value * log_err
 
 
 def bks_map_apply(s: float, s_prime: float, secp: QuantumSection) -> QuantumSection:
@@ -525,15 +505,16 @@ def verify_unitarity(
     # parameter-s sections then shares the character integral with the
     # s-side norm, so the ratio pits G(2s) against G(2s').
     log_mu = -0.5 * (s - s_prime) * hbar0 * group.rho_norm_sq
-    log_ns, err_s = char_gaussian_log(
-        group, hbar0, 2.0 * s, irrep, quad_factory(2.0 * s, irrep)
-    )
-    log_ns = log_ns - s * hbar0 * irrep.casimir - 2.0 * math.log(d)
-    if s_prime > 0.0:
-        log_np, err_p = char_gaussian_log(
-            group, hbar0, 2.0 * s_prime, irrep, quad_factory(2.0 * s_prime, irrep)
+
+    def log_norm(x):
+        log_g, err = char_gaussian_log(
+            group, hbar0, 2.0 * x, irrep, quad_factory(2.0 * x, irrep)
         )
-        log_np = log_np - s_prime * hbar0 * irrep.casimir - 2.0 * math.log(d)
+        return log_g - x * hbar0 * irrep.casimir - 2.0 * math.log(d), err
+
+    log_ns, err_s = log_norm(s)
+    if s_prime > 0.0:
+        log_np, err_p = log_norm(s_prime)
     else:
         log_np = (group.dim / 2.0) * math.log(math.pi * hbar0) - math.log(d)
         err_p = 0.0
@@ -580,7 +561,7 @@ def continuity_check(
     s_list; contract r(s) = e^{|rho|^2 hbar0 s}, which approaches 1
     linearly in s with slope |rho|^2 hbar0.
     """
-    base = ((math.pi * hbar0) ** (group.dim / 2.0) * l2_inner(f, f)).real
+    base = vertical_inner(hbar0, f, f).real
     ratios = []
     errors = []
     worst = 0.0

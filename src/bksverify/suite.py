@@ -10,6 +10,7 @@ and do not abort the run.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -242,21 +243,11 @@ def _job_pairing_orthogonal(group, hbar0, s, sp, band, factory, tol, seed):
     )
 
 
-def _factor_log(group, hbar0, s, sp, irrep):
-    return -0.5 * (s - sp) * hbar0 * (irrep.casimir + group.rho_norm_sq)
-
-
 def _job_bks_factor(group, hbar0, s, sp, irrep, factory, tol):
     # log-space comparison: at large (s - s') c_R the factor itself
     # leaves float range while the log residual stays well defined
-    log_cross, e1 = pairing.char_gaussian_log(
-        group, hbar0, s + sp, irrep, factory(s + sp, irrep)
-    )
-    log_norm, e2 = pairing.char_gaussian_log(
-        group, hbar0, 2.0 * s, irrep, factory(2.0 * s, irrep)
-    )
-    log_num = log_cross - log_norm
-    log_closed = _factor_log(group, hbar0, s, sp, irrep)
+    log_num, err = pairing.bks_factor_log(group, hbar0, s, sp, irrep, factory)
+    log_closed = pairing.bks_exponent(group, hbar0, s, sp, irrep)
     rel = abs(math.expm1(log_num - log_closed))
     params = {"hbar0": hbar0, "s": s, "s_prime": sp, "irrep": str(irrep.label)}
     if abs(log_closed) <= 300.0:
@@ -264,35 +255,36 @@ def _job_bks_factor(group, hbar0, s, sp, irrep, factory, tol):
     else:
         lhs, rhs = log_num, log_closed
         params["scale"] = "log"
-    return _report("bks-factor", group, params, lhs, rhs, rel, e1 + e2, tol)
+    return _report("bks-factor", group, params, lhs, rhs, rel, err, tol)
 
 
 def _job_factorization(group, hbar0, cells, triples, irrep, tol):
     # value-space agreement is meaningful only while e^{arg} rounding
     # (rel error ~ |arg| eps) sits below the tolerance
+    exponent = pairing.bks_exponent
     usable = [
         (s, sp) for s, sp in cells
-        if abs(_factor_log(group, hbar0, s, sp, irrep)) <= 70.0
+        if abs(exponent(group, hbar0, s, sp, irrep)) <= 70.0
     ]
     if not usable:
         usable = [min(cells, key=lambda c: abs(c[0] - c[1]))]
-    worst = 0.0
-    lhs = rhs = 1.0
-    for s, sp in usable:
-        rep = pairing.verify_factorization(group, hbar0, s, sp, irrep, tol)
-        if rep.abs_residual > worst:
-            worst, lhs, rhs = rep.abs_residual, rep.lhs, rep.rhs
+    # the worst cell reports its own two routes, the first cell on a tie
+    worst = max(
+        (pairing.verify_factorization(group, hbar0, s, sp, irrep, tol)
+         for s, sp in usable),
+        key=lambda rep: rep.abs_residual,
+    )
     comp_worst = 0.0
     for s1, s2, s3 in triples:
-        two_step = _factor_log(group, hbar0, s1, s2, irrep) \
-            + _factor_log(group, hbar0, s2, s3, irrep)
-        one_step = _factor_log(group, hbar0, s1, s3, irrep)
+        two_step = exponent(group, hbar0, s1, s2, irrep) \
+            + exponent(group, hbar0, s2, s3, irrep)
+        one_step = exponent(group, hbar0, s1, s3, irrep)
         comp_worst = max(comp_worst, abs(math.expm1(two_step - one_step)))
     return _report(
         "factorization", group,
         {"hbar0": hbar0, "irrep": str(irrep.label), "cells": len(usable),
          "composition_residual": comp_worst},
-        lhs, rhs, max(worst, comp_worst), 0.0, tol,
+        worst.lhs, worst.rhs, max(worst.abs_residual, comp_worst), 0.0, tol,
     )
 
 
@@ -455,117 +447,102 @@ def build_jobs(cfg: RunConfig) -> list:
     else:
         spec_irreps = [make_irrep(group, lab) for lab in ((0, 0), (1, 0), (1, 1))]
 
+    hbar0 = cfg.hbar0
     jobs: list[Job] = []
 
-    def add(key, thunk):
-        jobs.append(Job(key=key, thunk=thunk))
+    def add(key, fn, *args, **kwargs):
+        jobs.append(Job(key=key, thunk=functools.partial(fn, *args, **kwargs)))
+
+    def seed(key):
+        return _job_seed(cfg.seed, key)
 
     for family in cfg.identities:
         if family == "wedge":
-            tol = _tol(cfg, family, 1e-8)
             key = f"wedge/{kind}"
-            add(key, lambda g=group, t=tol, k=key: _job_wedge(g, t, _job_seed(cfg.seed, k)))
+            add(key, _job_wedge, group, _tol(cfg, family, 1e-8), seed(key))
         elif family == "phi-flatness":
-            tol = _tol(cfg, family, 1e-6)
             key = f"phi-flatness/{kind}"
-            add(key, lambda g=group, t=tol, k=key: _job_phi_flatness(g, t, _job_seed(cfg.seed, k)))
+            add(key, _job_phi_flatness, group, _tol(cfg, family, 1e-6), seed(key))
         elif family == "cst-unitarity":
             tol_a = _tol(cfg, family, 1e-10)
             tol_q = _tol(cfg, family, 1e-4)
             for s in s_pos:
                 key = f"cst-unitarity/{kind}/analytic/s={_fmt(s)}"
-                add(key, lambda s=s, t=tol_a, k=key: _job_cst_analytic(
-                    group, cfg.hbar0, s, band, t, _job_seed(cfg.seed, k)))
+                add(key, _job_cst_analytic, group, hbar0, s, band, tol_a, seed(key))
             if kind != "su3":
                 # smallest s: the matrix-element tilt scales with
                 # sqrt(hbar0 s) and sets the Hermite length needed
                 s_q = min(s_pos)
                 pts = cfg.hl2_points_torus if kind == "torus" else cfg.hl2_points_su2
                 key = f"cst-unitarity/{kind}/quadrature/s={_fmt(s_q)}"
-                add(key, lambda t=tol_q, k=key, p=pts, s=s_q: _job_cst_quadrature(
-                    group, cfg.hbar0, s, band, p, t, _job_seed(cfg.seed, k)))
+                add(key, _job_cst_quadrature, group, hbar0, s_q, band, pts, tol_q,
+                    seed(key))
         elif family == "pairing":
             tol = _tol(cfg, family, 1e-6)
             tol_orth = _tol(cfg, family, 1e-8)
             for s, sp in cells:
                 key = f"pairing/{kind}/random/s={_fmt(s)}:sp={_fmt(sp)}"
-                add(key, lambda s=s, sp=sp, k=key, t=tol: _job_pairing_random(
-                    group, cfg.hbar0, s, sp, band, cfg.pairs_per_cell, factory,
-                    t, _job_seed(cfg.seed, k)))
+                add(key, _job_pairing_random, group, hbar0, s, sp, band,
+                    cfg.pairs_per_cell, factory, tol, seed(key))
                 key = f"pairing/{kind}/orthogonal/s={_fmt(s)}:sp={_fmt(sp)}"
-                add(key, lambda s=s, sp=sp, k=key, t=tol_orth:
-                    _job_pairing_orthogonal(
-                        group, cfg.hbar0, s, sp, band, factory, t,
-                        _job_seed(cfg.seed, k)))
+                add(key, _job_pairing_orthogonal, group, hbar0, s, sp, band,
+                    factory, tol_orth, seed(key))
         elif family == "bks-factor":
             tol = bks_factor_tolerance(cfg)
             for irrep in band_irreps:
                 for s, sp in cells:
                     key = (f"bks-factor/{kind}/{irrep.label}/"
                            f"s={_fmt(s)}:sp={_fmt(sp)}")
-                    add(key, lambda s=s, sp=sp, r=irrep, t=tol: _job_bks_factor(
-                        group, cfg.hbar0, s, sp, r, factory, t))
+                    add(key, _job_bks_factor, group, hbar0, s, sp, irrep, factory, tol)
         elif family == "unitarity":
             tol = _tol(cfg, family, 1e-6)
             for irrep in spec_irreps:
                 for s, sp in cells_with_zero:
                     key = (f"unitarity/{kind}/{irrep.label}/"
                            f"s={_fmt(s)}:sp={_fmt(sp)}")
-                    add(key, lambda s=s, sp=sp, r=irrep, t=tol:
-                        pairing.verify_unitarity(group, cfg.hbar0, s, sp, r,
-                                                 factory, t))
+                    add(key, pairing.verify_unitarity, group, hbar0, s, sp, irrep,
+                        factory, tol)
         elif family == "factorization":
             tol = _tol(cfg, family, 1e-14)
             for irrep in spec_irreps:
                 key = f"factorization/{kind}/{irrep.label}"
-                add(key, lambda r=irrep, t=tol: _job_factorization(
-                    group, cfg.hbar0, cells, triples, r, t))
+                add(key, _job_factorization, group, hbar0, cells, triples, irrep, tol)
         elif family == "vertical-limit":
-            tol = _tol(cfg, family, 1e-6)
             key = f"vertical-limit/{kind}/direct"
-            add(key, lambda t=tol, k=key: _job_vertical_direct(
-                group, cfg.hbar0, s_mid, band, factory, t, _job_seed(cfg.seed, k)))
+            add(key, _job_vertical_direct, group, hbar0, s_mid, band, factory,
+                _tol(cfg, family, 1e-6), seed(key))
             key = f"vertical-limit/{kind}/extrapolation"
-            add(key, lambda k=key: _job_vertical_extrapolation(
-                group, cfg.hbar0, s_mid, band, factory, _job_seed(cfg.seed, k)))
+            add(key, _job_vertical_extrapolation, group, hbar0, s_mid, band, factory,
+                seed(key))
         elif family == "continuity":
-            tol_h = _tol(cfg, family, 0.2)
-            tol_t = _tol(cfg, family, 1e-10)
             key = f"continuity/{kind}"
-            add(key, lambda k=key, th=tol_h, tt=tol_t: _job_continuity(
-                group, cfg.hbar0, band, factory, th, tt,
-                _job_seed(cfg.seed, k)))
+            add(key, _job_continuity, group, hbar0, band, factory,
+                _tol(cfg, family, 0.2), _tol(cfg, family, 1e-10), seed(key))
         elif family == "delta":
             if kind == "su3":
                 continue
             tol = _tol(cfg, family, 1e-8 if kind == "torus" else 1e-3)
-            one_labels = range(3)
-            for m in one_labels:
+            for m in range(3):
                 label = (m,) + (0,) * (group.dim - 1) if kind == "torus" else (m,)
                 irrep = make_irrep(group, label)
                 key = f"delta/{kind}/one/{irrep.label}"
-                add(key, lambda r=irrep, t=tol: pairing.verify_delta_identity(
-                    group, cfg.hbar0, 1.0, r, t))
+                add(key, pairing.verify_delta_identity, group, hbar0, 1.0, irrep, tol)
             two_labels = range(2) if kind == "torus" else range(3)
             pts = cfg.delta_points_torus if kind == "torus" else cfg.delta_points_su2
             for m in two_labels:
                 label = (m,) + (0,) * (group.dim - 1) if kind == "torus" else (m,)
                 irrep = make_irrep(group, label)
                 key = f"delta/{kind}/two/{irrep.label}"
-                add(key, lambda r=irrep, t=tol, k=key, p=pts:
-                    pairing.verify_delta_two(
-                        group, cfg.hbar0, 1.0, 0.5, 0.3, r, tolerance=t,
-                        seed=_job_seed(cfg.seed, k), t_alt=0.55, points=p))
+                add(key, pairing.verify_delta_two, group, hbar0, 1.0, 0.5, 0.3, irrep,
+                    tolerance=tol, seed=seed(key), t_alt=0.55, points=pts)
         elif family == "prequantum":
             if kind == "torus":
                 # phi is identically 1 on tori: there is no contrast to show
                 continue
-            tol = _tol(cfg, family, 1e-3)
             key = f"prequantum/{kind}"
             # the SU(3) norm is a Monte Carlo sum; 200 000 samples cap its cost
-            add(key, lambda t=tol, k=key: _job_prequantum(
-                group, t, _job_seed(cfg.seed, k),
-                mc_samples=min(cfg.mc_samples, 200_000)))
+            add(key, _job_prequantum, group, _tol(cfg, family, 1e-3), seed(key),
+                mc_samples=min(cfg.mc_samples, 200_000))
     return jobs
 
 
@@ -683,7 +660,7 @@ def pairing_factor_rows(cfg: RunConfig) -> list:
         for s, sp in cells:
             # factor columns are emitted as plain floats, so parameter
             # cells whose factor leaves float range are omitted
-            if abs(_factor_log(group, cfg.hbar0, s, sp, irrep)) > 300.0:
+            if abs(pairing.bks_exponent(group, cfg.hbar0, s, sp, irrep)) > 300.0:
                 continue
             numeric, _ = pairing.bks_factor_numeric(group, cfg.hbar0, s, sp,
                                                     irrep, factory)

@@ -24,6 +24,13 @@ def closed_G(group, hbar0, t, irrep):
         t * hbar0 * (irrep.casimir + group.rho_norm_sq) / 2.0)
 
 
+def char_gaussian_integral(group, hbar0, t, irrep, quad):
+    # value-space G_R(t) with its error estimate, from the log-space entry
+    logv, logerr = pairing.char_gaussian_log(group, hbar0, t, irrep, quad)
+    value = math.exp(logv)
+    return value, value * logerr
+
+
 def test_char_gaussian_torus_against_scalar_gaussian():
     # one honest 1D integral: the weight value on the calibrated circle is
     # 2 pi k, so int e^{-2 pi k t y - t y^2 / 2 hbar} (t/2)^{1/2} dy
@@ -34,7 +41,7 @@ def test_char_gaussian_torus_against_scalar_gaussian():
     scalar = math.sqrt(t / 2.0) * math.sqrt(math.pi / a) * math.exp(b * b / (4 * a))
     ir = groups.make_irrep(TORUS, (k,))
     quad = pairing.char_gaussian_quadrature(TORUS, hbar0, t, ir)
-    val, est = pairing.char_gaussian_integral(TORUS, hbar0, t, ir, quad)
+    val, est = char_gaussian_integral(TORUS, hbar0, t, ir, quad)
     assert val == pytest.approx(scalar, rel=1e-10)
     assert val == pytest.approx(closed_G(TORUS, hbar0, t, ir), rel=1e-10)
 
@@ -43,7 +50,7 @@ def test_char_gaussian_trivial_rep_is_gaussian_mass():
     for group in (TORUS, SU2):
         ir = groups.make_irrep(group, (0,) * group.rank if group.kind == "torus" else (0,))
         quad = pairing.char_gaussian_quadrature(group, 1.0, 0.9, ir)
-        val, _ = pairing.char_gaussian_integral(group, 1.0, 0.9, ir, quad)
+        val, _ = char_gaussian_integral(group, 1.0, 0.9, ir, quad)
         want = closed_G(group, 1.0, 0.9, ir)
         assert val == pytest.approx(want, rel=1e-8)
 
@@ -53,9 +60,9 @@ def test_char_gaussian_su2_backends_agree():
     ir = groups.make_irrep(SU2, (1,))
     want = 2.0 * math.pi ** 1.5 * math.exp((ir.casimir + SU2.rho_norm_sq) / 2.0)
     quad_c = pairing.char_gaussian_quadrature(SU2, hbar0, t, ir)
-    vc, _ = pairing.char_gaussian_integral(SU2, hbar0, t, ir, quad_c)
+    vc, _ = char_gaussian_integral(SU2, hbar0, t, ir, quad_c)
     quad_h = quadrature.hermite_quadrature(SU2, 56, scale=math.sqrt(hbar0 / t))
-    vh, _ = pairing.char_gaussian_integral(SU2, hbar0, t, ir, quad_h)
+    vh, _ = char_gaussian_integral(SU2, hbar0, t, ir, quad_h)
     assert vc == pytest.approx(want, rel=1e-8)
     assert vh == pytest.approx(want, rel=1e-6)
 
@@ -67,7 +74,7 @@ def test_char_gaussian_su2_montecarlo_is_exact():
     # counts
     ir = groups.make_irrep(SU2, (1,))
     quad = quadrature.algebra_montecarlo(SU2, 100, seed=3)
-    val, est = pairing.char_gaussian_integral(SU2, 1.0, 1.0, ir, quad)
+    val, est = char_gaussian_integral(SU2, 1.0, 1.0, ir, quad)
     assert val == pytest.approx(closed_G(SU2, 1.0, 1.0, ir), rel=1e-12)
     assert est < 1e-10 * val
 
@@ -75,10 +82,27 @@ def test_char_gaussian_su2_montecarlo_is_exact():
 def test_char_gaussian_su3_montecarlo_within_stderr():
     ir = groups.make_irrep(SU3, (1, 0))
     quad = quadrature.algebra_montecarlo(SU3, 100_000, seed=11)
-    val, est = pairing.char_gaussian_integral(SU3, 1.0, 1.0, ir, quad)
+    val, est = char_gaussian_integral(SU3, 1.0, 1.0, ir, quad)
     want = closed_G(SU3, 1.0, 1.0, ir)
     assert abs(val - want) < 5 * est
     assert est < 0.01 * want
+
+
+def test_hermite_route_never_reads_the_weight_table(monkeypatch):
+    # the full Gauss-Hermite route takes characters from defining-matrix
+    # eigenvalues, so it must stand with the weight table gone, while the
+    # Cartan-reduced route needs it
+    def no_table(*args):
+        raise RuntimeError("weight table read")
+
+    monkeypatch.setattr(pairing, "weights_with_multiplicities", no_table)
+    ir = groups.make_irrep(SU2, (1,))
+    quad_h = quadrature.hermite_quadrature(SU2, 56, scale=1.0)
+    logv, _ = pairing.char_gaussian_log(SU2, 1.0, 1.0, ir, quad_h)
+    assert math.exp(logv) == pytest.approx(closed_G(SU2, 1.0, 1.0, ir), rel=1e-6)
+    quad_c = pairing.char_gaussian_quadrature(SU2, 1.0, 1.0, ir)
+    with pytest.raises(RuntimeError, match="weight table read"):
+        pairing.char_gaussian_log(SU2, 1.0, 1.0, ir, quad_c)
 
 
 def test_char_moment_oracle_su2_closed_form():
@@ -124,7 +148,7 @@ def test_schur_reduction_direct_3d():
     assert entries[(1, 1)] == pytest.approx(entries[(0, 0)], rel=1e-8)
     ir = groups.make_irrep(SU2, (m,))
     char_quad = pairing.char_gaussian_quadrature(SU2, hbar0, t, ir)
-    char_val, _ = pairing.char_gaussian_integral(SU2, hbar0, t, ir, char_quad)
+    char_val, _ = char_gaussian_integral(SU2, hbar0, t, ir, char_quad)
     assert entries[(0, 0)] == pytest.approx(char_val / ir.dim, rel=1e-6)
 
 

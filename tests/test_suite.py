@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -212,3 +213,42 @@ def test_mc_samples_reach_the_su3_prequantum_norm(monkeypatch):
     assert seen == [2000]
     assert [k for k, _ in rep.reports] == ["prequantum/su3"]
     assert rep.summary["passed"] == 1
+
+
+def test_factorization_reports_the_worst_cells_own_values():
+    # when every cell's residual is 0 the row still shows a real cell's
+    # two factors, not a placeholder 1.0
+    from bksverify import groups
+    su3 = groups.group_spec("su3")
+    irrep = groups.make_irrep(su3, (0, 0))
+    rep = suite._job_factorization(su3, 1.0, [(1.0, 0.5)], [(0.5, 1.0, 3.0)], irrep, 1e-14)
+    want = pairing_mod.bks_factor_closed(su3, 1.0, 1.0, 0.5, irrep)
+    assert want == pytest.approx(math.exp(-su3.rho_norm_sq / 4.0), rel=1e-14)
+    assert rep.passed and rep.abs_residual == 0.0
+    assert rep.lhs == want and rep.rhs == pytest.approx(want, rel=1e-14)
+    torus = groups.group_spec("torus", n=1)
+    for k in (1, 2):
+        irrep = groups.make_irrep(torus, (k,))
+        rep = suite._job_factorization(torus, 1.0, [(0.5, 1.0), (1.0, 1.0)],
+                                       [(0.5, 1.0, 3.0)], irrep, 1e-14)
+        want = pairing_mod.bks_factor_closed(torus, 1.0, 0.5, 1.0, irrep)
+        assert rep.abs_residual == 0.0 and want > 1.0
+        assert rep.lhs == rep.rhs == want
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2"])
+def test_bks_jobs_fail_when_the_closed_exponent_is_off(kind, monkeypatch):
+    # a 1e-3 relative error in the closed factor must fail every
+    # bks-factor and factorization job, the s = s' cells included
+    overrides = {"group": kind, "identities": ("bks-factor", "factorization")}
+    if kind == "su2":
+        overrides["band_limit"] = None
+    cfg = fast_cfg(**overrides)
+    rep = suite.run_suite(cfg)
+    assert rep.summary["total"] > 0 and rep.summary["failed"] == 0
+    exponent = pairing_mod.bks_exponent
+    monkeypatch.setattr(pairing_mod, "bks_exponent",
+                        lambda *a: exponent(*a) + math.log1p(1e-3))
+    rep = suite.run_suite(cfg)
+    assert rep.summary["errors"] == 0
+    assert [k for k, r in rep.reports if r.passed] == []
