@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import fields
 
@@ -33,12 +32,12 @@ from .config import (
 from .groups import calibrate_scale, group_spec, make_irrep
 from .heat import a_s
 from .suite import (
+    FACTOR_COLUMNS,
     bks_factor_tolerance,
-    emit_factor_table,
     emit_table,
     pairing_factor_rows,
     run_suite,
-    write_rows,
+    write_table,
 )
 
 _CALIBRATE_COLUMNS = (
@@ -128,7 +127,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     cfg = _make_config(args)
     rows = pairing_factor_rows(cfg)
-    path = emit_factor_table(rows, cfg.format, cfg.out_dir)
+    path = write_table(rows, FACTOR_COLUMNS, cfg.format, cfg.out_dir, "pairing-factors")
     bar = bks_factor_tolerance(cfg)
     worst = max((row["residual"] for row in rows), default=0.0)
     for row in rows:
@@ -155,8 +154,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             "density_prefactor": (math.pi * cfg.hbar0) ** (group.dim / 2.0),
             "a_s_at_1": a_s(group, cfg.hbar0, 1.0),
         })
-    path = os.path.join(cfg.out_dir, f"calibrate.{cfg.format}")
-    write_rows(rows, _CALIBRATE_COLUMNS, cfg.format, path)
+    path = write_table(rows, _CALIBRATE_COLUMNS, cfg.format, cfg.out_dir, "calibrate")
     for row in rows:
         print(f"{row['group']:<8} scale {row['scale']:.12g}  "
               f"|rho|^2 {row['rho_norm_sq']:.12g}  "
@@ -214,8 +212,7 @@ def _convergence_rows(cfg: RunConfig) -> list:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _make_config(args)
     rows = _convergence_rows(cfg)
-    path = os.path.join(cfg.out_dir, f"convergence.{cfg.format}")
-    write_rows(rows, _CONVERGENCE_COLUMNS, cfg.format, path)
+    path = write_table(rows, _CONVERGENCE_COLUMNS, cfg.format, cfg.out_dir, "convergence")
     for row in rows:
         print(f"{row['backend']:<18} {row['resolution']:>8}  "
               f"rel_error {row['rel_error']:.3e}")

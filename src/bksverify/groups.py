@@ -112,7 +112,7 @@ class GroupSpec:
     normalization: str
     positive_roots: np.ndarray
     rho: np.ndarray
-    weyl_elements: tuple
+    weyl_order: int  # |W|, read by the Weyl-reduced character integrals
     ad_basis: np.ndarray
     cartan_indices: tuple
     defining: np.ndarray | None
@@ -156,29 +156,6 @@ def _resolve_scale(kind: str, normalization: str) -> float:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def _weyl_closure(simple_roots: np.ndarray) -> tuple:
-    """Generate the Weyl group from simple reflections by closure."""
-    rank = simple_roots.shape[1]
-    refls = []
-    for alpha in simple_roots:
-        refls.append(np.eye(rank) - 2.0 * np.outer(alpha, alpha) / np.dot(alpha, alpha))
-    elements = [np.eye(rank)]
-    keys = {tuple(np.round(np.eye(rank), 10).ravel())}
-    frontier = [np.eye(rank)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in refls:
-                cand = s @ w
-                key = tuple(np.round(cand, 10).ravel())
-                if key not in keys:
-                    keys.add(key)
-                    elements.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(elements)
-
-
 def torus_group(n: int = 1, normalization: str = "unit_volume") -> GroupSpec:
     """U(1)^n with the flat metric at the requested normalization."""
     if n < 1:
@@ -192,7 +169,7 @@ def torus_group(n: int = 1, normalization: str = "unit_volume") -> GroupSpec:
         normalization=normalization,
         positive_roots=np.zeros((0, n)),
         rho=np.zeros(n),
-        weyl_elements=(np.eye(n),),
+        weyl_order=1,
         ad_basis=np.zeros((n, n, n)),
         cartan_indices=tuple(range(n)),
         defining=None,
@@ -217,7 +194,7 @@ def su2_group(normalization: str = "unit_volume") -> GroupSpec:
         normalization=normalization,
         positive_roots=root,
         rho=root[0] / 2.0,
-        weyl_elements=(np.eye(1), -np.eye(1)),
+        weyl_order=2,
         ad_basis=ad_basis,
         cartan_indices=(2,),
         defining=defining,
@@ -231,7 +208,6 @@ def su3_group(normalization: str = "unit_volume") -> GroupSpec:
     alpha23 = np.array([-math.sqrt(2.0) / 2.0, math.sqrt(6.0) / 2.0]) * s
     alpha13 = alpha12 + alpha23
     roots = np.stack([alpha12, alpha23, alpha13])
-    weyl_elements = _weyl_closure(np.stack([alpha12, alpha23]))
     f = np.zeros((8, 8, 8))
     coupling = math.sqrt(2.0 / scale)
     for (a, b, c), val in _SU3_F.items():
@@ -252,7 +228,7 @@ def su3_group(normalization: str = "unit_volume") -> GroupSpec:
         normalization=normalization,
         positive_roots=roots,
         rho=0.5 * roots.sum(axis=0),
-        weyl_elements=weyl_elements,
+        weyl_order=6,
         ad_basis=ad_basis,
         cartan_indices=(2, 7),
         defining=defining,

@@ -18,7 +18,8 @@ importance-sampled Monte Carlo), and every identity is assembled from
 those logs.  Exponents grow linearly in t c_R, so assemblies stay in
 log space wherever float range could overflow.  The BKS block factor
 has one closed exponent, ``bks_exponent``, and one numeric log,
-``bks_factor_log``.
+``bks_factor_log``.  The pairing map itself is ``bks_map_apply``; the
+unitarity check applies it and measures norms with ``quantum_norm_sq``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,13 @@ from .groups import (
     wigner_matrix,
 )
 from .halfform import eta, eta_from_roots, phi
-from .heat import BandLimitedFunction, _su2_conjugation_intertwiner, a_s, l2_inner
+from .heat import (
+    BandLimitedFunction,
+    _su2_conjugation_intertwiner,
+    a_s,
+    l2_inner,
+    matrix_element_function,
+)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -268,7 +275,7 @@ def _char_mc_prefactor_log(group, hbar0, t, irrep):
         math.log(quadrature.weyl_constant(group))
         + (n / 2.0) * math.log(t / 2.0)
         - p * math.log(t)
-        + math.log(len(group.weyl_elements))
+        + math.log(group.weyl_order)
         + (r / 2.0) * math.log(2.0 * math.pi * hbar0 / t)
         + t * hbar0 * float(v @ v) / 2.0
     )
@@ -289,7 +296,7 @@ def char_moment_oracle(group: GroupSpec, hbar0: float, t: float, irrep: Irrep) -
         * (t / 2.0) ** (-n / 2.0)
         * t**p
         * (t / (2.0 * math.pi * hbar0)) ** (r / 2.0)
-        / (quadrature.weyl_constant(group) * len(group.weyl_elements))
+        / (quadrature.weyl_constant(group) * group.weyl_order)
     )
 
 
@@ -473,7 +480,8 @@ def bks_map_apply(s: float, s_prime: float, secp: QuantumSection) -> QuantumSect
     e^{-((s-s')/2) hbar0 (c_R+|rho|^2)}; conjugated through the
     transform this becomes the block-independent sqrt(a_{s'}/a_s) on
     the L2 datum, which is what is applied here.  The composition law
-    across three parameters therefore holds exactly.
+    across three parameters therefore holds exactly.  This is the map
+    ``verify_unitarity`` applies before it compares norms.
     """
     if s < 0.0 or s_prime != secp.s:
         raise ValueError("target must be nonnegative and source tag must match")
@@ -489,40 +497,25 @@ def verify_unitarity(
     group: GroupSpec, hbar0: float, s: float, s_prime: float, irrep: Irrep,
     quad_factory=None, tolerance: float = 1e-6,
 ) -> PairingReport:
-    """Unitarity ratio |<sigma, B sigma'>|^2 / (|sigma|^2 |sigma'|^2) vs 1.
+    """Unitarity of the pairing map, |B sigma'|^2 / |sigma'|^2 vs 1.
 
-    All pairings are assembled from numeric character integrals on a
-    matrix-element section, in log space because t c_R can push the
-    integrals past float range; s' = 0 pairs against the rescaled
-    vertical inner product.
+    sigma' is the (0, 0) matrix element of the irrep at parameter s', B
+    is ``bks_map_apply`` from s' to s, and both norms are
+    ``quantum_norm_sq``: numeric character integrals at t = 2s and 2s',
+    or the rescaled vertical inner product at s' = 0.
     """
     if s <= 0.0 or s_prime < 0.0:
         raise ValueError("need s > 0 and s' >= 0")
-    if quad_factory is None:
-        quad_factory = default_char_factory(group, hbar0)
-    d = irrep.dim
-    # B scales the datum by sqrt(a_{s'}/a_s); the cross pairing of two
-    # parameter-s sections then shares the character integral with the
-    # s-side norm, so the ratio pits G(2s) against G(2s').
-    log_mu = -0.5 * (s - s_prime) * hbar0 * group.rho_norm_sq
-
-    def log_norm(x):
-        log_g, err = char_gaussian_log(
-            group, hbar0, 2.0 * x, irrep, quad_factory(2.0 * x, irrep)
-        )
-        return log_g - x * hbar0 * irrep.casimir - 2.0 * math.log(d), err
-
-    log_ns, err_s = log_norm(s)
-    if s_prime > 0.0:
-        log_np, err_p = log_norm(s_prime)
-    else:
-        log_np = (group.dim / 2.0) * math.log(math.pi * hbar0) - math.log(d)
-        err_p = 0.0
-    ratio_minus_one = math.expm1(2.0 * log_mu + log_ns - log_np)
+    secp = QuantumSection(
+        s=s_prime, f=matrix_element_function(group, irrep.label, 0, 0), hbar0=hbar0
+    )
+    norm, err = quantum_norm_sq(bks_map_apply(s, s_prime, secp), quad_factory)
+    norm_p, err_p = quantum_norm_sq(secp, quad_factory)
+    ratio = norm / norm_p
     return _report(
         "unitarity", group,
         {"hbar0": hbar0, "s": s, "s_prime": s_prime, "irrep": str(irrep.label)},
-        1.0 + ratio_minus_one, 1.0, abs(ratio_minus_one), err_s + err_p, tolerance,
+        ratio, 1.0, abs(ratio - 1.0), err / norm + err_p / norm_p, tolerance,
     )
 
 
@@ -558,30 +551,24 @@ def continuity_check(
     """Norm continuity toward the vertical fiber.
 
     Reports r(s) = |sigma_s|^2 / ((pi hbar0)^{n/2} |f|^2) for each s in
-    s_list; contract r(s) = e^{|rho|^2 hbar0 s}, which approaches 1
-    linearly in s with slope |rho|^2 hbar0.
+    s_list against the contract r(s) = e^{|rho|^2 hbar0 s}, which
+    approaches 1 linearly in s with slope |rho|^2 hbar0; the residual is
+    the worst |r(s) - contract|.
     """
     base = vertical_inner(hbar0, f, f).real
     ratios = []
     errors = []
-    worst = 0.0
     for s in s_list:
-        sec = QuantumSection(s=float(s), f=f, hbar0=hbar0)
-        norm, err = quantum_norm_sq(sec, quad_factory)
-        r = norm / base
-        ratios.append(float(r))
+        norm, err = quantum_norm_sq(QuantumSection(s=float(s), f=f, hbar0=hbar0),
+                                    quad_factory)
+        ratios.append(float(norm / base))
         errors.append(err / base)
-        worst = max(worst, abs(r - math.exp(group.rho_norm_sq * hbar0 * float(s))))
+    contract = [math.exp(group.rho_norm_sq * hbar0 * float(s)) for s in s_list]
     return _report(
         "continuity", group,
-        {
-            "hbar0": hbar0,
-            "s_list": [float(s) for s in s_list],
-            "ratios": ratios,
-            "band_limit": f.band_limit,
-        },
-        ratios[-1], math.exp(group.rho_norm_sq * hbar0 * float(s_list[-1])),
-        worst, sum(errors), tolerance,
+        {"hbar0": hbar0, "s_list": [float(s) for s in s_list], "ratios": ratios},
+        ratios[-1], contract[-1], max(abs(r - c) for r, c in zip(ratios, contract)),
+        sum(errors), tolerance,
     )
 
 

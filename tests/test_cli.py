@@ -26,6 +26,14 @@ def test_golden_report_bytes():
         assert text == fh.read()
 
 
+def test_su3_continuity_passes_at_large_hbar0(tmp_path):
+    # r(s) holds its contract e^{|rho|^2 hbar0 s} here to about 1e-15, while
+    # the halving ratio of r(s) - 1 is 0.21 away from 2 at this hbar0
+    code = cli.main(["verify", "continuity", "--group", "su3", "--hbar0", "5",
+                     "--out", str(tmp_path)])
+    assert code == 0
+
+
 def test_verify_all_with_config(tmp_path, capsys):
     code = cli.main(["verify", "all", "--config", GOLDEN_CFG,
                      "--out", str(tmp_path)])

@@ -139,7 +139,8 @@ def test_factor_table_rows_and_emitter(tmp_path):
     for row in rows:
         assert row["residual"] <= 1e-9
         assert row["numeric_factor"] == pytest.approx(row["closed_factor"], rel=1e-9)
-    path = suite.emit_factor_table(rows, "csv", str(tmp_path))
+    path = suite.write_table(rows, suite.FACTOR_COLUMNS, "csv", str(tmp_path),
+                             "pairing-factors")
     with open(path, encoding="utf-8") as fh:
         table = list(csv.reader(fh))
     assert len(table) == 1 + len(rows)
@@ -252,3 +253,45 @@ def test_bks_jobs_fail_when_the_closed_exponent_is_off(kind, monkeypatch):
     rep = suite.run_suite(cfg)
     assert rep.summary["errors"] == 0
     assert [k for k, r in rep.reports if r.passed] == []
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
+def test_unitarity_jobs_fail_when_the_map_is_off(kind, monkeypatch):
+    # a 1e-3 error in the blocks of the pairing map must fail every
+    # unitarity job, the s = s' cells (where the map is the identity) included
+    from bksverify import heat
+    cfg = fast_cfg(group=kind, band_limit=None, identities=("unitarity",))
+    rep = suite.run_suite(cfg)
+    assert rep.summary["total"] > 0 and rep.summary["failed"] == 0
+    assert any(k.endswith("s=1:sp=1") for k, _ in rep.reports)
+    apply = pairing_mod.bks_map_apply
+
+    def off(s, s_prime, secp):
+        sec = apply(s, s_prime, secp)
+        blocks = {label: (1.0 + 1e-3) * b for label, b in sec.f.blocks.items()}
+        return pairing_mod.QuantumSection(
+            s=sec.s, f=heat.make_function(sec.f.group, blocks), hbar0=sec.hbar0)
+
+    monkeypatch.setattr(pairing_mod, "bks_map_apply", off)
+    rep = suite.run_suite(cfg)
+    assert rep.summary["errors"] == 0
+    assert [k for k, r in rep.reports if r.passed] == []
+
+
+@pytest.mark.parametrize("kind", ["su2", "su3"])
+def test_continuity_job_fails_when_the_norm_slope_is_off(kind, monkeypatch):
+    # a 10% error in the slope |rho|^2 hbar0 of r(s) leaves the halving of
+    # r(s) - 1 near 2; against the contract e^{|rho|^2 hbar0 s} it must fail
+    cfg = fast_cfg(group=kind, band_limit=None, identities=("continuity",))
+    rep = suite.run_suite(cfg)
+    assert rep.summary["total"] == rep.summary["passed"] == 1
+    norm_sq = pairing_mod.quantum_norm_sq
+
+    def steeper(sec, quad_factory=None):
+        value, err = norm_sq(sec, quad_factory)
+        grow = math.exp(0.1 * sec.f.group.rho_norm_sq * sec.hbar0 * sec.s)
+        return value * grow, err * grow
+
+    monkeypatch.setattr(pairing_mod, "quantum_norm_sq", steeper)
+    rep = suite.run_suite(cfg)
+    assert rep.summary["errors"] == 0 and rep.summary["failed"] == 1
