@@ -33,6 +33,7 @@ from .groups import GroupSpec, ad_matrix, root_values
 __all__ = [
     "eta",
     "eta_from_roots",
+    "log_sinhc",
     "omega_norm_sq",
     "phi",
     "phi_flatness_residual",
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 _SINHC_SERIES_RADIUS = 1e-4
+# sinh leaves float range just past 710; beyond this radius log sinhc is
+# taken in log space
+_SINHC_LOG_RADIUS = 700.0
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
@@ -52,6 +56,21 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     out[small] = 1.0 + xs * xs / 6.0 * (1.0 + xs * xs / 20.0)
     xl = x[~small]
     out[~small] = np.sinh(xl) / xl
+    return out
+
+
+def log_sinhc(x: np.ndarray) -> np.ndarray:
+    """log(sinh(x)/x), finite where sinh overflows.
+
+    Past ``|x| = 700`` it is |x| + log1p(-e^{-2|x|}) - log(2|x|); below,
+    the log of ``_sinhc``.
+    """
+    x = np.asarray(x, dtype=float)
+    big = np.abs(x) > _SINHC_LOG_RADIUS
+    out = np.empty_like(x)
+    out[~big] = np.log(_sinhc(x[~big]))
+    xb = np.abs(x[big])
+    out[big] = xb + np.log1p(-np.exp(-2.0 * xb)) - np.log(2.0 * xb)
     return out
 
 

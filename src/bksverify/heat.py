@@ -107,26 +107,31 @@ def l2_inner(f: BandLimitedFunction, fp: BandLimitedFunction) -> complex:
     return complex(total)
 
 
-def evaluate_function(f: BandLimitedFunction, g) -> complex:
-    """Pointwise value at a (possibly complexified) group element.
+def _irrep_matrices(group: GroupSpec, label, g) -> np.ndarray:
+    # the irrep's matrices at one element (d x d) or a stack (N x d x d):
+    # the character as a 1 x 1 block on tori, the Wigner matrix on SU(2);
+    # SU(3) tables enter the verified identities only through blockwise
+    # sums, so no matrix elements are realized there
+    if group.kind == "torus":
+        chi = character_element(group, make_irrep(group, label), g)
+        return np.asarray(chi)[..., None, None]
+    if group.kind == "su2":
+        return wigner_matrix(label[0] / 2.0, g)
+    raise ValueError("matrix elements are realized on tori and SU(2) only")
 
-    Matrix elements are realized explicitly on tori and SU(2); SU(3)
-    tables enter the verified identities only through blockwise sums,
-    so no pointwise evaluator is provided there.
+
+def evaluate_function(f: BandLimitedFunction, g):
+    """Value at a (possibly complexified) group element, or at a stack.
+
+    One element (an angle vector on tori, a 2x2 matrix on SU(2)) gives a
+    complex number; a stack of N (``(N, rank)`` angles or ``(N, 2, 2)``
+    matrices) gives an ``(N,)`` array.  Tori and SU(2) only.
     """
-    group = f.group
-    if group.kind == "su3":
-        raise ValueError("pointwise evaluation is available on tori and SU(2) only")
-    total = 0.0 + 0.0j
-    for label in f.labels():
-        if group.kind == "torus":
-            total += f.blocks[label][0, 0] * character_element(
-                group, make_irrep(group, label), g
-            )
-        else:
-            m = label[0]
-            total += np.sum(f.blocks[label] * wigner_matrix(m / 2.0, g))
-    return complex(total)
+    total = sum(
+        np.einsum("ij,...ij->...", f.blocks[label], _irrep_matrices(f.group, label, g))
+        for label in f.labels()
+    )
+    return complex(total) if np.ndim(total) == 0 else total
 
 
 def _su2_conjugation_intertwiner(d: int) -> np.ndarray:
@@ -346,21 +351,15 @@ def hl2_inner_quadrature(
         raise ValueError("the averaged measure needs s > 0")
     hbar = hbar0 * s
     labels = sorted(set(F.blocks) & set(Fp.blocks))
-    dims = {label: dim_irrep(group, label) for label in labels}
-    irreps = {label: make_irrep(group, label) for label in labels}
 
     def integrand(Y):
         gc = group_exp(group, Y, 1j)
         total = np.zeros(len(Y), dtype=complex)
         for label in labels:
-            if group.kind == "torus":
-                M = character_element(group, irreps[label], gc)[:, None, None]
-            else:
-                M = wigner_matrix(label[0] / 2.0, gc)
-            Mt = np.swapaxes(M, -1, -2)
+            Mt = np.swapaxes(_irrep_matrices(group, label, gc), -1, -2)
             A = F.blocks[label] @ Mt
             B = Fp.blocks[label] @ Mt
-            total += np.einsum("nij,nij->n", A.conj(), B) / dims[label]
+            total += np.einsum("nij,nij->n", A.conj(), B) / dim_irrep(group, label)
         return total * eta(group, Y) * np.exp(-np.sum(Y * Y, axis=1) / hbar)
 
     quad = quadrature.hermite_quadrature(group, points, scale=math.sqrt(hbar))

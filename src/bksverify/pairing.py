@@ -44,7 +44,7 @@ from .groups import (
     weights_with_multiplicities,
     wigner_matrix,
 )
-from .halfform import eta, eta_from_roots, phi
+from .halfform import eta, log_sinhc, phi
 from .heat import (
     BandLimitedFunction,
     _su2_conjugation_intertwiner,
@@ -145,7 +145,7 @@ def char_gaussian_quadrature(
     panels: int = 10,
     margin: float = 9.0,
     points: int = 64,
-) -> quadrature.AlgebraQuadrature:
+) -> quadrature.Quadrature:
     """Deterministic rule matched to the tilted Gaussian of G_R(t).
 
     The integrand peaks at distance hbar0 |lambda+rho| from the origin
@@ -171,8 +171,9 @@ def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
     # Batched Cartan-reduced log integrand of G_R(t).  For nodes Y in the
     # Cartan subalgebra (all of the algebra on tori) log chi_R(e^{i t Y})
     # comes from the weight table and log eta(t Y / 2) from the root
-    # values H.alpha (no eigen-solve).  Tori have no roots, so log eta is
-    # exactly 0 there.
+    # values H.alpha (no eigen-solve), summed per root in log space so it
+    # stays finite where eta itself overflows.  Tori have no roots, so
+    # log eta is exactly 0 there.
     mu, mult = weights_with_multiplicities(group, irrep)
     logmult = np.log(mult.astype(float))
     idx = list(group.cartan_indices)
@@ -181,7 +182,7 @@ def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
     def logF(Y):
         H = Y[:, idx]
         logchi = logsumexp(-t * (H @ mu.T) + logmult, axis=1)
-        log_eta = np.log(eta_from_roots((0.5 * t * H) @ group.positive_roots.T))
+        log_eta = np.sum(log_sinhc((0.5 * t * H) @ group.positive_roots.T), axis=1)
         return (
             logchi
             - t * np.einsum("ij,ij->i", Y, Y) / (2.0 * hbar0)
@@ -194,7 +195,7 @@ def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
 
 def char_gaussian_log(
     group: GroupSpec, hbar0: float, t: float, irrep: Irrep,
-    quad: quadrature.AlgebraQuadrature,
+    quad: quadrature.Quadrature,
 ):
     """log G_R(t) with a relative error estimate, by the backend the rule
     carries.
@@ -605,8 +606,6 @@ def verify_delta_identity(
     averaged measure must return the identity matrix, which reduces to
     one scalar being 1.
     """
-    if group.kind == "su3":
-        raise ValueError("delta identities are verified on tori and SU(2)")
     scalar, err = _delta_one_scalar(group, hbar0, s, irrep)
     residual = abs(scalar - 1.0)
     return _report(
@@ -731,7 +730,7 @@ def verify_delta_two(
     cancels identically under the exact compact integrals.
     """
     if group.kind == "su3":
-        raise ValueError("delta identities are verified on tori and SU(2)")
+        raise ValueError("delta-two is verified on tori and SU(2)")
     rng = np.random.default_rng(seed)
     if t_alt is None:
         t_alt = t + 0.25
@@ -796,7 +795,7 @@ def preq_parallel_transport(s: float, s_prime: float,
                              tag="unit-frame")
 
 
-def preq_norm_sq(sec: PrequantumSection, quad: quadrature.AlgebraQuadrature):
+def preq_norm_sq(sec: PrequantumSection, quad: quadrature.Quadrature):
     """Squared prequantum norm: the algebra integral of |amplitude|^2."""
 
     def F(Y):

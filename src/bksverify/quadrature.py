@@ -13,19 +13,20 @@ the group.  Three algebra backends cover the regimes that occur:
 * ``monte-carlo``: seeded Gaussian importance sampling with standard
   errors.
 
-Group backends: trapezoid grids on tori (exact below the resolution),
-an Euler-angle product rule on SU(2), and seeded Haar samples.
+Group backends (normalized Haar measure): trapezoid grids on tori
+(exact below the resolution), an Euler-angle product rule on SU(2), and
+a seeded table of Haar samples.
 
-Algebra integrands are batched: an integrand takes an ``(N, dim)``
-array of nodes and returns an ``(N,)`` array of values, so a rule costs
-one array call per block of at most ``BATCH`` nodes instead of one
-Python call per node.  Group integrands still take one element at a
-time.
+Every rule is one ``Quadrature`` and every integrand is batched: it
+takes a stack of N nodes (algebra vectors ``(N, dim)``, torus angles
+``(N, rank)`` or matrices ``(N, d, d)``) and returns an ``(N,)`` array
+of values, so a rule costs one array call per block of at most
+``BATCH`` nodes instead of one Python call per node.
 
 Deterministic rules carry a coarser companion rule; the reported error
 estimate is the difference between the two resolutions.  Accumulation
-is compensated and in fixed node order, so identical (backend,
-resolution, seed) reproduce bit-identical reports.
+is compensated (exact sums of the weighted values), so identical
+(backend, resolution, seed) reproduce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -43,13 +44,15 @@ from .groups import GroupSpec, random_element
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class AlgebraQuadrature:
-    """One configured integration rule over the algebra.
+class Quadrature:
+    """One configured integration rule, over the algebra or the group.
 
-    Deterministic backends store nodes as full algebra vectors together
-    with positive weights (Jacobian and c_K included for the reduced
-    rule), plus a coarser companion used for the error estimate.  The
-    Monte Carlo backend stores only (samples, seed, scale).
+    Deterministic backends store their nodes (algebra vectors, torus
+    angle vectors or SU(2) matrices) with positive weights (Jacobian and
+    c_K included for the reduced rule, normalized Haar mass 1 on the
+    group), plus a coarser companion used for the error estimate.  The
+    Haar sampler stores its sample table as nodes without weights; the
+    algebra Monte Carlo backend stores only (samples, seed, scale).
     """
 
     backend: str
@@ -61,17 +64,6 @@ class AlgebraQuadrature:
     samples: int = 0
     seed: int = 0
     scale: float = 1.0
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class GroupQuadrature:
-    """One configured integration rule against normalized Haar measure."""
-
-    backend: str
-    group: GroupSpec
-    resolution: int = 0
-    samples: int = 0
-    seed: int = 0
 
 
 # nodes per integrand call: bounds the memory a batched integrand holds
@@ -125,6 +117,12 @@ def _composite_legendre(half_width: float, panels: int, points: int):
     return nodes, np.ascontiguousarray(weights)
 
 
+def _with_companion(backend: str, group: GroupSpec, rule, fine: int, coarse: int) -> Quadrature:
+    # rule(resolution) -> (nodes, weights); the coarse resolution gives the
+    # companion whose difference from the fine rule is the error estimate
+    return Quadrature(backend, group, *rule(fine), *rule(coarse))
+
+
 def _cartan_rule(group: GroupSpec, c_k: float, half_width: float, panels: int, points: int):
     x, w = _composite_legendre(half_width, panels, points)
     H = _tensor_nodes(x, group.rank)
@@ -137,7 +135,7 @@ def _cartan_rule(group: GroupSpec, c_k: float, half_width: float, panels: int, p
 
 def cartan_quadrature(
     group: GroupSpec, half_width: float, points_per_panel: int = 12, panels: int = 8
-) -> AlgebraQuadrature:
+) -> Quadrature:
     """Weyl-reduced rule on the Cartan box [-half_width, half_width]^rank.
 
     Only valid for Ad-invariant integrands (the caller asserts this).
@@ -147,23 +145,16 @@ def cartan_quadrature(
     if group.kind == "torus":
         raise ValueError("use the Gauss-Hermite backend on tori")
     c_k = weyl_constant(group)
-    nodes, weights = _cartan_rule(group, c_k, half_width, panels, points_per_panel)
-    cnodes, cweights = _cartan_rule(
-        group, c_k, half_width, panels, max(4, (3 * points_per_panel) // 4)
-    )
-    return AlgebraQuadrature(
-        backend="cartan-reduced",
-        group=group,
-        nodes=nodes,
-        weights=weights,
-        coarse_nodes=cnodes,
-        coarse_weights=cweights,
+    return _with_companion(
+        "cartan-reduced", group,
+        functools.partial(_cartan_rule, group, c_k, half_width, panels),
+        points_per_panel, max(4, (3 * points_per_panel) // 4),
     )
 
 
 def hermite_quadrature(
     group: GroupSpec, points: int, scale: float = 1.0, center=None
-) -> AlgebraQuadrature:
+) -> Quadrature:
     """Tensor Gauss-Hermite rule on all ``dim`` coordinates.
 
     Integrates F(Y) dY exactly for F = polynomial((Y-center)/scale)
@@ -177,15 +168,10 @@ def hermite_quadrature(
     if points > 350:
         # beyond this the detached weights leave normal float range
         raise ValueError("rule too long for stable weights; recenter instead")
-    nodes, weights = _hermite_rule(group.dim, points, scale, center)
-    cnodes, cweights = _hermite_rule(group.dim, max(4, (3 * points) // 4), scale, center)
-    return AlgebraQuadrature(
-        backend="gauss-hermite-full",
-        group=group,
-        nodes=nodes,
-        weights=weights,
-        coarse_nodes=cnodes,
-        coarse_weights=cweights,
+    return _with_companion(
+        "gauss-hermite-full", group,
+        lambda n: _hermite_rule(group.dim, n, scale, center),
+        points, max(4, (3 * points) // 4),
     )
 
 
@@ -201,15 +187,57 @@ def _hermite_rule(dim: int, points: int, scale: float, center=None):
 
 def algebra_montecarlo(
     group: GroupSpec, samples: int, seed: int, scale: float = 1.0
-) -> AlgebraQuadrature:
+) -> Quadrature:
     """Importance sampler Y ~ N(0, scale^2 I) with standard errors."""
-    return AlgebraQuadrature(
-        backend="monte-carlo",
-        group=group,
-        samples=samples,
-        seed=seed,
-        scale=scale,
+    return Quadrature("monte-carlo", group, samples=samples, seed=seed, scale=scale)
+
+
+def _torus_rule(rank: int, resolution: int):
+    ticks = 2.0 * math.pi * np.arange(resolution) / resolution
+    thetas = _tensor_nodes(ticks, rank)
+    return thetas, np.full(len(thetas), 1.0 / len(thetas))
+
+
+def torus_quadrature(group: GroupSpec, resolution: int) -> Quadrature:
+    """Product trapezoid grid; exact for band limits below resolution."""
+    if group.kind != "torus":
+        raise ValueError("trapezoid grids are a torus backend")
+    return _with_companion(
+        "torus-trapezoid", group, functools.partial(_torus_rule, group.rank),
+        resolution, max(2, (2 * resolution) // 3),
     )
+
+
+def _euler_rule(resolution: int):
+    # g = diag(e^{-ia/2}, e^{ia/2}) R_y(b) diag(e^{-ic/2}, e^{ic/2}) with
+    # a, c trapezoid over [0, 2pi) and [0, 4pi), cos b Gauss-Legendre;
+    # nodes in (a, b, c) order
+    r = resolution
+    u, wu = leggauss(r)
+    half = 0.5 * np.arccos(u)
+    cos, sin = np.cos(half), np.sin(half)
+    ry = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+    za = np.exp(np.multiply.outer(2.0 * math.pi * np.arange(r) / r, [-0.5j, 0.5j]))
+    zc = np.exp(np.multiply.outer(4.0 * math.pi * np.arange(r) / r, [-0.5j, 0.5j]))
+    g = (za[:, None, None, :, None] * ry[None, :, None]) * zc[None, None, :, None, :]
+    weights = np.broadcast_to((wu / (2.0 * r**2))[None, :, None], (r, r, r))
+    return g.reshape(-1, 2, 2), weights.ravel()
+
+
+def euler_quadrature(group: GroupSpec, resolution: int) -> Quadrature:
+    """SU(2) Euler-angle rule, trapezoid in both periodic angles."""
+    if group.kind != "su2":
+        raise ValueError("Euler-angle rule is an SU(2) backend")
+    return _with_companion(
+        "su2-euler", group, _euler_rule, resolution, max(3, (2 * resolution) // 3)
+    )
+
+
+def group_montecarlo(group: GroupSpec, samples: int, seed: int) -> Quadrature:
+    """Seeded Haar sampler (uniform angles / orthonormalized Ginibre)."""
+    rng = np.random.default_rng(seed)
+    table = np.stack([random_element(group, rng) for _ in range(samples)])
+    return Quadrature("haar-mc", group, nodes=table, samples=samples, seed=seed)
 
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray):
@@ -236,7 +264,19 @@ def _values(F, nodes: np.ndarray) -> np.ndarray:
     return np.concatenate([_checked(F, nodes[part]) for part in batches(len(nodes))])
 
 
-def integrate_algebra(F, quad: AlgebraQuadrature):
+def _with_estimate(F, quad: Quadrature):
+    # deterministic rules: the fine sum, and its distance to the companion
+    value = _weighted_sum(quad.weights, _values(F, quad.nodes))
+    coarse = _weighted_sum(quad.coarse_weights, _values(F, quad.coarse_nodes))
+    return value, abs(value - coarse)
+
+
+def _mean_with_stderr(values: np.ndarray):
+    value = values.mean() if np.iscomplexobj(values) else float(values.mean())
+    return value, float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
+def integrate_algebra(F, quad: Quadrature):
     """Integral of F over the algebra, as (value, error_estimate).
 
     F maps an ``(N, dim)`` array of algebra vectors to an ``(N,)`` array
@@ -247,12 +287,10 @@ def integrate_algebra(F, quad: AlgebraQuadrature):
     """
     if quad.backend == "monte-carlo":
         return _montecarlo_algebra(F, quad)
-    value = _weighted_sum(quad.weights, _values(F, quad.nodes))
-    coarse = _weighted_sum(quad.coarse_weights, _values(F, quad.coarse_nodes))
-    return value, abs(value - coarse)
+    return _with_estimate(F, quad)
 
 
-def integrate_algebra_log(logF, quad: AlgebraQuadrature):
+def integrate_algebra_log(logF, quad: Quadrature):
     """log of the integral of e^{logF} >= 0, as (log_value, log_error).
 
     Overflow-safe route for positive integrands whose scale exceeds
@@ -269,7 +307,7 @@ def integrate_algebra_log(logF, quad: AlgebraQuadrature):
     return value, abs(value - coarse)
 
 
-def _montecarlo_algebra(F, quad: AlgebraQuadrature):
+def _montecarlo_algebra(F, quad: Quadrature):
     rng = np.random.default_rng(quad.seed)
     dim = quad.group.dim
     norm = (2.0 * math.pi) ** (dim / 2.0) * quad.scale**dim
@@ -282,87 +320,22 @@ def _montecarlo_algebra(F, quad: AlgebraQuadrature):
         parts.append(values * norm * np.exp(0.5 * np.sum(xi * xi, axis=1)))
     ratios = np.concatenate(parts)
     _require_finite(ratios)
-    value = ratios.mean()
-    stderr = float(np.std(ratios, ddof=1) / math.sqrt(quad.samples))
-    if not np.iscomplexobj(ratios):
-        value = float(value)
-    return value, stderr
+    return _mean_with_stderr(ratios)
 
 
-def torus_quadrature(group: GroupSpec, resolution: int) -> GroupQuadrature:
-    """Product trapezoid grid; exact for band limits below resolution."""
-    if group.kind != "torus":
-        raise ValueError("trapezoid grids are a torus backend")
-    return GroupQuadrature(backend="torus-trapezoid", group=group, resolution=resolution)
-
-
-def euler_quadrature(group: GroupSpec, resolution: int) -> GroupQuadrature:
-    """SU(2) Euler-angle rule, trapezoid in both periodic angles."""
-    if group.kind != "su2":
-        raise ValueError("Euler-angle rule is an SU(2) backend")
-    return GroupQuadrature(backend="su2-euler", group=group, resolution=resolution)
-
-
-def group_montecarlo(group: GroupSpec, samples: int, seed: int) -> GroupQuadrature:
-    """Seeded Haar sampler (uniform angles / orthonormalized Ginibre)."""
-    return GroupQuadrature(backend="haar-mc", group=group, samples=samples, seed=seed)
-
-
-def _torus_values(f, group: GroupSpec, resolution: int) -> np.ndarray:
-    ticks = 2.0 * math.pi * np.arange(resolution) / resolution
-    thetas = _tensor_nodes(ticks, group.rank)
-    return np.asarray([f(theta) for theta in thetas])
-
-
-def _euler_values(f, resolution: int):
-    alphas = 2.0 * math.pi * np.arange(resolution) / resolution
-    gammas = 4.0 * math.pi * np.arange(resolution) / resolution
-    u, wu = leggauss(resolution)
-    beta_half = 0.5 * np.arccos(u)
-    values = []
-    weights = []
-    for a in alphas:
-        za = np.array([np.exp(-0.5j * a), np.exp(0.5j * a)])
-        for bh, wb in zip(beta_half, wu):
-            ry = np.array([[math.cos(bh), -math.sin(bh)], [math.sin(bh), math.cos(bh)]])
-            m = za[:, None] * ry
-            for g in gammas:
-                zg = np.array([np.exp(-0.5j * g), np.exp(0.5j * g)])
-                values.append(f(m * zg[None, :]))
-                weights.append(wb / (2.0 * resolution**2))
-    return np.asarray(values), np.asarray(weights)
-
-
-def integrate_group(f, quad: GroupQuadrature):
+def integrate_group(f, quad: Quadrature):
     """Normalized-Haar integral of f, as (value, error_estimate).
 
-    f maps one group element (angle vector or defining-representation
-    matrix) to a real or complex number.
+    f maps a stack of N group elements (an ``(N, rank)`` array of torus
+    angles or an ``(N, d, d)`` array of defining-representation matrices)
+    to an ``(N,)`` array of real or complex values, batch by batch as in
+    integrate_algebra.  The Haar sampler reports a standard error.
     """
-    if quad.backend == "torus-trapezoid":
-        values = _torus_values(f, quad.group, quad.resolution)
-        coarse = _torus_values(f, quad.group, max(2, (2 * quad.resolution) // 3))
-        _require_finite(values)
-        n = quad.group.rank
-        value = _weighted_sum(np.full(len(values), quad.resolution ** -n), values)
-        cval = _weighted_sum(np.full(len(coarse), float(len(coarse)) ** -1.0), coarse)
-        return value, abs(value - cval)
-    if quad.backend == "su2-euler":
-        values, weights = _euler_values(f, quad.resolution)
-        cvalues, cweights = _euler_values(f, max(3, (2 * quad.resolution) // 3))
-        _require_finite(values)
-        value = _weighted_sum(weights, values)
-        return value, abs(value - _weighted_sum(cweights, cvalues))
     if quad.backend == "haar-mc":
-        rng = np.random.default_rng(quad.seed)
-        values = np.asarray([f(random_element(quad.group, rng)) for _ in range(quad.samples)])
-        _require_finite(values)
-        value = values.mean()
-        stderr = float(np.std(values, ddof=1) / math.sqrt(quad.samples))
-        if not np.iscomplexobj(values):
-            value = float(value)
-        return value, stderr
-    raise ValueError(f"unknown group backend {quad.backend!r}")
+        return _mean_with_stderr(_values(f, quad.nodes))
+    if quad.backend not in ("torus-trapezoid", "su2-euler"):
+        raise ValueError(f"{quad.backend!r} is not a group rule")
+    return _with_estimate(f, quad)
 
 
 def _require_finite(values: np.ndarray) -> None:

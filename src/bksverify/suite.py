@@ -488,14 +488,14 @@ def build_jobs(cfg: RunConfig) -> list:
             add(key, _job_continuity, group, hbar0, band, factory,
                 _tol(cfg, family, 1e-10), seed(key))
         elif family == "delta":
-            if kind == "su3":
-                continue
             tol = _tol(cfg, family, 1e-8 if kind == "torus" else 1e-3)
-            for m in range(3):
-                label = (m,) + (0,) * (group.dim - 1) if kind == "torus" else (m,)
-                irrep = make_irrep(group, label)
+            for irrep in spec_irreps[:3]:
                 key = f"delta/{kind}/one/{irrep.label}"
                 add(key, pairing.verify_delta_identity, group, hbar0, 1.0, irrep, tol)
+            if kind == "su3":
+                # delta-two on SU(3) is an 8-D integral of a non-invariant
+                # integrand; it runs on tori and SU(2) only
+                continue
             two_labels = range(2) if kind == "torus" else range(3)
             pts = cfg.delta_points_torus if kind == "torus" else cfg.delta_points_su2
             for m in two_labels:

@@ -34,6 +34,14 @@ def test_su3_continuity_passes_at_large_hbar0(tmp_path):
     assert code == 0
 
 
+def test_su3_unitarity_passes_at_hbar0_8(tmp_path):
+    # the Cartan box reaches root values past the overflow of sinh here;
+    # the character integrand keeps log eta finite in log space
+    code = cli.main(["verify", "unitarity", "--group", "su3", "--hbar0", "8",
+                     "--out", str(tmp_path)])
+    assert code == 0
+
+
 def test_verify_all_with_config(tmp_path, capsys):
     code = cli.main(["verify", "all", "--config", GOLDEN_CFG,
                      "--out", str(tmp_path)])

@@ -216,7 +216,7 @@ def test_schur_orthogonality_su2_euler_grid():
     quad = quadrature.euler_quadrature(su2, 20)
 
     def entry(j, a, b):
-        return lambda g: groups.wigner_matrix(j, g)[a, b]
+        return lambda g: groups.wigner_matrix(j, g)[:, a, b]
 
     for (j1, a1, b1), (j2, a2, b2), want in (
         ((0.5, 0, 0), (0.5, 0, 0), 0.5),

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bksverify import groups, heat, pairing, quadrature
+from bksverify import groups, halfform, heat, pairing, quadrature
 
 TORUS = groups.group_spec("torus", n=1)
 TORUS2 = groups.group_spec("torus", n=2)
@@ -112,6 +112,28 @@ def test_char_moment_oracle_su2_closed_form():
         for t in (0.7, 2.0):
             oracle = pairing.char_moment_oracle(SU2, 1.0, t, groups.make_irrep(SU2, (m,)))
             assert oracle == pytest.approx((m + 1) / SU2.scale, rel=1e-13)
+
+
+@pytest.mark.parametrize("group", [SU2, SU3], ids=["su2", "su3"])
+def test_char_log_integrand_finite_past_sinh_overflow(group, monkeypatch):
+    # log eta is summed per root in log space: finite where eta itself
+    # overflows (root values past about 710), equal to log(eta) below
+    hbar0, t = 8.0, 6.0
+    irrep = groups.make_irrep(group, (1,) if group is SU2 else (1, 1))
+    direction = np.linspace(1.0, 0.3, group.rank)
+    direction /= np.max(np.abs(direction @ group.positive_roots.T))
+    H = np.outer(np.geomspace(0.1, 3000.0, 60) / (0.5 * t), direction)
+    Y = np.zeros((len(H), group.dim))
+    Y[:, list(group.cartan_indices)] = H
+    got = pairing._char_log_integrand(group, hbar0, t, irrep)(Y)
+    assert np.all(np.isfinite(got))
+    monkeypatch.setattr(pairing, "log_sinhc", np.zeros_like)
+    rest = pairing._char_log_integrand(group, hbar0, t, irrep)(Y)
+    with np.errstate(over="ignore"):
+        eta = halfform.eta_from_roots((0.5 * t * H) @ group.positive_roots.T)
+    finite = np.isfinite(eta)
+    assert 0 < finite.sum() < len(eta)
+    np.testing.assert_allclose(got[finite], rest[finite] + np.log(eta[finite]), rtol=1e-14)
 
 
 def test_char_gaussian_log_large_exponent():
@@ -358,8 +380,15 @@ def test_delta_identity():
     assert rep1.passed
     rep2 = pairing.verify_delta_identity(SU2, 1.0, 1.0, groups.make_irrep(SU2, (1,)))
     assert rep2.passed and rep2.abs_residual <= 1e-3
-    with pytest.raises(ValueError):
-        pairing.verify_delta_identity(SU3, 1.0, 1.0, groups.make_irrep(SU3, (1, 0)))
+
+
+@pytest.mark.parametrize("hbar0", [0.25, 1.0, 3.0])
+def test_delta_identity_su3(hbar0):
+    # delta-one is G_R(2) through the character engine, so it runs on
+    # SU(3) too, far inside the 1e-3 bar of the suite
+    for label in ((0, 0), (1, 0), (1, 1)):
+        rep = pairing.verify_delta_identity(SU3, hbar0, 1.0, groups.make_irrep(SU3, label))
+        assert rep.passed and rep.abs_residual <= 1e-10, label
 
 
 def test_delta_two_torus_t_independence():

@@ -153,9 +153,11 @@ def test_cartan_convergence_with_panels():
 
 
 def test_group_quadrature_haar_mass():
-    val, _ = quadrature.integrate_group(lambda g: 1.0, quadrature.torus_quadrature(TORUS, 32))
+    # batched group integrands: a stack of N elements in, (N,) values out
+    one = lambda g: np.ones(len(g))
+    val, _ = quadrature.integrate_group(one, quadrature.torus_quadrature(TORUS, 32))
     assert val == pytest.approx(1.0, rel=1e-14)
-    val, _ = quadrature.integrate_group(lambda g: 1.0, quadrature.euler_quadrature(SU2, 12))
+    val, _ = quadrature.integrate_group(one, quadrature.euler_quadrature(SU2, 12))
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
@@ -170,7 +172,7 @@ def test_torus_trapezoid_exact_below_resolution():
 
 def test_matrix_element_integral_vanishes():
     quad = quadrature.euler_quadrature(SU2, 16)
-    val, _ = quadrature.integrate_group(lambda g: groups.wigner_matrix(1.0, g)[0, 1], quad)
+    val, _ = quadrature.integrate_group(lambda g: groups.wigner_matrix(1.0, g)[:, 0, 1], quad)
     assert abs(val) < 1e-10
 
 
@@ -186,9 +188,10 @@ def test_character_orthonormality_su2():
 def test_haar_montecarlo_su3_moments():
     # int |tr g|^2 dg = 1 over SU(3) with Haar; seeded sampler
     quad = quadrature.group_montecarlo(SU3, 40_000, seed=4)
-    val, est = quadrature.integrate_group(lambda g: abs(np.trace(g)) ** 2, quad)
+    trace = lambda g: np.trace(g, axis1=-2, axis2=-1)
+    val, est = quadrature.integrate_group(lambda g: np.abs(trace(g)) ** 2, quad)
     assert val == pytest.approx(1.0, abs=5 * max(est, 1e-2))
-    val2, _ = quadrature.integrate_group(lambda g: np.trace(g), quad)
+    val2, _ = quadrature.integrate_group(trace, quad)
     assert abs(val2) < 5 * max(est, 1e-2)
 
 

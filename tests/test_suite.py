@@ -295,3 +295,105 @@ def test_continuity_job_fails_when_the_norm_slope_is_off(kind, monkeypatch):
     monkeypatch.setattr(pairing_mod, "quantum_norm_sq", steeper)
     rep = suite.run_suite(cfg)
     assert rep.summary["errors"] == 0 and rep.summary["failed"] == 1
+
+
+# Keys that pass under their family's mutation below.  The extrapolation
+# bar is 3 x |extrapolant - v(1e-3)|, the first-order step, which on SU(2)
+# and SU(3) exceeds a 1e-3 error in vertical_pair.
+MUTATION_ALLOWED = ("vertical-limit/su2/extrapolation", "vertical-limit/su3/extrapolation")
+
+
+def _assert_every_job_fails(cfg, mutate, monkeypatch):
+    rep = suite.run_suite(cfg)
+    assert rep.summary["total"] > 0 and rep.summary["failed"] == 0
+    mutate(monkeypatch)
+    rep = suite.run_suite(cfg)
+    assert rep.summary["errors"] == 0
+    assert [k for k, r in rep.reports if r.passed and k not in MUTATION_ALLOWED] == []
+
+
+def _scaled(module, name, factor):
+    # module.name with its value (the first entry of a (value, error)
+    # pair) multiplied by factor
+    fn = getattr(module, name)
+
+    def off(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if isinstance(out, tuple):
+            return (out[0] * factor,) + out[1:]
+        return out * factor
+
+    return off
+
+
+def _shift_char_log(monkeypatch, eps=1e-3):
+    # the shift depends on the irrep: a uniform one would cancel in the
+    # orthogonal pairing rows, which read 0 whatever the common factor
+    char_log = pairing_mod.char_gaussian_log
+
+    def off(group, hbar0, t, irrep, quad):
+        logv, err = char_log(group, hbar0, t, irrep, quad)
+        c = irrep.casimir
+        return logv + math.log1p(eps) + math.log1p(eps * c / (1.0 + c)), err
+
+    monkeypatch.setattr(pairing_mod, "char_gaussian_log", off)
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
+def test_pairing_jobs_fail_when_the_character_integral_is_off(kind, monkeypatch):
+    cfg = fast_cfg(group=kind, band_limit=None, identities=("pairing",))
+    _assert_every_job_fails(cfg, _shift_char_log, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
+def test_cst_jobs_fail_when_the_holomorphic_inner_product_is_off(kind, monkeypatch):
+    # s = 0.25 sets the quadrature route's Hermite rule; at s = 0.5 the
+    # unmutated SU(2) route already misses its bar.  That route divides by
+    # ||f|| ||f'||, so the error shows scaled by |<f, f'>| / (||f|| ||f'||):
+    # on SU(2) it reads 2.2e-4 against the 1e-4 bar here
+    cfg = fast_cfg(group=kind, s_grid=(0.25, 1.0), identities=("cst-unitarity",))
+
+    def mutate(mp):
+        mp.setattr(suite, "hl2_inner", _scaled(suite, "hl2_inner", 1.0 + 1e-3))
+
+    _assert_every_job_fails(cfg, mutate, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
+def test_vertical_jobs_fail_when_the_vertical_pairing_is_off(kind, monkeypatch):
+    cfg = fast_cfg(group=kind, band_limit=None, identities=("vertical-limit",))
+
+    def mutate(mp):
+        mp.setattr(pairing_mod, "vertical_pair",
+                   _scaled(pairing_mod, "vertical_pair", 1.0 + 1e-3))
+
+    _assert_every_job_fails(cfg, mutate, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
+def test_delta_jobs_fail_when_the_kernels_are_off(kind, monkeypatch):
+    # delta-one goes through the character integral, the two-kernel
+    # integrals are scaled directly.  Off the torus both shifts are ten
+    # times the 1e-3 bar: at 1e-3 the trivial irrep's delta-one lands on
+    # the bar itself, and labels 1 and 2 of SU(2) delta-two pass
+    cfg = fast_cfg(group=kind, band_limit=None, identities=("delta",))
+
+    def mutate(mp):
+        _shift_char_log(mp, 1e-3 if kind == "torus" else 1e-2)
+        mp.setattr(pairing_mod, "_delta_two_torus",
+                   _scaled(pairing_mod, "_delta_two_torus", 1.0 + 1e-3))
+        mp.setattr(pairing_mod, "_delta_two_su2",
+                   _scaled(pairing_mod, "_delta_two_su2", 1.0 + 1e-2))
+
+    _assert_every_job_fails(cfg, mutate, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["su2", "su3"])
+def test_prequantum_job_fails_when_the_map_is_parallel_transport(kind, monkeypatch):
+    # the inverted check must fail once the map preserves norms
+    cfg = fast_cfg(group=kind, identities=("prequantum",), mc_samples=2000)
+
+    def mutate(mp):
+        mp.setattr(pairing_mod, "preq_map_apply", pairing_mod.preq_parallel_transport)
+
+    _assert_every_job_fails(cfg, mutate, monkeypatch)
