@@ -16,7 +16,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import quadrature
 from .groups import (
@@ -217,14 +216,14 @@ def _heat_tail_log_bound(group: GroupSpec, hbar: float, length: float, cutoff: f
         k = int((r.casimir - cutoff) / delta)
         t = 2.0 * math.log(r.dim) - hbar * r.casimir / 2.0 + math.sqrt(r.casimir) * length
         logt.setdefault(k, []).append(t)
-    shells = [float(logsumexp(np.asarray(v))) for _, v in sorted(logt.items())]
+    shells = [float(quadrature.logsumexp(np.asarray(v))) for _, v in sorted(logt.items())]
     for prev, cur in zip(shells[-3:-1], shells[-2:]):
         if cur - prev > math.log(0.5):
             raise TruncationError(
                 "dropped shells beyond the cutoff do not decay geometrically; "
                 "raise the casimir cutoff"
             )
-    return float(logsumexp(np.asarray(shells + [shells[-1] + math.log(2.0)])))
+    return float(quadrature.logsumexp(np.asarray(shells + [shells[-1] + math.log(2.0)])))
 
 
 def heat_kernel(

@@ -30,7 +30,6 @@ import math
 import zlib
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import quadrature
 from .groups import (
@@ -181,7 +180,7 @@ def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
 
     def logF(Y):
         H = Y[:, idx]
-        logchi = logsumexp(-t * (H @ mu.T) + logmult, axis=1)
+        logchi = quadrature.logsumexp(-t * (H @ mu.T) + logmult, axis=1)
         log_eta = np.sum(log_sinhc((0.5 * t * H) @ group.positive_roots.T), axis=1)
         return (
             logchi

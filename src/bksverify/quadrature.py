@@ -36,9 +36,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import roots_hermite
 from numpy.polynomial.legendre import leggauss
-from scipy.special import logsumexp
 
 from .groups import GroupSpec, random_element
 
@@ -166,8 +164,10 @@ def hermite_quadrature(
     if points**group.dim > 2_000_000:
         raise ValueError("tensor rule too large; use cartan-reduced or monte-carlo")
     if points > 350:
-        # beyond this the detached weights leave normal float range
-        raise ValueError("rule too long for stable weights; recenter instead")
+        # a size bound, not a stability one: a rule this long means an
+        # integrand far wider than its scale, which recentering or
+        # rescaling serves more cheaply
+        raise ValueError("rule too long; recenter or rescale instead")
     return _with_companion(
         "gauss-hermite-full", group,
         lambda n: _hermite_rule(group.dim, n, scale, center),
@@ -176,13 +176,82 @@ def hermite_quadrature(
 
 
 def _hermite_rule(dim: int, points: int, scale: float, center=None):
-    x, w = roots_hermite(points)
-    detached = np.exp(np.log(w) + x * x)  # Gaussian weight divided back out
+    # detached weights w e^{x^2}: up to 150 points exp(log w + x^2), beyond
+    # that the Gaussian is divided out analytically
+    x, detached = _gauss_hermite(points)
     nodes = scale * _tensor_nodes(x, dim)
     if center is not None:
         nodes = nodes + np.asarray(center, dtype=float)[None, :]
     weights = scale**dim * _tensor_weights(detached, dim)
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite(n: int):
+    """Gauss-Hermite nodes x and detached weights w e^{x^2} for n points.
+
+    Weight e^{-x^2}.  Nodes start as eigenvalues of the Jacobi matrix
+    (off-diagonal sqrt(k/2)).  Up to 150 points one Newton step on H_n
+    follows, then log-normalized weights, symmetrized and scaled to total
+    mass sqrt(pi): step for step the reference Golub-Welsch rule that
+    tests/test_quadrature.py compares against, which it matches bit for
+    bit.  Longer rules, where H_n overflows, take Newton steps on the
+    orthonormal Hermite functions phi_n = H_n e^{-x^2/2} / sqrt(2^n n!
+    sqrt(pi)) instead; there the detached weight is 1 / (n phi_{n-1}(x)^2),
+    with the Gaussian divided out analytically.  Built once per n; the
+    arrays are read-only.
+    """
+    k = np.arange(1, n, dtype=float)
+    off = np.sqrt(k / 2.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    if n <= 150:  # the reference rule's own threshold; H_n overflows soon after
+        dy = 2.0 * n * _eval_hermite(n - 1, x)
+        x = x - _eval_hermite(n, x) / dy
+        # fm and dy span many decades: center their logs before the product
+        fm = _eval_hermite(n - 1, x)
+        log_fm = np.log(np.abs(fm))
+        log_dy = np.log(np.abs(dy))
+        fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
+        dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
+        w = 1.0 / (fm * dy)
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+        w = w * (math.sqrt(math.pi) / w.sum())
+        detached = np.exp(np.log(w) + x * x)
+    else:
+        for _ in range(2):
+            phi, phi_prev = _hermite_functions(n, x)
+            x = x - phi / (math.sqrt(2.0 * n) * phi_prev - x * phi)
+        x = (x - x[::-1]) / 2
+        _, phi_prev = _hermite_functions(n, x)
+        detached = 1.0 / (n * phi_prev**2)
+        detached = (detached + detached[::-1]) / 2
+    x.setflags(write=False)
+    detached.setflags(write=False)
+    return x, detached
+
+
+def _eval_hermite(n: int, x: np.ndarray) -> np.ndarray:
+    # H_n(x) = He_n(sqrt(2) x) 2^{n/2}, He_n by the backward recurrence in
+    # the reference rule's order of operations (so the rounding is the same)
+    u = math.sqrt(2.0) * x
+    if n == 0:
+        return np.ones_like(x)
+    y3, y2 = np.zeros_like(x), np.ones_like(x)
+    for k in range(n, 1, -1):
+        y3, y2 = y2, u * y2 - k * y3
+    return (u * y2 - y3) * 2.0 ** (n / 2.0)
+
+
+def _hermite_functions(n: int, x: np.ndarray):
+    # orthonormal Hermite functions (phi_n(x), phi_{n-1}(x)), n >= 1
+    prev = np.zeros_like(x)
+    cur = math.pi**-0.25 * np.exp(-0.5 * x * x)
+    for k in range(n):
+        prev, cur = cur, (
+            math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+        )
+    return cur, prev
 
 
 def algebra_montecarlo(
@@ -336,6 +405,32 @@ def integrate_group(f, quad: Quadrature):
     if quad.backend not in ("torus-trapezoid", "su2-euler"):
         raise ValueError(f"{quad.backend!r} is not a group rule")
     return _with_estimate(f, quad)
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (all entries by default), for real a.
+
+    Step for step the reference real-input algorithm that
+    tests/test_quadrature.py compares against, which it matches bit for
+    bit: the entries equal to the maximum are counted (m) and left out of
+    the shifted sum, which gives log1p(sum / m) + log(m) + max.  Where
+    that is not finite (an all -inf slice, a +inf or nan entry) the
+    direct log(sum(exp(a))) stands instead.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    top = np.max(a, axis=axes, keepdims=True)
+    at_top = a == top
+    m = np.sum(at_top, axis=axes, keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=axes, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + top
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
+            out = np.where(finite, out, direct)
+    out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 def _require_finite(values: np.ndarray) -> None:

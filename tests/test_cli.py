@@ -213,3 +213,12 @@ def test_command_imports_no_mpmath():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_command_imports_no_scipy():
+    # scipy is a test-only reference: the command runs on numpy alone
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, bksverify.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"

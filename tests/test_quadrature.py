@@ -263,3 +263,58 @@ def test_weyl_constant_matches_scipy_rule():
         want = math.pi ** (g.dim / 2) / math.fsum(W * jac)
         assert quadrature.weyl_constant(g) == pytest.approx(want, rel=1e-14)
         assert quadrature.weyl_constant(groups.group_spec(g.kind)) == quadrature.weyl_constant(g)
+
+
+def _scipy_special():
+    # scipy is a test-only reference: the package itself never imports it
+    return pytest.importorskip("scipy.special")
+
+
+def test_gauss_hermite_bit_identical_to_scipy_up_to_150_points():
+    sp = _scipy_special()
+    for n in range(1, 151):
+        x, detached = quadrature._gauss_hermite(n)
+        xs, ws = sp.roots_hermite(n)
+        assert np.array_equal(x, xs), n
+        assert np.array_equal(detached, np.exp(np.log(ws) + xs * xs)), n
+
+
+@pytest.mark.parametrize("n", [151, 225, 300, 350])
+def test_gauss_hermite_long_rules_match_scipy_nodes_and_moments(n):
+    sp = _scipy_special()
+    x, detached = quadrature._gauss_hermite(n)
+    assert np.max(np.abs(x - sp.roots_hermite(n)[0])) < 1e-13
+    w = detached * np.exp(-x * x)
+    for k in range(11):
+        # int x^{2k} e^{-x^2} dx = Gamma(k + 1/2)
+        exact = math.gamma(k + 0.5)
+        assert abs(math.fsum(w * x ** (2 * k)) - exact) < 1e-13 * exact, k
+
+
+def test_gauss_hermite_cached_arrays_are_read_only():
+    x, detached = quadrature._gauss_hermite(24)
+    assert quadrature._gauss_hermite(24)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        detached[0] = 0.0
+
+
+def test_logsumexp_bit_identical_to_scipy():
+    sp = _scipy_special()
+    rng = np.random.default_rng(11)
+    cases = [np.array([2.5]), np.full(4, -np.inf), np.array([1.0, 3.0, 3.0, -np.inf])]
+    for _ in range(300):
+        a = rng.normal(size=int(rng.integers(1, 40))) * rng.choice([1.0, 30.0, 700.0])
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        if rng.random() < 0.5:
+            a[rng.integers(len(a))] = np.max(a)  # a tie at the maximum
+        cases.append(a)
+    for a in cases:
+        assert np.array_equal(quadrature.logsumexp(a), sp.logsumexp(a))
+    for _ in range(100):
+        A = rng.normal(size=(6, int(rng.integers(1, 20)))) * 50.0
+        A[rng.random(A.shape) < 0.2] = -np.inf
+        A[0] = -np.inf
+        A[1, :] = A[1, 0]
+        assert np.array_equal(quadrature.logsumexp(A, axis=1), sp.logsumexp(A, axis=1))
