@@ -245,15 +245,16 @@ def phi(group: GroupSpec, s: float, s_prime: float, Y):
     if s <= 0.0 or s_prime <= 0.0:
         raise ValueError("phi requires s, s' > 0")
     # the root values of tY are t times those of Y, so one eigen-solve of
-    # ad_Y serves all three densities |Omega_t|^2 = t^n eta(tY)^2
+    # ad_Y serves all three densities |Omega_t|^2 = t^n eta(tY)^2; they are
+    # taken as logs, since eta(tY)^2 leaves float range long before phi
+    t = np.array([0.5 * (s + s_prime), s, s_prime])
     rv = root_values(group, Y)
-
-    def density(t):
-        return t**group.dim * eta_from_roots(t * rv) ** 2
-
-    num = density(0.5 * (s + s_prime))
-    den = np.sqrt(density(s) * density(s_prime))
-    return _scalar_or_array(num / den)
+    log_density = (
+        group.dim * np.log(t).reshape((3,) + (1,) * (rv.ndim - 1))
+        + 2.0 * np.sum(log_sinhc(np.multiply.outer(t, rv)), axis=-1)
+    )
+    mid, at_s, at_sp = log_density
+    return _scalar_or_array(np.exp(mid - 0.5 * (at_s + at_sp)))
 
 
 def phi_flatness_residual(group: GroupSpec, s: float, Y, h: float) -> float:

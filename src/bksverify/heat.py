@@ -1,26 +1,22 @@
-"""Band-limited function spaces, the heat kernel, and the coherent state transform.
+"""Band-limited function spaces and the coherent state transform.
 
 Functions on the group live in the dense span of matrix elements,
 f(x) = sum_R sum_ij f^R_ij R_ij(x), stored as one complex d_R x d_R
 block per irrep.  Holomorphic extensions to the complexified group use
 the same tables: analytic continuation is coefficientwise, so the
-transform, its inverse, and both inner products act block by block.
-Series truncations report a rigorous tail bound instead of failing
-silently.
+transform and both inner products act block by block.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import quadrature
 from .groups import (
     GroupSpec,
-    Irrep,
     character_element,
     casimir,
     dim_irrep,
@@ -30,15 +26,6 @@ from .groups import (
     wigner_matrix,
 )
 from .halfform import eta
-
-
-class TruncationError(ValueError):
-    """A truncated series cannot meet the requested tolerance."""
-
-
-class SeriesValue(NamedTuple):
-    value: complex
-    tail_bound: float
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -119,57 +106,11 @@ def _irrep_matrices(group: GroupSpec, label, g) -> np.ndarray:
     raise ValueError("matrix elements are realized on tori and SU(2) only")
 
 
-def evaluate_function(f: BandLimitedFunction, g):
-    """Value at a (possibly complexified) group element, or at a stack.
-
-    One element (an angle vector on tori, a 2x2 matrix on SU(2)) gives a
-    complex number; a stack of N (``(N, rank)`` angles or ``(N, 2, 2)``
-    matrices) gives an ``(N,)`` array.  Tori and SU(2) only.
-    """
-    total = sum(
-        np.einsum("ij,...ij->...", f.blocks[label], _irrep_matrices(f.group, label, g))
-        for label in f.labels()
-    )
-    return complex(total) if np.ndim(total) == 0 else total
-
-
 def _su2_conjugation_intertwiner(d: int) -> np.ndarray:
     C = np.zeros((d, d))
     for a in range(d):
         C[a, d - 1 - a] = (-1.0) ** a
     return C
-
-
-def conjugate_function(f: BandLimitedFunction) -> BandLimitedFunction:
-    """Coefficient table of conj(f), via the dual-representation symmetry.
-
-    A table equal to its conjugate table represents a real-valued
-    function on the compact group.
-    """
-    group = f.group
-    blocks = {}
-    for label in f.labels():
-        F = f.blocks[label]
-        if group.kind == "torus":
-            dual = tuple(-k for k in label)
-            blocks[dual] = blocks.get(dual, 0) + np.conj(F)
-        elif group.kind == "su2":
-            C = _su2_conjugation_intertwiner(F.shape[0])
-            blocks[label] = C.T @ np.conj(F) @ np.linalg.inv(C).T
-        else:
-            raise ValueError("conjugation tables are available on tori and SU(2) only")
-    return make_function(group, blocks)
-
-
-def coefficients_jsonable(f: BandLimitedFunction) -> dict:
-    """Coefficient table as nested lists of [re, im], for structured output."""
-    out = {}
-    for label in f.labels():
-        block = f.blocks[label]
-        out[repr(label)] = [
-            [[float(z.real), float(z.imag)] for z in row] for row in block
-        ]
-    return out
 
 
 def a_s(group: GroupSpec, hbar0: float, s: float) -> float:
@@ -184,96 +125,6 @@ def a_s(group: GroupSpec, hbar0: float, s: float) -> float:
     return (math.pi * hbar0) ** (group.dim / 2.0) * math.exp(group.rho_norm_sq * hbar0 * s)
 
 
-def _growth_length(group: GroupSpec, g) -> float:
-    # |chi_R(g)| <= d_R e^{|lambda_R| L(g)} with L the norm of the
-    # noncompact polar log, recovered from defining singular values.
-    if group.kind == "torus":
-        logs = -np.imag(np.asarray(g, dtype=complex))
-    else:
-        logs = np.log(np.linalg.svd(np.asarray(g, dtype=complex), compute_uv=False))
-    return math.sqrt(group.scale * float(np.sum(logs**2)))
-
-
-def _heat_tail_log_bound(group: GroupSpec, hbar: float, length: float, cutoff: float) -> float:
-    root = math.sqrt(max(cutoff, 1e-300))
-    rate = hbar / 2.0 - (length / (2.0 * root) if root > 0 else 0.0)
-    if rate <= 0.0:
-        raise TruncationError(
-            f"casimir cutoff {cutoff:.3g} lies below the growth scale "
-            f"(L/hbar)^2 = {(length / hbar) ** 2:.3g}; the dropped tail is not summable"
-        )
-    delta = max(1.0, 4.0 / rate)
-    windows = 8
-    horizon = cutoff + windows * delta
-    dropped = [r for r in enumerate_irreps(group, horizon) if r.casimir > cutoff]
-    for _ in range(30):
-        if dropped:
-            break
-        horizon *= 2.0
-        dropped = [r for r in enumerate_irreps(group, horizon) if r.casimir > cutoff]
-    logt = {}
-    for r in dropped:
-        k = int((r.casimir - cutoff) / delta)
-        t = 2.0 * math.log(r.dim) - hbar * r.casimir / 2.0 + math.sqrt(r.casimir) * length
-        logt.setdefault(k, []).append(t)
-    shells = [float(quadrature.logsumexp(np.asarray(v))) for _, v in sorted(logt.items())]
-    for prev, cur in zip(shells[-3:-1], shells[-2:]):
-        if cur - prev > math.log(0.5):
-            raise TruncationError(
-                "dropped shells beyond the cutoff do not decay geometrically; "
-                "raise the casimir cutoff"
-            )
-    return float(quadrature.logsumexp(np.asarray(shells + [shells[-1] + math.log(2.0)])))
-
-
-def heat_kernel(
-    group: GroupSpec, hbar: float, g, casimir_cutoff: float, tolerance: float = 1e-8
-) -> SeriesValue:
-    """Heat kernel sum_R d_R e^{-hbar c_R/2} chi_R at a complexified element.
-
-    Returns the truncated value together with a tail bound certifying
-    that everything dropped beyond the cutoff stays below it; raises
-    TruncationError when the bound cannot meet the tolerance.
-    """
-    if hbar <= 0.0:
-        raise ValueError("hbar must be positive")
-    length = _growth_length(group, g)
-    log_tail = _heat_tail_log_bound(group, hbar, length, casimir_cutoff)
-    tail = math.exp(log_tail) if log_tail < 700.0 else math.inf
-    if not tail <= tolerance:
-        raise TruncationError(
-            f"dropped-tail bound {tail:.3e} exceeds tolerance {tolerance:.1e}; "
-            "raise the casimir cutoff"
-        )
-    total = 0.0 + 0.0j
-    for irrep in enumerate_irreps(group, casimir_cutoff):
-        total += (
-            irrep.dim
-            * math.exp(-hbar * irrep.casimir / 2.0)
-            * character_element(group, irrep, g)
-        )
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise ValueError("heat kernel series overflowed; reduce the complexification")
-    return SeriesValue(complex(total), tail)
-
-
-def nu_density(group: GroupSpec, hbar0: float, s: float, x, Y):
-    """Density of the K-averaged heat-kernel measure in polar coordinates.
-
-    Value (a_s s^{n/2} eta(Y))^{-1} e^{-|Y|^2/hbar}; constant in the
-    compact coordinate x, which is accepted only to mirror the polar
-    decomposition of the argument.  Y of shape ``(dim,)`` gives a float,
-    ``(N, dim)`` an ``(N,)`` array.
-    """
-    if s <= 0.0:
-        raise ValueError("the averaged measure needs s > 0")
-    Y = np.asarray(Y, dtype=float)
-    hbar = hbar0 * s
-    norm = a_s(group, hbar0, s) * s ** (group.dim / 2.0) * eta(group, Y)
-    value = np.exp(-np.sum(Y * Y, axis=-1) / hbar) / norm
-    return float(value) if value.ndim == 0 else value
-
-
 def cst_forward(hbar: float, f: BandLimitedFunction) -> BandLimitedFunction:
     """Coherent state transform: blockwise e^{-hbar c_R/2}, then continue."""
     if hbar < 0.0:
@@ -283,30 +134,6 @@ def cst_forward(hbar: float, f: BandLimitedFunction) -> BandLimitedFunction:
         label: math.exp(-hbar * casimir(group, label) / 2.0) * f.blocks[label]
         for label in f.labels()
     }
-    return BandLimitedFunction(group=group, blocks=blocks)
-
-
-def cst_inverse(
-    hbar: float, F: BandLimitedFunction, max_condition: float = 1e6
-) -> BandLimitedFunction:
-    """Inverse transform on the band-limited subspace.
-
-    The amplification e^{+hbar c_R/2} of every block must stay below
-    max_condition: outside the band limit the inverse heat flow is
-    ill-posed, so an excessive factor is refused, not computed.
-    """
-    if hbar < 0.0:
-        raise ValueError("hbar must be nonnegative")
-    group = F.group
-    blocks = {}
-    for label in F.labels():
-        factor = math.exp(hbar * casimir(group, label) / 2.0)
-        if factor > max_condition:
-            raise ValueError(
-                f"inverse-transform amplification {factor:.3e} for block {label} "
-                f"exceeds the condition bound {max_condition:.1e}"
-            )
-        blocks[label] = factor * F.blocks[label]
     return BandLimitedFunction(group=group, blocks=blocks)
 
 

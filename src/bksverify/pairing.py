@@ -281,25 +281,6 @@ def _char_mc_prefactor_log(group, hbar0, t, irrep):
     )
 
 
-def char_moment_oracle(group: GroupSpec, hbar0: float, t: float, irrep: Irrep) -> float:
-    """Exact value of the Monte Carlo moment, for calibration tests.
-
-    Dividing the contract value of G_R(t) by the estimator prefactor
-    leaves d_R (pi hbar0)^{n/2} (t/2)^{-n/2} t^p (t/(2 pi hbar0))^{r/2}
-    / (c_K |W|); the exponential factors cancel because
-    |lambda+rho|^2 = c_R + |rho|^2.
-    """
-    n, r, p = group.dim, group.rank, group.n_positive_roots
-    return (
-        irrep.dim
-        * (math.pi * hbar0) ** (n / 2.0)
-        * (t / 2.0) ** (-n / 2.0)
-        * t**p
-        * (t / (2.0 * math.pi * hbar0)) ** (r / 2.0)
-        / (quadrature.weyl_constant(group) * group.weyl_order)
-    )
-
-
 def default_char_factory(
     group: GroupSpec,
     hbar0: float,

@@ -1,8 +1,8 @@
-"""Integration engines over the Lie algebra and over the group.
+"""Integration rules over the Lie algebra.
 
-Every integral in the verification pipeline is either an algebra
-integral against a Gaussian weight or a normalized-Haar integral over
-the group.  Three algebra backends cover the regimes that occur:
+Every integral in the verification pipeline is an algebra integral
+against a Gaussian weight.  Two deterministic backends cover the
+regimes that occur:
 
 * ``cartan-reduced``: Weyl reduction of Ad-invariant integrands to the
   Cartan subalgebra, with the Jacobian prod_{alpha>0} alpha(H)^2 and
@@ -10,17 +10,14 @@ the group.  Three algebra backends cover the regimes that occur:
 * ``gauss-hermite-full``: tensor Gauss-Hermite rule on all ``dim``
   coordinates with the Gaussian weight divided back out, rescaled to
   the width of the integrand at hand.
-* ``monte-carlo``: seeded Gaussian importance sampling with standard
-  errors.
 
-Group backends (normalized Haar measure): trapezoid grids on tori
-(exact below the resolution), an Euler-angle product rule on SU(2), and
-a seeded table of Haar samples.
+A third rule, ``monte-carlo``, holds no nodes: it carries a sample
+count and a seed to the Monte Carlo character backend, which draws its
+own Gaussian moment (``pairing.char_gaussian_log``).
 
 Every rule is one ``Quadrature`` and every integrand is batched: it
-takes a stack of N nodes (algebra vectors ``(N, dim)``, torus angles
-``(N, rank)`` or matrices ``(N, d, d)``) and returns an ``(N,)`` array
-of values, so a rule costs one array call per block of at most
+takes a stack of N algebra vectors ``(N, dim)`` and returns an ``(N,)``
+array of values, so a rule costs one array call per block of at most
 ``BATCH`` nodes instead of one Python call per node.
 
 Deterministic rules carry a coarser companion rule; the reported error
@@ -38,19 +35,17 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .groups import GroupSpec, random_element
+from .groups import GroupSpec
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Quadrature:
-    """One configured integration rule, over the algebra or the group.
+    """One configured integration rule over the algebra.
 
-    Deterministic backends store their nodes (algebra vectors, torus
-    angle vectors or SU(2) matrices) with positive weights (Jacobian and
-    c_K included for the reduced rule, normalized Haar mass 1 on the
-    group), plus a coarser companion used for the error estimate.  The
-    Haar sampler stores its sample table as nodes without weights; the
-    algebra Monte Carlo backend stores only (samples, seed, scale).
+    Deterministic backends store their nodes (algebra vectors) with
+    positive weights (Jacobian and c_K included for the reduced rule),
+    plus a coarser companion used for the error estimate.  The Monte
+    Carlo backend stores only (samples, seed).
     """
 
     backend: str
@@ -61,7 +56,6 @@ class Quadrature:
     coarse_weights: np.ndarray | None = None
     samples: int = 0
     seed: int = 0
-    scale: float = 1.0
 
 
 # nodes per integrand call: bounds the memory a batched integrand holds
@@ -162,7 +156,7 @@ def hermite_quadrature(
     handled without inflating the point count.
     """
     if points**group.dim > 2_000_000:
-        raise ValueError("tensor rule too large; use cartan-reduced or monte-carlo")
+        raise ValueError("tensor rule too large; use cartan-reduced")
     if points > 350:
         # a size bound, not a stability one: a rule this long means an
         # integrand far wider than its scale, which recentering or
@@ -254,59 +248,9 @@ def _hermite_functions(n: int, x: np.ndarray):
     return cur, prev
 
 
-def algebra_montecarlo(
-    group: GroupSpec, samples: int, seed: int, scale: float = 1.0
-) -> Quadrature:
-    """Importance sampler Y ~ N(0, scale^2 I) with standard errors."""
-    return Quadrature("monte-carlo", group, samples=samples, seed=seed, scale=scale)
-
-
-def _torus_rule(rank: int, resolution: int):
-    ticks = 2.0 * math.pi * np.arange(resolution) / resolution
-    thetas = _tensor_nodes(ticks, rank)
-    return thetas, np.full(len(thetas), 1.0 / len(thetas))
-
-
-def torus_quadrature(group: GroupSpec, resolution: int) -> Quadrature:
-    """Product trapezoid grid; exact for band limits below resolution."""
-    if group.kind != "torus":
-        raise ValueError("trapezoid grids are a torus backend")
-    return _with_companion(
-        "torus-trapezoid", group, functools.partial(_torus_rule, group.rank),
-        resolution, max(2, (2 * resolution) // 3),
-    )
-
-
-def _euler_rule(resolution: int):
-    # g = diag(e^{-ia/2}, e^{ia/2}) R_y(b) diag(e^{-ic/2}, e^{ic/2}) with
-    # a, c trapezoid over [0, 2pi) and [0, 4pi), cos b Gauss-Legendre;
-    # nodes in (a, b, c) order
-    r = resolution
-    u, wu = leggauss(r)
-    half = 0.5 * np.arccos(u)
-    cos, sin = np.cos(half), np.sin(half)
-    ry = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
-    za = np.exp(np.multiply.outer(2.0 * math.pi * np.arange(r) / r, [-0.5j, 0.5j]))
-    zc = np.exp(np.multiply.outer(4.0 * math.pi * np.arange(r) / r, [-0.5j, 0.5j]))
-    g = (za[:, None, None, :, None] * ry[None, :, None]) * zc[None, None, :, None, :]
-    weights = np.broadcast_to((wu / (2.0 * r**2))[None, :, None], (r, r, r))
-    return g.reshape(-1, 2, 2), weights.ravel()
-
-
-def euler_quadrature(group: GroupSpec, resolution: int) -> Quadrature:
-    """SU(2) Euler-angle rule, trapezoid in both periodic angles."""
-    if group.kind != "su2":
-        raise ValueError("Euler-angle rule is an SU(2) backend")
-    return _with_companion(
-        "su2-euler", group, _euler_rule, resolution, max(3, (2 * resolution) // 3)
-    )
-
-
-def group_montecarlo(group: GroupSpec, samples: int, seed: int) -> Quadrature:
-    """Seeded Haar sampler (uniform angles / orthonormalized Ginibre)."""
-    rng = np.random.default_rng(seed)
-    table = np.stack([random_element(group, rng) for _ in range(samples)])
-    return Quadrature("haar-mc", group, nodes=table, samples=samples, seed=seed)
+def algebra_montecarlo(group: GroupSpec, samples: int, seed: int) -> Quadrature:
+    """Sample count and seed for the Monte Carlo character backend."""
+    return Quadrature("monte-carlo", group, samples=samples, seed=seed)
 
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray):
@@ -333,16 +277,9 @@ def _values(F, nodes: np.ndarray) -> np.ndarray:
     return np.concatenate([_checked(F, nodes[part]) for part in batches(len(nodes))])
 
 
-def _with_estimate(F, quad: Quadrature):
-    # deterministic rules: the fine sum, and its distance to the companion
-    value = _weighted_sum(quad.weights, _values(F, quad.nodes))
-    coarse = _weighted_sum(quad.coarse_weights, _values(F, quad.coarse_nodes))
-    return value, abs(value - coarse)
-
-
-def _mean_with_stderr(values: np.ndarray):
-    value = values.mean() if np.iscomplexobj(values) else float(values.mean())
-    return value, float(np.std(values, ddof=1) / math.sqrt(len(values)))
+def _require_nodes(quad: Quadrature) -> None:
+    if quad.nodes is None:
+        raise ValueError(f"the {quad.backend} rule holds no nodes to integrate on")
 
 
 def integrate_algebra(F, quad: Quadrature):
@@ -350,13 +287,14 @@ def integrate_algebra(F, quad: Quadrature):
 
     F maps an ``(N, dim)`` array of algebra vectors to an ``(N,)`` array
     of real or complex values; it is called once per batch of at most
-    BATCH nodes.  For the cartan-reduced backend F must be Ad-invariant;
-    the deterministic error estimate is the difference against the
-    companion resolution, the Monte Carlo one a standard error.
+    BATCH nodes.  For the cartan-reduced backend F must be Ad-invariant.
+    The error estimate is the difference against the companion
+    resolution.
     """
-    if quad.backend == "monte-carlo":
-        return _montecarlo_algebra(F, quad)
-    return _with_estimate(F, quad)
+    _require_nodes(quad)
+    value = _weighted_sum(quad.weights, _values(F, quad.nodes))
+    coarse = _weighted_sum(quad.coarse_weights, _values(F, quad.coarse_nodes))
+    return value, abs(value - coarse)
 
 
 def integrate_algebra_log(logF, quad: Quadrature):
@@ -364,47 +302,15 @@ def integrate_algebra_log(logF, quad: Quadrature):
 
     Overflow-safe route for positive integrands whose scale exceeds
     float range; logF follows the batched contract of integrate_algebra
-    and must be real-valued.  Deterministic backends only.
+    and must be real-valued.
     """
-    if quad.backend == "monte-carlo":
-        raise ValueError("log-space evaluation needs a deterministic backend")
+    _require_nodes(quad)
     with np.errstate(divide="ignore"):
         logw = np.log(quad.weights)
         logw_c = np.log(quad.coarse_weights)
     value = float(logsumexp(_values(logF, quad.nodes) + logw))
     coarse = float(logsumexp(_values(logF, quad.coarse_nodes) + logw_c))
     return value, abs(value - coarse)
-
-
-def _montecarlo_algebra(F, quad: Quadrature):
-    rng = np.random.default_rng(quad.seed)
-    dim = quad.group.dim
-    norm = (2.0 * math.pi) ** (dim / 2.0) * quad.scale**dim
-    parts = []
-    for part in batches(quad.samples):
-        # consecutive draws continue one stream: the batches split the
-        # samples of a single (samples, dim) draw
-        xi = rng.standard_normal((part.stop - part.start, dim))
-        values = _checked(F, quad.scale * xi)
-        parts.append(values * norm * np.exp(0.5 * np.sum(xi * xi, axis=1)))
-    ratios = np.concatenate(parts)
-    _require_finite(ratios)
-    return _mean_with_stderr(ratios)
-
-
-def integrate_group(f, quad: Quadrature):
-    """Normalized-Haar integral of f, as (value, error_estimate).
-
-    f maps a stack of N group elements (an ``(N, rank)`` array of torus
-    angles or an ``(N, d, d)`` array of defining-representation matrices)
-    to an ``(N,)`` array of real or complex values, batch by batch as in
-    integrate_algebra.  The Haar sampler reports a standard error.
-    """
-    if quad.backend == "haar-mc":
-        return _mean_with_stderr(_values(f, quad.nodes))
-    if quad.backend not in ("torus-trapezoid", "su2-euler"):
-        raise ValueError(f"{quad.backend!r} is not a group rule")
-    return _with_estimate(f, quad)
 
 
 def logsumexp(a, axis=None):

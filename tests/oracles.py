@@ -1,0 +1,102 @@
+"""Reference routes that the tests integrate against, kept out of the package.
+
+Haar rules on the group (a product trapezoid grid on tori, an Euler-angle
+rule on SU(2)), the value of a band-limited function at group elements,
+the density of the averaged measure nu, and the exact Gaussian moment of
+the Monte Carlo character backend.  The verifier runs none of them; the
+tests use them as independent oracles for Schur orthogonality, the
+Peter-Weyl L2 product and the measure normalization.
+
+Group integrands are batched like algebra ones: a stack of N elements
+(``(N, rank)`` torus angles or ``(N, 2, 2)`` SU(2) matrices) in, an
+``(N,)`` array of values out.
+"""
+
+import math
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from bksverify import halfform, heat, quadrature
+
+
+def torus_rule(group, resolution):
+    """Product trapezoid grid on U(1)^rank, as (angles, weights).
+
+    Exact for band limits below the resolution.
+    """
+    ticks = 2.0 * math.pi * np.arange(resolution) / resolution
+    grids = np.meshgrid(*([ticks] * group.rank), indexing="ij")
+    thetas = np.stack([g.ravel() for g in grids], axis=-1)
+    return thetas, np.full(len(thetas), 1.0 / len(thetas))
+
+
+def euler_rule(resolution):
+    """SU(2) Euler-angle rule, as (matrices, weights) of Haar mass 1.
+
+    g = diag(e^{-ia/2}, e^{ia/2}) R_y(b) diag(e^{-ic/2}, e^{ic/2}) with
+    a, c trapezoid over [0, 2pi) and [0, 4pi) and cos b Gauss-Legendre;
+    nodes in (a, b, c) order.
+    """
+    r = resolution
+    u, wu = leggauss(r)
+    half = 0.5 * np.arccos(u)
+    cos, sin = np.cos(half), np.sin(half)
+    ry = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+    za = np.exp(np.multiply.outer(2.0 * math.pi * np.arange(r) / r, [-0.5j, 0.5j]))
+    zc = np.exp(np.multiply.outer(4.0 * math.pi * np.arange(r) / r, [-0.5j, 0.5j]))
+    g = (za[:, None, None, :, None] * ry[None, :, None]) * zc[None, None, :, None, :]
+    weights = np.broadcast_to((wu / (2.0 * r**2))[None, :, None], (r, r, r))
+    return g.reshape(-1, 2, 2), weights.ravel()
+
+
+def integrate_group(f, rule):
+    """Normalized-Haar integral of the batched integrand f over a rule."""
+    nodes, weights = rule
+    return np.dot(weights, f(nodes))
+
+
+def evaluate_function(f, g):
+    """Value of a band-limited function at an element, or at a stack.
+
+    One element (an angle vector on tori, a 2x2 matrix on SU(2)) gives a
+    complex number; a stack of N gives an ``(N,)`` array.  Tori and SU(2)
+    only, where the package realizes matrix elements.
+    """
+    total = sum(
+        np.einsum("ij,...ij->...", f.blocks[label], heat._irrep_matrices(f.group, label, g))
+        for label in f.labels()
+    )
+    return complex(total) if np.ndim(total) == 0 else total
+
+
+def nu_density(group, hbar0, s, Y):
+    """Density (a_s s^{n/2} eta(Y))^{-1} e^{-|Y|^2/hbar} of the averaged measure.
+
+    In polar coordinates it is constant in the compact direction, so it
+    takes only the algebra vector: Y of shape ``(dim,)`` gives a float,
+    ``(N, dim)`` an ``(N,)`` array.
+    """
+    Y = np.asarray(Y, dtype=float)
+    norm = heat.a_s(group, hbar0, s) * s ** (group.dim / 2.0) * halfform.eta(group, Y)
+    value = np.exp(-np.sum(Y * Y, axis=-1) / (hbar0 * s)) / norm
+    return float(value) if value.ndim == 0 else value
+
+
+def char_moment(group, hbar0, t, irrep):
+    """Exact value of the Monte Carlo character backend's Gaussian moment.
+
+    Dividing the contract value of G_R(t) by the estimator prefactor
+    leaves d_R (pi hbar0)^{n/2} (t/2)^{-n/2} t^p (t/(2 pi hbar0))^{r/2}
+    / (c_K |W|); the exponential factors cancel because
+    |lambda+rho|^2 = c_R + |rho|^2.
+    """
+    n, r, p = group.dim, group.rank, group.n_positive_roots
+    return (
+        irrep.dim
+        * (math.pi * hbar0) ** (n / 2.0)
+        * (t / 2.0) ** (-n / 2.0)
+        * t**p
+        * (t / (2.0 * math.pi * hbar0)) ** (r / 2.0)
+        / (quadrature.weyl_constant(group) * group.weyl_order)
+    )

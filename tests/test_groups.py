@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from bksverify import groups
 
 SU2_SCALE = (2.0 ** 1.5 * 2.0 * math.pi ** 2) ** (-2.0 / 3.0)
@@ -210,10 +211,7 @@ def test_casimir_from_laplacian_on_matrix_elements():
 
 def test_schur_orthogonality_su2_euler_grid():
     # direct Euler-angle quadrature of int conj(R_ij) R'_kl dx
-    from bksverify import quadrature
-
-    su2 = groups.group_spec("su2")
-    quad = quadrature.euler_quadrature(su2, 20)
+    rule = oracles.euler_rule(20)
 
     def entry(j, a, b):
         return lambda g: groups.wigner_matrix(j, g)[:, a, b]
@@ -228,8 +226,7 @@ def test_schur_orthogonality_su2_euler_grid():
     ):
         f1 = entry(j1, a1, b1)
         f2 = entry(j2, a2, b2)
-        val, _ = quadrature.integrate_group(
-            lambda g: np.conj(f1(g)) * f2(g), quad)
+        val = oracles.integrate_group(lambda g: np.conj(f1(g)) * f2(g), rule)
         assert val == pytest.approx(want, abs=1e-8)
 
 

@@ -270,6 +270,30 @@ def test_phi_is_one_eigen_solve_of_the_density_ratio(group, monkeypatch):
     assert calls == [Y.shape]
 
 
+def test_phi_finite_where_the_densities_overflow():
+    # the corner node of the SU(3) prequantum rule (box 9.0): root values
+    # reach 54, so eta(4Y)^2 leaves float range while phi stays near 1.56
+    from bksverify import quadrature
+
+    mpmath = pytest.importorskip("mpmath")
+    quad = quadrature.cartan_quadrature(SU3, 9.0, points_per_panel=14, panels=10)
+    Y = quad.nodes[np.argmax(np.abs(quad.nodes).sum(axis=1))]
+    rv = groups.root_values(SU3, Y)
+    assert rv.max() > 50.0
+
+    def density(t):
+        t = mpmath.mpf(t)
+        return t ** SU3.dim * mpmath.fprod(
+            (mpmath.sinh(t * a) / (t * a)) ** 2 for a in map(mpmath.mpf, rv))
+
+    with mpmath.workdps(40):
+        want = float(density(2.5) / mpmath.sqrt(density(1.0) * density(4.0)))
+    got = halfform.phi(SU3, 1.0, 4.0, Y)
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert np.all(np.isfinite(halfform.phi(SU3, 1.0, 4.0, quad.nodes)))
+
+
 def test_phi_flatness_torus_quadratic_in_h():
     rng = np.random.default_rng(10)
     Y = rng.standard_normal(1)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from bksverify import groups, halfform, heat, pairing, quadrature
 
 TORUS = groups.group_spec("torus", n=1)
@@ -110,7 +111,7 @@ def test_char_moment_oracle_su2_closed_form():
     # hbar0 (m + 1) / lam, independent of t
     for m in (0, 1, 2, 3):
         for t in (0.7, 2.0):
-            oracle = pairing.char_moment_oracle(SU2, 1.0, t, groups.make_irrep(SU2, (m,)))
+            oracle = oracles.char_moment(SU2, 1.0, t, groups.make_irrep(SU2, (m,)))
             assert oracle == pytest.approx((m + 1) / SU2.scale, rel=1e-13)
 
 

@@ -1,11 +1,12 @@
-"""Integration engines: Weyl-reduced Cartan rules, Gauss-Hermite tensor
-rules, seeded Monte Carlo, and group quadrature."""
+"""Integration rules: Weyl-reduced Cartan rules and Gauss-Hermite tensor
+rules over the algebra, and the test-side Haar rules over the group."""
 
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from bksverify import groups, halfform, quadrature
 
 TORUS = groups.group_spec("torus", n=1)
@@ -93,42 +94,6 @@ def test_hermite_recentering():
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
-def test_montecarlo_seeded_determinism():
-    f = lambda Y: gauss(Y) * halfform.eta(SU2, Y)
-    q1 = quadrature.algebra_montecarlo(SU2, 20_000, seed=5)
-    q2 = quadrature.algebra_montecarlo(SU2, 20_000, seed=5)
-    v1, e1 = quadrature.integrate_algebra(f, q1)
-    v2, e2 = quadrature.integrate_algebra(f, q2)
-    assert v1 == v2 and e1 == e2
-    q3 = quadrature.algebra_montecarlo(SU2, 20_000, seed=6)
-    v3, _ = quadrature.integrate_algebra(f, q3)
-    assert v3 != v1
-
-
-def test_montecarlo_error_estimate_shrinks():
-    f = lambda Y: gauss(Y) * np.sum(Y * Y, axis=1)
-    _, e_small = quadrature.integrate_algebra(f, quadrature.algebra_montecarlo(SU2, 10_000, seed=1))
-    _, e_big = quadrature.integrate_algebra(f, quadrature.algebra_montecarlo(SU2, 160_000, seed=1))
-    # sqrt(16) = 4 improvement expected, allow slack
-    assert e_big < e_small / 2.0
-
-
-def test_montecarlo_zero_variance_at_matched_scale():
-    # sampling scale 1/sqrt(2) makes the importance ratio for a unit
-    # Gaussian integrand constant, so the standard error collapses
-    quad = quadrature.algebra_montecarlo(SU3, 50_000, seed=9, scale=1.0 / math.sqrt(2.0))
-    val, est = quadrature.integrate_algebra(gauss, quad)
-    assert val == pytest.approx(math.pi ** 4, rel=1e-12)
-    assert est < 1e-10
-
-
-def test_montecarlo_gaussian_mass_within_stderr():
-    quad = quadrature.algebra_montecarlo(SU2, 50_000, seed=9)
-    val, est = quadrature.integrate_algebra(gauss, quad)
-    assert est > 0.0
-    assert abs(val - math.pi ** 1.5) < 5 * est
-
-
 def test_cartan_determinism_bit_identical():
     f = lambda Y: gauss(Y) * halfform.eta(SU2, Y) ** 2
     vals = set()
@@ -155,44 +120,34 @@ def test_cartan_convergence_with_panels():
 def test_group_quadrature_haar_mass():
     # batched group integrands: a stack of N elements in, (N,) values out
     one = lambda g: np.ones(len(g))
-    val, _ = quadrature.integrate_group(one, quadrature.torus_quadrature(TORUS, 32))
+    val = oracles.integrate_group(one, oracles.torus_rule(TORUS, 32))
     assert val == pytest.approx(1.0, rel=1e-14)
-    val, _ = quadrature.integrate_group(one, quadrature.euler_quadrature(SU2, 12))
+    val = oracles.integrate_group(one, oracles.euler_rule(12))
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
 def test_torus_trapezoid_exact_below_resolution():
     # e^{ik theta} integrates to 0 exactly for 0 < |k| < resolution
-    quad = quadrature.torus_quadrature(TORUS, 16)
+    rule = oracles.torus_rule(TORUS, 16)
     for k in (1, 3, 7):
-        val, _ = quadrature.integrate_group(
-            lambda g, k=k: groups.character_element(TORUS, groups.make_irrep(TORUS, (k,)), g), quad)
+        val = oracles.integrate_group(
+            lambda g, k=k: groups.character_element(TORUS, groups.make_irrep(TORUS, (k,)), g), rule)
         assert abs(val) < 1e-14
 
 
 def test_matrix_element_integral_vanishes():
-    quad = quadrature.euler_quadrature(SU2, 16)
-    val, _ = quadrature.integrate_group(lambda g: groups.wigner_matrix(1.0, g)[:, 0, 1], quad)
+    val = oracles.integrate_group(lambda g: groups.wigner_matrix(1.0, g)[:, 0, 1],
+                                  oracles.euler_rule(16))
     assert abs(val) < 1e-10
 
 
 def test_character_orthonormality_su2():
-    quad = quadrature.euler_quadrature(SU2, 16)
+    rule = oracles.euler_rule(16)
     for m in (1, 2, 3):
         ir = groups.make_irrep(SU2, (m,))
-        val, _ = quadrature.integrate_group(
-            lambda g, ir=ir: abs(groups.character_element(SU2, ir, g)) ** 2, quad)
+        val = oracles.integrate_group(
+            lambda g, ir=ir: abs(groups.character_element(SU2, ir, g)) ** 2, rule)
         assert val == pytest.approx(1.0, abs=1e-8)
-
-
-def test_haar_montecarlo_su3_moments():
-    # int |tr g|^2 dg = 1 over SU(3) with Haar; seeded sampler
-    quad = quadrature.group_montecarlo(SU3, 40_000, seed=4)
-    trace = lambda g: np.trace(g, axis1=-2, axis2=-1)
-    val, est = quadrature.integrate_group(lambda g: np.abs(trace(g)) ** 2, quad)
-    assert val == pytest.approx(1.0, abs=5 * max(est, 1e-2))
-    val2, _ = quadrature.integrate_group(trace, quad)
-    assert abs(val2) < 5 * max(est, 1e-2)
 
 
 def test_integrate_algebra_rejects_nonfinite():
@@ -209,12 +164,21 @@ def test_integrate_algebra_rejects_nonfinite():
 ])
 def test_integrate_algebra_rejects_wrong_shape(bad):
     for quad in (quadrature.hermite_quadrature(SU2, 6),
-                 quadrature.cartan_quadrature(SU2, 6.0, points_per_panel=4, panels=2),
-                 quadrature.algebra_montecarlo(SU2, 100, seed=0)):
+                 quadrature.cartan_quadrature(SU2, 6.0, points_per_panel=4, panels=2)):
         with pytest.raises(ValueError, match="shape"):
             quadrature.integrate_algebra(bad, quad)
     with pytest.raises(ValueError, match="shape"):
         quadrature.integrate_algebra_log(bad, quadrature.hermite_quadrature(SU2, 6))
+
+
+def test_integrate_rejects_a_rule_without_nodes():
+    # the Monte Carlo rule only carries (samples, seed) to the character
+    # backend; both integrators refuse it with one error
+    quad = quadrature.algebra_montecarlo(SU2, 100, seed=0)
+    with pytest.raises(ValueError, match="holds no nodes"):
+        quadrature.integrate_algebra(gauss, quad)
+    with pytest.raises(ValueError, match="holds no nodes"):
+        quadrature.integrate_algebra_log(gauss, quad)
 
 
 def test_integrand_called_per_batch_in_node_order():
@@ -233,22 +197,6 @@ def test_integrand_called_per_batch_in_node_order():
     assert all(len(Y) <= batch for Y in seen)
     np.testing.assert_array_equal(
         np.concatenate(seen), np.concatenate([quad.nodes, quad.coarse_nodes]))
-
-
-def test_montecarlo_batches_split_one_draw():
-    # the batched sampler sees exactly the samples of one seeded draw
-    n = 2 * quadrature.BATCH + 5
-    sizes = []
-
-    def f(Y):
-        sizes.append(len(Y))
-        return gauss(Y)
-
-    val, _ = quadrature.integrate_algebra(f, quadrature.algebra_montecarlo(SU2, n, seed=3))
-    assert sizes == [quadrature.BATCH, quadrature.BATCH, 5]
-    xi = np.random.default_rng(3).standard_normal((n, 3))
-    ratios = gauss(xi) * (2 * math.pi) ** 1.5 * np.exp(0.5 * np.sum(xi * xi, axis=1))
-    assert val == ratios.mean()
 
 
 def test_weyl_constant_matches_scipy_rule():

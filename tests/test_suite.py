@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bksverify import config, suite
@@ -199,21 +200,58 @@ def test_phi_flatness_job_fails_on_a_negative_slope(kind, monkeypatch):
     assert rep.abs_residual == pytest.approx(1e-3, rel=1e-3)
 
 
-def test_mc_samples_reach_the_su3_prequantum_norm(monkeypatch):
+def test_mc_samples_reach_the_monte_carlo_character_rule(monkeypatch):
+    # mc_samples sizes every rule the Monte Carlo character backend builds
     from bksverify import quadrature
     seen = []
     montecarlo = quadrature.algebra_montecarlo
 
-    def spy(group, samples, seed, **kw):
+    def spy(group, samples, seed):
         seen.append(samples)
-        return montecarlo(group, samples, seed, **kw)
+        return montecarlo(group, samples, seed)
 
     monkeypatch.setattr(quadrature, "algebra_montecarlo", spy)
-    cfg = config.default_config(group="su3", identities=("prequantum",), mc_samples=2000)
+    cfg = fast_cfg(group="su2", band_limit=None, identities=("bks-factor",),
+                   char_backend="monte-carlo", mc_samples=2000)
     rep = suite.run_suite(cfg)
-    assert seen == [2000]
-    assert [k for k, _ in rep.reports] == ["prequantum/su3"]
-    assert rep.summary["passed"] == 1
+    assert seen and set(seen) == {2000}
+    assert rep.summary["total"] > 0 and rep.summary["passed"] == rep.summary["total"]
+
+
+def _gaussian_importance(F, dim, samples, seed, scale):
+    # int F dY as the mean of F(Y) / p(Y) over Y ~ N(0, scale^2 I), with
+    # its standard error; plain numpy, independent of the package's rules
+    xi = np.random.default_rng(seed).standard_normal((samples, dim))
+    density = np.exp(-0.5 * np.sum(xi * xi, axis=1)) / ((2 * math.pi) ** (dim / 2) * scale ** dim)
+    ratios = F(scale * xi) / density
+    return ratios.mean(), ratios.std(ddof=1) / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("kind", ["su2", "su3"])
+def test_prequantum_norms_agree_with_a_monte_carlo_route(kind):
+    # second route for the job's Cartan-rule norm ratio.  At scale
+    # 1/sqrt(2) the sampler's n0 has no variance, so the ratio's standard
+    # error is that of n1 alone
+    from bksverify import groups, halfform, quadrature
+    group = groups.group_spec(kind)
+    rep = suite._job_prequantum(group, 1e-3)
+    assert rep.passed and rep.params["transport_drift"] == 0.0
+
+    def gauss(Y):
+        return np.exp(-np.sum(Y * Y, axis=1))
+
+    quad = quadrature.cartan_quadrature(group, 9.0, points_per_panel=14, panels=10)
+    n0, _ = quadrature.integrate_algebra(gauss, quad)
+    assert n0 == pytest.approx(math.pi ** (group.dim / 2), rel=1e-12)
+
+    scale = 1.0 / math.sqrt(2.0)
+    m0, _ = _gaussian_importance(gauss, group.dim, 40_000, 7, scale)
+    m1, e1 = _gaussian_importance(
+        lambda Y: gauss(Y) * halfform.phi(group, 1.0, 4.0, Y), group.dim, 40_000, 7, scale)
+    ratio = math.sqrt(m1 / m0)
+    stderr = e1 / (2.0 * m0 * ratio)
+    assert abs(ratio - rep.lhs) <= 4.0 * stderr, (ratio, rep.lhs, stderr)
+    assert stderr < 0.1 * (rep.lhs - 1.0)
 
 
 def test_factorization_reports_the_worst_cells_own_values():
@@ -391,7 +429,7 @@ def test_delta_jobs_fail_when_the_kernels_are_off(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["su2", "su3"])
 def test_prequantum_job_fails_when_the_map_is_parallel_transport(kind, monkeypatch):
     # the inverted check must fail once the map preserves norms
-    cfg = fast_cfg(group=kind, identities=("prequantum",), mc_samples=2000)
+    cfg = fast_cfg(group=kind, identities=("prequantum",))
 
     def mutate(mp):
         mp.setattr(pairing_mod, "preq_map_apply", pairing_mod.preq_parallel_transport)
