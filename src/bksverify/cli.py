@@ -203,7 +203,7 @@ def _convergence_rows(cfg: RunConfig) -> list:
             for pts in (32, 44, 56, 64):
                 record("gauss-hermite-full", pts,
                        quadrature.hermite_quadrature(group, pts, scale=sigma))
-        for samples in (10_000, 100_000):
+        for samples in sorted({10_000, 100_000, cfg.mc_samples}):
             quad = quadrature.algebra_montecarlo(group, samples, cfg.seed)
             record("monte-carlo", samples, quad)
     return rows

@@ -485,9 +485,7 @@ def ad_matrix(group: GroupSpec, Y) -> np.ndarray:
 
     Y of shape ``(dim,)`` gives one matrix, ``(N, dim)`` a stack of N.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim not in (1, 2) or Y.shape[-1] != group.dim:
-        raise ValueError(f"Y must have {group.dim} coordinates")
+    Y = _algebra_vectors(group, Y)
     # einsum sums each entry in the same order whatever the batch size, so
     # a batch reproduces the one-vector results bit for bit
     return np.einsum("...a,abc->...bc", Y, group.ad_basis)
@@ -500,15 +498,31 @@ def root_values(group: GroupSpec, Y) -> np.ndarray:
     Cartan subalgebra; the result is Ad-invariant and sorted ascending.
     The assignment of values to individual roots is only defined up to
     the Weyl group, which suffices for the symmetric functions used here.
-    A batch Y of shape ``(N, dim)`` gives one row per vector, from one
-    stacked eigen-solve.
+    A batch Y of shape ``(N, dim)`` gives one row per vector.  On SU(2)
+    the one value is the closed form |Y| alpha(H) for the unit Cartan
+    vector H; on SU(3) it comes from one stacked eigen-solve.
     """
     npos = group.n_positive_roots
     if npos == 0:
         return np.zeros(np.shape(Y)[:-1] + (0,))
+    if group.kind == "su2":
+        Y = _algebra_vectors(group, Y)
+        return _norm(Y) * group.positive_roots[0, 0]
     A = ad_matrix(group, Y)
     eigs = np.linalg.eigvalsh(1j * A)
     return eigs[..., -npos:]
+
+
+def _algebra_vectors(group: GroupSpec, Y) -> np.ndarray:
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim not in (1, 2) or Y.shape[-1] != group.dim:
+        raise ValueError(f"Y must have {group.dim} coordinates")
+    return Y
+
+
+def _norm(Y: np.ndarray) -> np.ndarray:
+    # |Y| along the last axis, kept as a length-1 axis
+    return np.sqrt(np.sum(Y * Y, axis=-1, keepdims=True))
 
 
 def algebra_element(group: GroupSpec, Y) -> np.ndarray:
@@ -526,12 +540,22 @@ def group_exp(group: GroupSpec, Y, factor: complex = 1.0):
     composition; SU(2) and SU(3) by defining-representation matrices.
     ``factor = 1`` lands in the compact group, ``factor = i s`` on the
     positive slice exp(i s Y).  A batch Y of shape ``(N, dim)`` gives N
-    elements stacked along the first axis, from one stacked eigen-solve.
+    elements stacked along the first axis.  On SU(2), A = Y in the
+    defining representation satisfies A^2 = -r^2 I with r = |Y| /
+    sqrt(2 scale), so exp(cA) = cos(cr) I + (sin(cr)/r) A in closed form
+    (the second coefficient is c at r = 0); SU(3) takes one stacked
+    eigen-solve.
     """
     Y = np.asarray(Y, dtype=float)
     if group.kind == "torus":
         return factor * Y / math.sqrt(group.scale)
     A = algebra_element(group, Y)
+    if group.kind == "su2":
+        r = _norm(Y)[..., None] / math.sqrt(2.0 * group.scale)
+        cr = factor * r
+        nonzero = r > 0.0
+        sin_over_r = np.where(nonzero, np.sin(cr) / np.where(nonzero, r, 1.0), factor)
+        return sin_over_r * A + np.cos(cr) * np.eye(2)
     w, V = np.linalg.eigh(1j * A)
     return (V * np.exp(-1j * factor * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
 

@@ -177,15 +177,16 @@ def hl2_inner_quadrature(
         raise ValueError("the averaged measure needs s > 0")
     hbar = hbar0 * s
     labels = sorted(set(F.blocks) & set(Fp.blocks))
+    dims = {label: dim_irrep(group, label) for label in labels}
 
     def integrand(Y):
         gc = group_exp(group, Y, 1j)
         total = np.zeros(len(Y), dtype=complex)
-        for label in labels:
+        for label, d in dims.items():
             Mt = np.swapaxes(_irrep_matrices(group, label, gc), -1, -2)
             A = F.blocks[label] @ Mt
             B = Fp.blocks[label] @ Mt
-            total += np.einsum("nij,nij->n", A.conj(), B) / dim_irrep(group, label)
+            total += np.einsum("nij,nij->n", A.conj(), B) / d
         return total * eta(group, Y) * np.exp(-np.sum(Y * Y, axis=1) / hbar)
 
     quad = quadrature.hermite_quadrature(group, points, scale=math.sqrt(hbar))

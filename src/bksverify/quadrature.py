@@ -99,8 +99,21 @@ def _tensor_weights(w: np.ndarray, rank: int) -> np.ndarray:
     return functools.reduce(np.multiply.outer, [w] * rank).ravel()
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] for n points.
+
+    Built by ``leggauss`` (an eigen-solve and one Newton step) once per n
+    per process; the arrays are read-only.
+    """
+    x, w = leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _composite_legendre(half_width: float, panels: int, points: int):
-    x, w = leggauss(points)
+    x, w = _gauss_legendre(points)
     edges = np.linspace(-half_width, half_width, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     h = (edges[1] - edges[0]) / 2.0

@@ -2,10 +2,11 @@
 
 Haar rules on the group (a product trapezoid grid on tori, an Euler-angle
 rule on SU(2)), the value of a band-limited function at group elements,
-the density of the averaged measure nu, and the exact Gaussian moment of
-the Monte Carlo character backend.  The verifier runs none of them; the
-tests use them as independent oracles for Schur orthogonality, the
-Peter-Weyl L2 product and the measure normalization.
+the density of the averaged measure nu, the exact Gaussian moment of
+the Monte Carlo character backend, and the eigen-solve routes to group
+elements and root values.  The verifier runs none of them; the tests use
+them as independent oracles for Schur orthogonality, the Peter-Weyl L2
+product, the measure normalization and the SU(2) closed forms.
 
 Group integrands are batched like algebra ones: a stack of N elements
 (``(N, rank)`` torus angles or ``(N, 2, 2)`` SU(2) matrices) in, an
@@ -17,7 +18,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from bksverify import halfform, heat, quadrature
+from bksverify import groups, halfform, heat, quadrature
 
 
 def torus_rule(group, resolution):
@@ -100,3 +101,20 @@ def char_moment(group, hbar0, t, irrep):
         * (t / (2.0 * math.pi * hbar0)) ** (r / 2.0)
         / (quadrature.weyl_constant(group) * group.weyl_order)
     )
+
+
+def group_exp_eigh(group, Y, factor=1.0):
+    """exp(factor * Y) in the defining representation, from eigh of iY.
+
+    Y of shape ``(dim,)`` gives one matrix, ``(N, dim)`` a stack of N.
+    """
+    A = groups.algebra_element(group, Y)
+    w, V = np.linalg.eigh(1j * A)
+    return (V * np.exp(-1j * factor * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+
+
+def root_values_eigvalsh(group, Y):
+    """Positive-root values of the Cartan representative of Y, ascending,
+    as the top eigenvalues of i ad_Y."""
+    eigs = np.linalg.eigvalsh(1j * groups.ad_matrix(group, Y))
+    return eigs[..., -group.n_positive_roots:]

@@ -199,6 +199,17 @@ def test_convergence_torus(tmp_path, capsys):
     assert finest and finest[0]["rel_error"] <= 1e-12
 
 
+def test_convergence_sweeps_the_configured_mc_samples(tmp_path):
+    cfg = tmp_path / "su2.cfg"
+    cfg.write_text("[run]\ngroup = su2\n[quadrature]\nmc_samples = 2000\n", encoding="utf-8")
+    code = cli.main(["convergence", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "convergence.json", encoding="utf-8") as fh:
+        rows = json.load(fh)
+    mc = [r["resolution"] for r in rows if r["backend"] == "monte-carlo"]
+    assert mc == [2000, 10_000, 100_000]
+
+
 def test_parser_help_mentions_subcommands():
     parser = cli.build_parser()
     text = parser.format_help()

@@ -266,6 +266,49 @@ def test_group_exp_matches_scipy_expm():
     np.testing.assert_allclose(groups.group_exp(su3, Y, factor=1j), expm(1j * X), atol=1e-11)
 
 
+def _su2_batch():
+    # random directions and radii, plus Y = 0, |Y| = 1e-12 and |Y| near 30
+    rng = np.random.default_rng(5)
+    Y = rng.standard_normal((64, 3)) * rng.uniform(0.0, 4.0, (64, 1))
+    Y[0] = 0.0
+    Y[1] *= 1e-12 / np.linalg.norm(Y[1])
+    Y[2] *= 30.0 / np.linalg.norm(Y[2])
+    Y[3] = [0.0, 0.0, -29.7]
+    return Y
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.3j, -2.1j])
+def test_su2_group_exp_closed_form_matches_eigen_solve(factor):
+    su2 = groups.group_spec("su2")
+    Y = _su2_batch()
+    g = groups.group_exp(su2, Y, factor)
+    ref = oracles.group_exp_eigh(su2, Y, factor)
+    assert g.shape == (len(Y), 2, 2)
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert np.all(np.abs(g - ref).max(axis=(1, 2)) <= 1e-13 * scale)
+    np.testing.assert_array_equal(g[0], np.eye(2))
+    np.testing.assert_allclose(groups.group_exp(su2, Y[2], factor), g[2], rtol=1e-14, atol=0.0)
+    if factor == 1.0:
+        # 1e-12 is the determinant tolerance of wigner_matrix
+        np.testing.assert_allclose(g @ np.conj(np.swapaxes(g, 1, 2)),
+                                   np.broadcast_to(np.eye(2), g.shape), rtol=0.0, atol=1e-12)
+        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        assert np.all(np.abs(det - 1.0) <= 1e-12)
+
+
+def test_su2_root_values_closed_form_matches_eigen_solve():
+    su2 = groups.group_spec("su2")
+    Y = _su2_batch()
+    values = groups.root_values(su2, Y)
+    ref = oracles.root_values_eigvalsh(su2, Y)
+    assert values.shape == (len(Y), 1)
+    assert groups.root_values(su2, Y[2]).shape == (1,)
+    assert values[0, 0] == 0.0 and np.all(values >= 0.0)
+    np.testing.assert_allclose(values, ref, rtol=1e-13, atol=1e-13)
+    # atol hides the |Y| = 1e-12 row, so check it against |Y| alpha(H)
+    assert values[1, 0] == pytest.approx(1e-12 * su2.positive_roots[0, 0], rel=1e-14)
+
+
 def test_torus_group_spec_describe_roundtrip():
     g = groups.group_spec("torus", n=2)
     text = g.describe()
@@ -274,9 +317,10 @@ def test_torus_group_spec_describe_roundtrip():
 
 @pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
 def test_batched_elements_and_characters_match_one_element_calls(kind):
-    # a stack of N nodes gives the N one-node results: group_exp from one
-    # stacked eigen-solve, characters from stacked eigenvalues (not from
-    # the weight table), Wigner matrices from one monomial table
+    # a stack of N nodes gives the N one-node results: group_exp from the
+    # closed form on SU(2) and one stacked eigen-solve on SU(3), characters
+    # from stacked eigenvalues (not from the weight table), Wigner matrices
+    # from one monomial table
     group = groups.group_spec(kind, n=2)
     rng = np.random.default_rng(21)
     Y = rng.standard_normal((25, group.dim)) * 0.6

@@ -248,6 +248,27 @@ def test_gauss_hermite_cached_arrays_are_read_only():
         detached[0] = 0.0
 
 
+def test_gauss_legendre_cached_arrays_are_read_only_and_bit_equal():
+    for n in (4, 10, 14, 27):
+        x, w = quadrature._gauss_legendre(n)
+        assert quadrature._gauss_legendre(n)[0] is x
+        xs, ws = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, xs) and np.array_equal(w, ws), n
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
+@pytest.mark.parametrize("group, panels", [(SU2, 10), (SU3, 4)])
+def test_cartan_rules_bit_identical_without_the_legendre_cache(monkeypatch, group, panels):
+    cached = quadrature.cartan_quadrature(group, 6.0, 14, panels)
+    monkeypatch.setattr(quadrature, "_gauss_legendre", np.polynomial.legendre.leggauss)
+    fresh = quadrature.cartan_quadrature(group, 6.0, 14, panels)
+    for field in ("nodes", "weights", "coarse_nodes", "coarse_weights"):
+        assert np.array_equal(getattr(cached, field), getattr(fresh, field)), field
+
+
 def test_logsumexp_bit_identical_to_scipy():
     sp = _scipy_special()
     rng = np.random.default_rng(11)
