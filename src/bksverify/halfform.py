@@ -11,7 +11,9 @@ Because the blocks of that 2n x 2n determinant commute, it reduces to
 the n x n determinant of N_{s+s'} = (1 - e^{-i(s+s')ad_Y}) ad_Y^{-1},
 which is evaluated in complex fixed point on Python integers with an
 exact Bareiss determinant: the result is many orders of magnitude below
-the entries, so double precision cancels to noise.  The ratio
+the entries, so double precision cancels to noise.  Its series run at
+1-norm at most 1 with as many terms as keep the omitted tail below a
+quarter of one fixed-point unit.  The ratio
 phi(s, s', Y) of the wedge density to the geometric mean of the two
 endpoint densities is the factor by which the prequantum BKS map fails
 to be parallel transport; its criticality at s = s' is checked by finite
@@ -19,7 +21,9 @@ differences.
 
 eta, |Omega_s|^2, the wedge density and phi take one algebra vector of
 shape ``(dim,)`` and return a float, or a batch of shape ``(N, dim)``
-and return an ``(N,)`` array.
+and return an ``(N,)`` array; the determinant route returns a complex
+number or an ``(N,)`` complex array.  |Omega_s|^2 and both wedge routes
+also take s and s' per row of a batch.
 """
 
 from __future__ import annotations
@@ -98,105 +102,181 @@ def eta(group: GroupSpec, Y):
     return eta_from_roots(root_values(group, Y))
 
 
-def omega_norm_sq(group: GroupSpec, s: float, Y):
-    """Half-form density |Omega_s|^2 = s^n eta(sY)^2."""
-    if s <= 0.0:
+def omega_norm_sq(group: GroupSpec, s, Y):
+    """Half-form density |Omega_s|^2 = s^n eta(sY)^2.
+
+    s is one parameter or one per row of a batch Y.
+    """
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= 0.0):
         raise ValueError("polarization parameter s must be positive")
     Y = np.asarray(Y, dtype=float)
-    return s**group.dim * eta(group, s * Y) ** 2
+    # Python's power element by element: numpy's vectorized power can
+    # differ from it in the last bit, and a sample's density should not
+    # depend on the batch it comes in
+    s_n = np.vectorize(lambda v: v**group.dim, otypes=[float])(s)
+    return _scalar_or_array(s_n * eta(group, s[..., None] * Y) ** 2)
 
 
-def wedge_density(group: GroupSpec, s: float, s_prime: float, Y):
+def wedge_density(group: GroupSpec, s, s_prime, Y):
     """Closed form of the half-form wedge density, |Omega_{(s+s')/2}|^2.
 
-    s' = 0 is admitted for the vertical-limit path; both parameters zero
-    is rejected.
+    s and s' are one value each or one per row of a batch Y.  s' = 0 is
+    admitted for the vertical-limit path; both parameters zero is
+    rejected.
     """
-    if s < 0.0 or s_prime < 0.0 or s + s_prime <= 0.0:
+    s, s_prime = np.asarray(s, dtype=float), np.asarray(s_prime, dtype=float)
+    if np.any(s < 0.0) or np.any(s_prime < 0.0) or np.any(s + s_prime <= 0.0):
         raise ValueError("need s, s' >= 0 with s + s' > 0")
     return omega_norm_sq(group, 0.5 * (s + s_prime), Y)
 
 
-def _cmul(x, y, shift: int):
-    """Product of two complex fixed-point matrices (re, im), shifted right."""
+# the series for e^z and phi1(z) run at 1-norm at most _SERIES_RADIUS, and
+# their omitted tails stay below 2^-_SERIES_GUARD fixed-point units
+_SERIES_RADIUS = 1.0
+_SERIES_GUARD = 2
+
+
+def _series_terms(bits: int) -> int:
+    """Smallest m with r^(m+1)/(m+1)! e^r <= 2^-(bits + guard), r the radius.
+
+    For |z|_1 <= r the tail of e^z past z^m/m! is at most
+    sum_{j>m} r^j/j! <= r^(m+1)/(m+1)! e^r, and the tail of phi1(z) past
+    z^(m-1)/m! is at most r^m/(m+1)! e^r, which r >= 1 keeps under the
+    same bound.
+    """
+    r = _SERIES_RADIUS
+    log_bound = -(bits + _SERIES_GUARD) * math.log(2.0)
+    m = 0
+    while (m + 1) * math.log(r) - math.lgamma(m + 2) + r > log_bound:
+        m += 1
+    return m
+
+
+def _cmul(x, y, shift):
+    """Product of two stacks of complex fixed-point matrices, shifted right.
+
+    Three real products instead of four: xr yi + xi yr is taken as
+    (xr + xi)(yr + yi) - xr yr - xi yi, exact on integers.
+    """
     (xr, xi), (yr, yi) = x, y
-    return (xr @ yr - xi @ yi) >> shift, (xr @ yi + xi @ yr) >> shift
+    rr, ii = xr @ yr, xi @ yi
+    return (rr - ii) >> shift, ((xr + xi) @ (yr + yi) - rr - ii) >> shift
+
+
+def _series(B, eye, shift, nterms):
+    """e^{iB} and phi1(iB) as pairs (re, im) of fixed-point stacks.
+
+    Matrix i of the stack takes the terms up to B^m/m! of e^{iB} and up to
+    B^(m-1)/m! of phi1(iB), m = nterms[i]; nterms must not increase along
+    the stack, so the matrices still taking terms are a leading slice.
+    """
+    # the series term B^m/m! carries the unit i^m: sort the terms by
+    # m mod 4 and assemble re and im at the end
+    exp_parts = [0 * eye for _ in range(4)]
+    phi_parts = [0 * eye for _ in range(4)]
+    term = eye.copy()
+    live = len(nterms)
+    for j in range(1, nterms[0] + 1):
+        exp_parts[(j - 1) % 4][:live] += term[:live]
+        live = np.count_nonzero(nterms >= j)
+        phi_parts[(j - 1) % 4][:live] += term[:live] // j
+        term[:live] = ((term[:live] @ B[:live]) >> shift[:live]) // j
+    exp_parts[nterms[0] % 4][:live] += term[:live]
+    E = (exp_parts[0] - exp_parts[2], exp_parts[1] - exp_parts[3])
+    F = (phi_parts[0] - phi_parts[2], phi_parts[1] - phi_parts[3])
+    return E, F
 
 
 def _n_matrix(
-    A: np.ndarray, t: float, bits: int, nterms: int
+    A: np.ndarray, t: np.ndarray, bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """N_t = (1 - e^{-itA}) A^{-1} = it*phi1(-itA) in complex fixed point.
 
+    A is a stack ``(N, n, n)``, t and bits one value per matrix.
     phi1(z) = (e^z - 1)/z is entire, so the kernel directions of A are
-    handled exactly.  z = -itA is scaled by 2^-k to 1-norm at most 1e-3,
-    where e^z and phi1(z) are truncated series; k doublings
-    phi1(2z) = phi1(z)(e^z + 1)/2 and e^{2z} = (e^z)^2 undo the scaling.
-    Returns the pair (re, im) of integer matrices scaled by 2^bits.
+    handled exactly.  z = -itA is scaled by 2^-k to 1-norm at most
+    r = _SERIES_RADIUS, with one k for the whole stack, where e^z and
+    phi1(z) are truncated series of m = _series_terms(bits) terms, m of
+    each matrix's own: the omitted tail is at most r^(m+1)/(m+1)! e^r <=
+    2^-(bits+2), a quarter of one fixed-point unit, below the rounding of
+    each product.  k doublings phi1(2z) = phi1(z)(e^z + 1)/2 and
+    e^{2z} = (e^z)^2 undo the scaling.  Returns the pair (re, im) of
+    integer stacks, each matrix scaled by 2^bits of its own.
     """
-    norm = t * float(np.abs(A).sum(axis=0).max())
+    norm = float(np.max(t * np.abs(A).sum(axis=-2).max(axis=-1)))
     k = 0
-    while norm > 1e-3:
+    while norm > _SERIES_RADIUS:
         norm *= 0.5
         k += 1
+    # matrices in order of falling term count, so that those still taking
+    # terms are a leading slice of the stack
+    order = np.argsort(-bits, kind="stable")
+    A, t, bits = A[order], t[order], bits[order]
+    nterms = np.array([_series_terms(b) for b in bits.tolist()])
     # ldexp only moves the exponent, so t and every entry of A above
-    # 2^(52 - bits) in size convert exactly; z / 2^k = iB with B real
-    t_fixed = int(math.ldexp(t, bits))
-    A_fixed = np.frompyfunc(lambda a: int(math.ldexp(a, bits)), 1, 1)(A)
-    B = (A_fixed * -t_fixed) >> (bits + k)
-    # the series term B^m/m! carries the unit i^m: sort the terms by
-    # m mod 4 and assemble re and im at the end
-    eye = np.diag([1 << bits] * A.shape[0]).astype(object)
-    exp_parts = [0 * eye for _ in range(4)]
-    phi_parts = [0 * eye for _ in range(4)]
-    term = eye
-    for j in range(1, nterms + 1):
-        exp_parts[(j - 1) % 4] += term
-        phi_parts[(j - 1) % 4] += term // j
-        term = ((term @ B) >> bits) // j
-    exp_parts[nterms % 4] += term
-    E = (exp_parts[0] - exp_parts[2], exp_parts[1] - exp_parts[3])
-    F = (phi_parts[0] - phi_parts[2], phi_parts[1] - phi_parts[3])
-    for _ in range(k):
-        F = _cmul(F, (E[0] + eye, E[1]), bits + 1)
-        E = _cmul(E, E, bits)
-    return (-F[1] * t_fixed) >> bits, (F[0] * t_fixed) >> bits
+    # 2^(52 - bits) in size convert exactly
+    shift = bits.astype(object)[:, None, None]
+    t_fixed = np.array(
+        [int(math.ldexp(v, b)) for v, b in zip(t.tolist(), bits.tolist())], dtype=object
+    )[:, None, None]
+    to_fixed = np.frompyfunc(lambda a, b: int(math.ldexp(a, b)), 2, 1)
+    eye = np.zeros(A.shape, dtype=object)
+    diag = np.arange(A.shape[-1])
+    eye[:, diag, diag] = np.left_shift(1, shift[:, :, 0])
+    # z / 2^k = iB with B real; B is not kept past the series
+    E, F = _series((to_fixed(A, shift) * -t_fixed) >> (shift + k), eye, shift, nterms)
+    for i in range(k):
+        F = _cmul(F, (E[0] + eye, E[1]), shift + 1)
+        if i + 1 < k:
+            E = _cmul(E, E, shift)
+    back = np.argsort(order)
+    return ((-F[1] * t_fixed) >> shift)[back], ((F[0] * t_fixed) >> shift)[back]
 
 
-def _gaussian_det(re: np.ndarray, im: np.ndarray) -> tuple[int, int]:
-    """Exact determinant of the Gaussian-integer matrix re + i im.
+def _gaussian_det(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact determinants of a stack of Gaussian-integer matrices re + i im.
 
     Bareiss fraction-free elimination (Math. Comp. 22, 1968): every
     division by the previous pivot is exact in the Gaussian integers, so
-    no rounding enters after the matrix is formed.
+    no rounding enters after the matrices are formed.  A matrix whose
+    pivot is zero swaps rows on its own; one with no nonzero entry left in
+    the pivot column is singular, takes pivot 1 to keep the stack going,
+    and gets determinant 0.  Returns (re, im) object arrays of shape (N,).
     """
     re, im = re.copy(), im.copy()
-    n = re.shape[0]
-    sign = 1
+    N, n = re.shape[0], re.shape[-1]
+    sign = np.ones(N, dtype=object)
+    singular = np.zeros(N, dtype=bool)
     qr, qi = 1, 0
     for k in range(n - 1):
-        rows = [r for r in range(k, n) if re[r, k] or im[r, k]]
-        if not rows:
-            return 0, 0
-        if rows[0] != k:
-            re[[k, rows[0]]] = re[[rows[0], k]]
-            im[[k, rows[0]]] = im[[rows[0], k]]
-            sign = -sign
-        pr, pi = re[k, k], im[k, k]
-        cr, ci = re[k + 1:, k:k + 1], im[k + 1:, k:k + 1]
-        rr, ri = re[k:k + 1, k + 1:], im[k:k + 1, k + 1:]
-        ar, ai = re[k + 1:, k + 1:], im[k + 1:, k + 1:]
+        nonzero = (re[:, k:, k] != 0) | (im[:, k:, k] != 0)
+        for i in np.flatnonzero(~nonzero[:, 0]):
+            rows = np.flatnonzero(nonzero[i])
+            if rows.size == 0:
+                singular[i] = True
+                re[i, k, k] = 1
+                continue
+            r = k + rows[0]
+            re[i, [k, r]] = re[i, [r, k]]
+            im[i, [k, r]] = im[i, [r, k]]
+            sign[i] = -sign[i]
+        pr, pi = re[:, k:k + 1, k:k + 1], im[:, k:k + 1, k:k + 1]
+        cr, ci = re[:, k + 1:, k:k + 1], im[:, k + 1:, k:k + 1]
+        rr, ri = re[:, k:k + 1, k + 1:], im[:, k:k + 1, k + 1:]
+        ar, ai = re[:, k + 1:, k + 1:], im[:, k + 1:, k + 1:]
         nr = pr * ar - pi * ai - (cr * rr - ci * ri)
         ni = pr * ai + pi * ar - (cr * ri + ci * rr)
         # divide by the previous pivot q: multiply by conj(q), divide by |q|^2
         q2 = qr * qr + qi * qi
-        re[k + 1:, k + 1:] = (nr * qr + ni * qi) // q2
-        im[k + 1:, k + 1:] = (ni * qr - nr * qi) // q2
+        re[:, k + 1:, k + 1:] = (nr * qr + ni * qi) // q2
+        im[:, k + 1:, k + 1:] = (ni * qr - nr * qi) // q2
         qr, qi = pr, pi
-    return sign * re[n - 1, n - 1], sign * im[n - 1, n - 1]
+    sign[singular] = 0
+    return sign * re[:, n - 1, n - 1], sign * im[:, n - 1, n - 1]
 
 
-def wedge_density_det(group: GroupSpec, s: float, s_prime: float, Y) -> complex:
+def wedge_density_det(group: GroupSpec, s, s_prime, Y):
     """Wedge density from its defining determinant, without the root values.
 
     The definition is (-1)^{n(n-1)/2} det[[conj(M_s), conj(N_s)],
@@ -217,27 +297,32 @@ def wedge_density_det(group: GroupSpec, s: float, s_prime: float, Y) -> complex:
     is about 1e-8 at t*alpha(Y) = 20 and 0.7 at 37, while the suite samples
     t*alpha(Y) up to about 100.  N_t is therefore formed in complex fixed
     point, pairs of Python-integer matrices scaled by 2^bits with bits
-    sized from the exponent budget (s+s')*sum |alpha(Y)|, and its
-    determinant is taken exactly by Bareiss elimination; the only
+    sized per sample from the exponent budget (s+s')*sum |alpha(Y)|, and
+    its determinant is taken exactly by Bareiss elimination; the only
     roundings are those of the fixed-point products and the final
     int/int division.  On tori A = 0 and, for t >= 2^-28, N_t is exactly
     it, so the result equals wedge_density bit for bit.
+
+    Y of shape ``(dim,)`` gives a complex number, ``(N, dim)`` an ``(N,)``
+    complex array; s and s' are one value each or one per row.  The whole
+    batch is one pass over ``(N, dim, dim)`` stacks.
     """
-    if s <= 0.0 or s_prime <= 0.0:
+    if np.any(np.asarray(s) <= 0.0) or np.any(np.asarray(s_prime) <= 0.0):
         raise ValueError("determinant route requires s, s' > 0")
-    A = ad_matrix(group, Y)
+    Y = np.asarray(Y, dtype=float)
+    Ys = np.atleast_2d(Y)
+    t = np.broadcast_to(np.asarray(s, dtype=float) + s_prime, Ys.shape[:1])
     n = group.dim
-    t = s + s_prime
     # the determinant cancels at most e^{budget} of its entries' size; 80
-    # guard bits on top of that leave the result at double precision, and
-    # each series term at 1-norm 1e-3 gains at least 10 bits
-    exponent_budget = t * float(np.sum(np.abs(root_values(group, Y))))
-    bits = 80 + math.ceil(exponent_budget / math.log(2))
-    dr, di = _gaussian_det(*_n_matrix(A, t, bits, max(12, bits // 8)))
+    # guard bits on top of that leave the result at double precision
+    exponent_budget = t * np.sum(np.abs(root_values(group, Ys)), axis=-1)
+    bits = np.array([80 + math.ceil(b / math.log(2)) for b in exponent_budget])
+    dr, di = _gaussian_det(*_n_matrix(ad_matrix(group, Ys), t, bits))
     # divide by (2i)^n: rotate by (-i)^n, then scale by 2^-n with the 2^-bits*n
     dr, di = ((dr, di), (di, -dr), (-dr, -di), (-di, dr))[n % 4]
-    scale = 1 << ((bits + 1) * n)
-    return complex(dr / scale, di / scale)
+    scales = [1 << ((b + 1) * n) for b in bits.tolist()]
+    out = np.array([complex(r / q, i / q) for r, i, q in zip(dr, di, scales)])
+    return complex(out[0]) if Y.ndim == 1 else out
 
 
 def phi(group: GroupSpec, s: float, s_prime: float, Y):

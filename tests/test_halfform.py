@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from bksverify import groups, halfform
 
 TORUS = groups.group_spec("torus", n=1)
@@ -202,20 +203,156 @@ def test_wedge_det_is_exact_on_the_torus():
         Y = rng.standard_normal(1)
         assert halfform.wedge_density_det(TORUS, s, sp, Y) == complex(
             halfform.wedge_density(TORUS, s, sp, Y), 0.0)
+    s, sp = rng.uniform(0.05, 5.0, size=(2, 50))
+    Y = rng.standard_normal((50, 1))
+    det = halfform.wedge_density_det(TORUS, s, sp, Y)
+    assert np.array_equal(det, halfform.wedge_density(TORUS, s, sp, Y).astype(complex))
+
+
+@pytest.mark.parametrize("group", [TORUS, SU2, SU3], ids=lambda g: g.kind)
+def test_wedge_det_batch_of_one_keeps_the_scalar_contract(group):
+    # one vector gives a complex number, a batch of one a (1,) array
+    Y = np.random.default_rng(20).standard_normal(group.dim)
+    one = halfform.wedge_density_det(group, 0.7, 1.9, Y)
+    batch = halfform.wedge_density_det(group, 0.7, 1.9, Y[None])
+    assert type(one) is complex
+    assert batch.shape == (1,) and batch.dtype == complex
+    assert batch[0] == one
+
+
+@pytest.mark.parametrize("group", [TORUS, SU2, SU3], ids=lambda g: g.kind)
+def test_wedge_density_takes_per_sample_parameters(group):
+    # arrays of s and s' give row by row the one-vector values, bit for bit
+    rng = np.random.default_rng(21)
+    Y = rng.standard_normal((30, group.dim))
+    s, sp = rng.uniform(0.25, 3.0, size=(2, 30))
+    rows = [halfform.wedge_density(group, float(a), float(b), y)
+            for a, b, y in zip(s, sp, Y)]
+    assert np.array_equal(halfform.wedge_density(group, s, sp, Y), rows)
+
+
+def _job_draws(kind):
+    from bksverify import suite
+
+    group = groups.group_spec(kind)
+    return (group,) + suite._wedge_draws(group, suite._job_seed(0, f"wedge/{kind}"))
+
+
+@pytest.mark.parametrize("kind", ["su2", "su3"])
+def test_batched_wedge_det_matches_the_per_sample_route(kind):
+    # the wedge job's default draws, then the largest budget s = s' = 3,
+    # against one matrix at a time at 1-norm 1e-3
+    group, Y, s, sp = _job_draws(kind)
+    cases = [(s, sp, Y), (np.full(25, 3.0), np.full(25, 3.0), Y[:25])]
+    for s, sp, Y in cases:
+        det = halfform.wedge_density_det(group, s, sp, Y)
+        ref = np.array([oracles.wedge_density_det_per_sample(group, a, b, y)
+                        for a, b, y in zip(s, sp, Y)])
+        np.testing.assert_allclose(det.real, ref.real, rtol=1e-15, atol=0.0)
+        assert np.all(np.abs(det.imag) <= 1e-18 * det.real)
+
+
+@pytest.mark.parametrize("group", [SU2, SU3], ids=lambda g: g.kind)
+def test_mixed_budget_batch_gives_each_sample_its_own_value(group, monkeypatch):
+    # 80 bits next to several hundred: each row keeps the precision its
+    # own budget needs, whatever else is in the batch
+    bits_seen = []
+
+    def recorded(A, t, bits):
+        bits_seen.append(bits.tolist())
+        return n_matrix(A, t, bits)
+
+    n_matrix = halfform._n_matrix
+    monkeypatch.setattr(halfform, "_n_matrix", recorded)
+    rng = np.random.default_rng(22)
+    Y = rng.standard_normal((6, group.dim))
+    Y *= np.array([0.05, 5.0, 0.5, 5.0, 0.05, 2.0])[:, None] / np.linalg.norm(
+        Y, axis=1, keepdims=True)
+    s = np.array([0.25, 3.0, 1.0, 3.0, 0.3, 2.0])
+    sp = np.array([0.25, 3.0, 0.5, 2.5, 0.25, 1.0])
+    det = halfform.wedge_density_det(group, s, sp, Y)
+    alone = [halfform.wedge_density_det(group, a, b, y) for a, b, y in zip(s, sp, Y)]
+    np.testing.assert_allclose(det.real, np.real(alone), rtol=1e-15, atol=0.0)
+    assert bits_seen[0] == [b for (b,) in bits_seen[1:]]
+    assert min(bits_seen[0]) < 90 < 300 < max(bits_seen[0])
+    closed = halfform.wedge_density(group, s, sp, Y)
+    np.testing.assert_allclose(det.real, closed, rtol=1e-12, atol=0.0)
+
+
+def test_series_terms_meet_the_stated_tail_bound():
+    # for every precision the default SU(3) wedge job reaches, m terms at
+    # radius r leave a tail r^(m+1)/(m+1)! e^r <= 2^-(bits + guard), and
+    # m - 1 terms would not; e^r is bracketed by rationals, so this is exact
+    from fractions import Fraction
+
+    group, Y, s, sp = _job_draws("su3")
+    budget = (s + sp) * np.sum(np.abs(groups.root_values(group, Y)), axis=-1)
+    top = max(80 + math.ceil(b / math.log(2)) for b in budget)
+    assert top > 200
+    r = Fraction(halfform._SERIES_RADIUS)
+    # the phi1 tail, r^m/(m+1)! e^r, is covered only for r >= 1
+    assert 1 <= r <= 40
+    exp_low = sum(r**j / math.factorial(j) for j in range(81))
+    exp_high = exp_low + 2 * r**81 / math.factorial(81)
+    for bits in range(80, top + 1):
+        m = halfform._series_terms(bits)
+        unit = Fraction(1, 2 ** (bits + halfform._SERIES_GUARD))
+        assert r ** (m + 1) / math.factorial(m + 1) * exp_high <= unit, bits
+        assert r**m / math.factorial(m) * exp_low > unit, bits
 
 
 def test_gaussian_det_bareiss():
     # a zero leading pivot forces a row swap; a singular matrix gives 0
+    def one(re, im):
+        dr, di = halfform._gaussian_det(re[None], im[None])
+        return dr[0], di[0]
+
     swap = np.array([[0, 1, 2], [3, 0, 1], [1, 1, 0]], dtype=object)
-    assert halfform._gaussian_det(swap, 0 * swap) == (7, 0)
+    assert one(swap, 0 * swap) == (7, 0)
     rng = np.random.default_rng(19)
     re = rng.integers(-9, 10, size=(5, 5))
     im = rng.integers(-9, 10, size=(5, 5))
-    dr, di = halfform._gaussian_det(re.astype(object), im.astype(object))
     want = np.linalg.det(re + 1j * im)
-    assert (dr, di) == (round(want.real), round(want.imag))
+    assert one(re.astype(object), im.astype(object)) == (round(want.real), round(want.imag))
     singular = np.array([[1, 2], [2, 4]], dtype=object)
-    assert halfform._gaussian_det(singular, singular) == (0, 0)
+    assert one(singular, singular) == (0, 0)
+
+
+def _cofactor_det(m):
+    """Exact determinant of a square list of Gaussian integers (re, im)."""
+    if len(m) == 1:
+        return m[0][0]
+    total_r, total_i = 0, 0
+    for j, (a, b) in enumerate(m[0]):
+        c, d = _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        sign = -1 if j % 2 else 1
+        total_r += sign * (a * c - b * d)
+        total_i += sign * (a * d + b * c)
+    return total_r, total_i
+
+
+def test_gaussian_det_pivots_each_matrix_of_a_stack_on_its_own():
+    # matrix 0 has a zero (0,0) entry and swaps rows 0 and 2; matrix 1 is
+    # singular, its column 1 running out after the first step; matrix 2
+    # has a zero (2,0) entry, so swapping the whole stack, or no matrix,
+    # puts a zero pivot in front of Bareiss
+    re = np.array([
+        [[0, 0, 0, 3], [0, 1, 0, 2], [2, 1, 1, 0], [1, 0, 3, 1]],
+        [[1, 2, 0, 1], [2, 4, 1, 0], [3, 6, 2, 2], [1, 2, 5, 3]],
+        [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 4, 1], [1, 0, 1, 2]],
+    ], dtype=object)
+    im = np.array([
+        [[0, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 1], [0, 1, 1, 0]],
+        [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]],
+    ], dtype=object)
+    dr, di = halfform._gaussian_det(re, im)
+    for i in range(3):
+        want = _cofactor_det([[(int(a), int(b)) for a, b in zip(ra, ia)]
+                              for ra, ia in zip(re[i], im[i])])
+        assert (dr[i], di[i]) == want, i
+    assert (dr[1], di[1]) == (0, 0)
+    assert (dr[0], di[0]) != (0, 0) and (dr[2], di[2]) != (0, 0)
 
 
 def test_phi_trivial_values():

@@ -180,7 +180,24 @@ def test_wedge_job_fails_when_the_closed_form_is_off(kind, monkeypatch):
                         lambda *a: closed(*a) * (1.0 + 1e-3))
     rep = suite._job_wedge(group, 1e-8, 5, samples=3)
     assert not rep.passed
-    assert rep.abs_residual == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-6)
+    assert rep.rel_residual == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
+def test_wedge_report_gives_the_worst_samples_absolute_and_relative_error(kind):
+    # abs is |det - closed| of the worst sample, rel that over its size;
+    # the verdict stays relative, and exact tori read 0 against 1
+    from bksverify import groups
+    group = groups.group_spec(kind)
+    rep = suite._job_wedge(group, 1e-8, 5, samples=20)
+    assert rep.passed
+    assert rep.abs_residual == abs(rep.lhs - rep.rhs)
+    assert rep.rel_residual == rep.abs_residual / max(abs(rep.lhs), abs(rep.rhs))
+    if kind == "torus":
+        assert (rep.lhs, rep.rhs, rep.abs_residual) == (1.0, 1.0, 0.0)
+        return
+    assert 0.0 < rep.rel_residual < 1e-12 < 1.0 < abs(rep.rhs)
+    assert not suite._job_wedge(group, 0.5 * rep.rel_residual, 5, samples=20).passed
 
 
 @pytest.mark.parametrize("kind", ["torus", "su2"])
