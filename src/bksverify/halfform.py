@@ -188,6 +188,14 @@ def _series(B, eye, shift, nterms):
     return E, F
 
 
+def _to_fixed(v: float, bits: int) -> int:
+    """int(v * 2^bits) taken exactly, also where v * 2^bits leaves float
+    range; v = p/q with q a power of two, so // truncates like int()."""
+    p, q = v.as_integer_ratio()
+    m = (abs(p) << bits) // q
+    return m if p >= 0 else -m
+
+
 def _n_matrix(
     A: np.ndarray, t: np.ndarray, bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -214,13 +222,9 @@ def _n_matrix(
     order = np.argsort(-bits, kind="stable")
     A, t, bits = A[order], t[order], bits[order]
     nterms = np.array([_series_terms(b) for b in bits.tolist()])
-    # ldexp only moves the exponent, so t and every entry of A above
-    # 2^(52 - bits) in size convert exactly
     shift = bits.astype(object)[:, None, None]
-    t_fixed = np.array(
-        [int(math.ldexp(v, b)) for v, b in zip(t.tolist(), bits.tolist())], dtype=object
-    )[:, None, None]
-    to_fixed = np.frompyfunc(lambda a, b: int(math.ldexp(a, b)), 2, 1)
+    to_fixed = np.frompyfunc(_to_fixed, 2, 1)
+    t_fixed = to_fixed(t[:, None, None], shift)
     eye = np.zeros(A.shape, dtype=object)
     diag = np.arange(A.shape[-1])
     eye[:, diag, diag] = np.left_shift(1, shift[:, :, 0])

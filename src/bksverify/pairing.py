@@ -441,19 +441,6 @@ def bks_factor_log(
     return log_cross - log_norm, err_cross + err_norm
 
 
-def bks_factor_numeric(
-    group: GroupSpec, hbar0: float, s: float, s_prime: float, irrep: Irrep,
-    quad_factory=None,
-):
-    """Pairing factor on one irrep block from numeric integrals,
-    e^{bks_factor_log}; contract bks_factor_closed.  Returned as
-    (value, error_estimate).
-    """
-    log_value, log_err = bks_factor_log(group, hbar0, s, s_prime, irrep, quad_factory)
-    value = math.exp(log_value)
-    return value, value * log_err
-
-
 def bks_map_apply(s: float, s_prime: float, secp: QuantumSection) -> QuantumSection:
     """Pairing map from parameter s' to parameter s.
 

@@ -16,9 +16,9 @@ import json
 import math
 import os
 import time
+import traceback
 import zlib
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,15 +85,15 @@ def _grid_value_near(values, target):
     return min(values, key=lambda v: abs(v - target))
 
 
+def _label(group: GroupSpec, m: int) -> tuple:
+    """Frequency m on a torus, doubled spin m on SU(2), Dynkin (m, 0) on SU(3)."""
+    return (m,) + (0,) * (group.rank - 1)
+
+
 def default_band_limit(group: GroupSpec) -> float:
     """Casimir cutoff for test functions: |k| <= 5, j <= 2, or su3 fundamentals."""
-    if group.kind == "torus":
-        label = (5,) + (0,) * (group.dim - 1)
-    elif group.kind == "su2":
-        label = (4,)
-    else:
-        label = (1, 0)
-    return casimir(group, label) + 1e-9
+    m = {"torus": 5, "su2": 4}.get(group.kind, 1)
+    return casimir(group, _label(group, m)) + 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -101,6 +101,17 @@ def _fmt(x: float) -> str:
 
 
 # -- job bodies ----------------------------------------------------------
+
+
+def _draw(group, band, seed, count=2):
+    """``count`` band-limited functions, in order, from the job's generator."""
+    rng = np.random.default_rng(seed)
+    return [random_band_limited(group, band, rng) for _ in range(count)]
+
+
+def _norm_product(f, fp) -> float:
+    """sqrt(|<f, f>| |<f', f'>|), the scale of a residual on <f, f'>."""
+    return math.sqrt(abs(l2_inner(f, f)) * abs(l2_inner(fp, fp)))
 
 
 def _wedge_draws(group, seed, samples=100):
@@ -152,13 +163,11 @@ def _job_cst_analytic(group, hbar0, s, band, tol, seed):
     # the e^{hbar c_R} measure weight must stay inside float range even
     # though it cancels analytically against the transform factors
     band = min(band, 600.0 / (hbar0 * s))
-    rng = np.random.default_rng(seed)
-    f = random_band_limited(group, band, rng)
-    fp = random_band_limited(group, band, rng)
+    f, fp = _draw(group, band, seed)
     hbar = hbar0 * s
     lhs = hl2_inner(group, hbar0, s, cst_forward(hbar, f), cst_forward(hbar, fp))
     rhs = l2_inner(f, fp)
-    scale = math.sqrt(abs(l2_inner(f, f)) * abs(l2_inner(fp, fp)))
+    scale = _norm_product(f, fp)
     rel = abs(lhs - rhs) / scale
     return _report(
         "cst-unitarity", group,
@@ -170,17 +179,14 @@ def _job_cst_analytic(group, hbar0, s, band, tol, seed):
 def _job_cst_quadrature(group, hbar0, s, band, points, tol, seed):
     # restricted band: matrix-element growth e^{2 k beta} must stay well
     # inside float range over the full reach of the Hermite rule
-    cap = casimir(group, (2,) + (0,) * (group.dim - 1)) if group.kind == "torus" \
-        else casimir(group, (4,))
+    cap = casimir(group, _label(group, 2 if group.kind == "torus" else 4))
     band = min(band, cap + 1e-9)
-    rng = np.random.default_rng(seed)
-    f = random_band_limited(group, band, rng)
-    fp = random_band_limited(group, band, rng)
+    f, fp = _draw(group, band, seed)
     hbar = hbar0 * s
     F, Fp = cst_forward(hbar, f), cst_forward(hbar, fp)
     lhs, err = hl2_inner_quadrature(group, hbar0, s, F, Fp, points=points)
     rhs = hl2_inner(group, hbar0, s, F, Fp)
-    scale = math.sqrt(abs(l2_inner(f, f)) * abs(l2_inner(fp, fp)))
+    scale = _norm_product(f, fp)
     rel = abs(lhs - rhs) / scale
     return _report(
         "cst-unitarity", group,
@@ -191,21 +197,19 @@ def _job_cst_quadrature(group, hbar0, s, band, points, tol, seed):
 
 
 def _job_pairing_random(group, hbar0, s, sp, band, n_pairs, factory, tol, seed):
-    rng = np.random.default_rng(seed)
+    draws = _draw(group, band, seed, 2 * n_pairs)
     amid = a_s(group, hbar0, 0.5 * (s + sp))
     worst = 0.0
     worst_vals = (0.0 + 0.0j, 0.0 + 0.0j)
     err_worst = 0.0
-    for _ in range(n_pairs):
-        f = random_band_limited(group, band, rng)
-        fp = random_band_limited(group, band, rng)
+    for f, fp in zip(draws[::2], draws[1::2]):
         val, err = pairing.quantum_pair(
             QuantumSection(s=s, f=f, hbar0=hbar0),
             QuantumSection(s=sp, f=fp, hbar0=hbar0),
             factory,
         )
         target = amid * l2_inner(f, fp)
-        scale = amid * math.sqrt(abs(l2_inner(f, f)) * abs(l2_inner(fp, fp)))
+        scale = amid * _norm_product(f, fp)
         rel = abs(val - target) / scale
         if rel > worst:
             worst, worst_vals, err_worst = rel, (val, target), err / scale
@@ -218,9 +222,7 @@ def _job_pairing_random(group, hbar0, s, sp, band, n_pairs, factory, tol, seed):
 
 
 def _job_pairing_orthogonal(group, hbar0, s, sp, band, factory, tol, seed):
-    rng = np.random.default_rng(seed)
-    f = random_band_limited(group, band, rng)
-    fp = random_band_limited(group, band, rng)
+    f, fp = _draw(group, band, seed)
     # blockwise Gram-Schmidt so <f, f_perp> = 0 at machine precision
     coeff = l2_inner(f, fp) / l2_inner(f, f)
     blocks = {
@@ -233,7 +235,7 @@ def _job_pairing_orthogonal(group, hbar0, s, sp, band, factory, tol, seed):
         factory,
     )
     amid = a_s(group, hbar0, 0.5 * (s + sp))
-    scale = amid * math.sqrt(abs(l2_inner(f, f)) * abs(l2_inner(f_perp, f_perp)))
+    scale = amid * _norm_product(f, f_perp)
     rel = abs(val) / scale
     return _report(
         "pairing", group,
@@ -289,14 +291,10 @@ def _job_factorization(group, hbar0, cells, triples, irrep, tol):
 
 
 def _job_vertical_direct(group, hbar0, s, band, factory, tol, seed):
-    rng = np.random.default_rng(seed)
-    f = random_band_limited(group, band, rng)
-    fp = random_band_limited(group, band, rng)
+    f, fp = _draw(group, band, seed)
     val, err = pairing.vertical_pair(hbar0, s, f, fp, factory)
     target = a_s(group, hbar0, 0.5 * s) * l2_inner(f, fp)
-    scale = a_s(group, hbar0, 0.5 * s) * math.sqrt(
-        abs(l2_inner(f, f)) * abs(l2_inner(fp, fp))
-    )
+    scale = a_s(group, hbar0, 0.5 * s) * _norm_product(f, fp)
     rel = abs(val - target) / scale
     return _report(
         "vertical-limit", group,
@@ -308,9 +306,7 @@ def _job_vertical_direct(group, hbar0, s, band, factory, tol, seed):
 def _job_vertical_extrapolation(group, hbar0, s, band, factory, seed):
     # linear-in-s' Richardson from two small parameters; the tolerance
     # is three times the extrapolation's own error estimate
-    rng = np.random.default_rng(seed)
-    f = random_band_limited(group, band, rng)
-    fp = random_band_limited(group, band, rng)
+    f, fp = _draw(group, band, seed)
     target, _ = pairing.vertical_pair(hbar0, s, f, fp, factory)
     s1, s3 = 1e-2, 1e-3
     v1, _ = pairing.quantum_pair(
@@ -337,8 +333,7 @@ def _job_vertical_extrapolation(group, hbar0, s, band, factory, seed):
 
 
 def _job_continuity(group, hbar0, band, factory, tol, seed):
-    rng = np.random.default_rng(seed)
-    f = random_band_limited(group, band, rng)
+    (f,) = _draw(group, band, seed, count=1)
     return pairing.continuity_check(group, hbar0, f, (4e-3, 2e-3, 1e-3), factory, tol)
 
 
@@ -375,19 +370,15 @@ def _job_prequantum(group, tol):
 # -- job list ------------------------------------------------------------
 
 
-class _RunContext(NamedTuple):
-    group: GroupSpec
-    band: float
-    factory: object  # (t, irrep) -> character-Gaussian quadrature rule
-    s_pos: list
-    s_mid: float
-    cells: list  # (s, s') with both positive
-    cells_with_zero: list  # (s, s') over the whole s' grid, 0 included
+def _group(cfg: RunConfig) -> GroupSpec:
+    return group_spec(cfg.group, n=cfg.torus_rank, normalization=cfg.normalization)
 
 
-def _run_context(cfg: RunConfig) -> _RunContext:
-    """Group, band limit, character-rule factory and (s, s') cells of a run."""
-    group = group_spec(cfg.group, n=cfg.torus_rank, normalization=cfg.normalization)
+def build_jobs(cfg: RunConfig) -> list:
+    """All jobs for the configured group and identity selection; the one
+    place that derives a run's band limit, character rules and cells."""
+    group = _group(cfg)
+    kind = group.kind
     band = cfg.band_limit if cfg.band_limit is not None else default_band_limit(group)
     factory = pairing.default_char_factory(
         group, cfg.hbar0, backend=cfg.char_backend, samples=cfg.mc_samples,
@@ -397,37 +388,20 @@ def _run_context(cfg: RunConfig) -> _RunContext:
     s_pos = [s for s in cfg.s_grid if s > 0.0]
     sp_pos = [s for s in cfg.s_prime_grid if s > 0.0]
     s_mid = _grid_value_near(s_pos, 1.0)
-    if group.kind == "su3":
+    if kind == "su3":
         # su3 runs one representative cell instead of the full grid; the
         # batched integrands make the full grid affordable, and widening
         # it is a change of its own
         cells = [(s_mid, _grid_value_near(sp_pos, 0.5))]
         cells_with_zero = cells + [(s_mid, 0.0)]
+        spec_labels = [_label(group, 0), _label(group, 1), (1, 1)]
     else:
         cells = [(s, sp) for s in s_pos for sp in sp_pos]
         cells_with_zero = [(s, sp) for s in s_pos for sp in cfg.s_prime_grid]
-    return _RunContext(group, band, factory, s_pos, s_mid, cells, cells_with_zero)
-
-
-def bks_factor_tolerance(cfg: RunConfig) -> float:
-    """Bar on the relative BKS-factor residual, for verify and the table."""
-    return _tol(cfg, "bks-factor", 1e-10 if cfg.group == "torus" else 1e-6)
-
-
-def build_jobs(cfg: RunConfig) -> list:
-    """All jobs for the configured group and identity selection."""
-    group, band, factory, s_pos, s_mid, cells, cells_with_zero = _run_context(cfg)
-    kind = group.kind
+        spec_labels = [_label(group, m) for m in range(6)]
     triples = [(s_pos[0], s_mid, s_pos[-1])]
     band_irreps = [r for r in enumerate_irreps(group, band) if r.casimir > 0.0]
-    if kind == "torus":
-        spec_irreps = [
-            make_irrep(group, (k,) + (0,) * (group.dim - 1)) for k in range(6)
-        ]
-    elif kind == "su2":
-        spec_irreps = [make_irrep(group, (m,)) for m in range(6)]
-    else:
-        spec_irreps = [make_irrep(group, lab) for lab in ((0, 0), (1, 0), (1, 1))]
+    spec_irreps = [make_irrep(group, label) for label in spec_labels]
 
     hbar0 = cfg.hbar0
     jobs: list[Job] = []
@@ -470,7 +444,7 @@ def build_jobs(cfg: RunConfig) -> list:
                 add(key, _job_pairing_orthogonal, group, hbar0, s, sp, band,
                     factory, tol_orth, seed(key))
         elif family == "bks-factor":
-            tol = bks_factor_tolerance(cfg)
+            tol = _tol(cfg, family, 1e-10 if kind == "torus" else 1e-6)
             for irrep in band_irreps:
                 for s, sp in cells:
                     key = (f"bks-factor/{kind}/{irrep.label}/"
@@ -509,11 +483,8 @@ def build_jobs(cfg: RunConfig) -> list:
                 # delta-two on SU(3) is an 8-D integral of a non-invariant
                 # integrand; it runs on tori and SU(2) only
                 continue
-            two_labels = range(2) if kind == "torus" else range(3)
             pts = cfg.delta_points_torus if kind == "torus" else cfg.delta_points_su2
-            for m in two_labels:
-                label = (m,) + (0,) * (group.dim - 1) if kind == "torus" else (m,)
-                irrep = make_irrep(group, label)
+            for irrep in spec_irreps[:2 if kind == "torus" else 3]:
                 key = f"delta/{kind}/two/{irrep.label}"
                 add(key, pairing.verify_delta_two, group, hbar0, 1.0, 0.5, 0.3, irrep,
                     tolerance=tol, seed=seed(key), t_alt=0.55, points=pts)
@@ -529,10 +500,12 @@ def build_jobs(cfg: RunConfig) -> list:
 
 
 def _error_report(key: str, cfg: RunConfig, exc: Exception) -> PairingReport:
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
     return PairingReport(
         identity=key.split("/", 1)[0],
-        group=cfg.group,
-        params={"error": f"{type(exc).__name__}: {exc}"},
+        group=_group(cfg).describe(),
+        params={"error": f"{type(exc).__name__}: {exc} at {where}"},
         lhs=float("nan"),
         rhs=float("nan"),
         abs_residual=float("inf"),
@@ -646,33 +619,24 @@ def emit_table(report: SuiteReport, fmt: str, out_dir: str) -> list:
     ]
 
 
-def pairing_factor_rows(cfg: RunConfig) -> list:
-    """Rows (irrep, s, s', numeric factor, closed factor, residual)."""
-    ctx = _run_context(cfg)
-    group, band, factory, cells = ctx.group, ctx.band, ctx.factory, ctx.cells
-    rows = []
-    for irrep in enumerate_irreps(group, band):
-        if irrep.casimir <= 0.0:
-            continue
-        for s, sp in cells:
-            # factor columns are emitted as plain floats, so parameter
-            # cells whose factor leaves float range are omitted
-            if abs(pairing.bks_exponent(group, cfg.hbar0, s, sp, irrep)) > 300.0:
-                continue
-            numeric, _ = pairing.bks_factor_numeric(group, cfg.hbar0, s, sp,
-                                                    irrep, factory)
-            closed = pairing.bks_factor_closed(group, cfg.hbar0, s, sp, irrep)
-            rows.append({
-                "irrep": str(irrep.label),
-                "s": s,
-                "s_prime": sp,
-                "numeric_factor": numeric,
-                "closed_factor": closed,
-                "residual": abs(numeric - closed) / closed,
-            })
-    return rows
-
-
 FACTOR_COLUMNS = (
     "irrep", "s", "s_prime", "numeric_factor", "closed_factor", "residual",
 )
+
+
+def pairing_factor_rows(cfg: RunConfig) -> tuple:
+    """The bks-factor checks as rows (irrep, s, s', numeric factor, closed
+    factor, residual) in job order, and whether every check passed."""
+    rows, all_passed = [], True
+    for job in build_jobs(replace(cfg, identities=("bks-factor",))):
+        rep = job.thunk()
+        all_passed = all_passed and rep.passed
+        # factor columns are emitted as plain floats, so cells reported on
+        # the log scale (factor out of float range) get no row
+        if rep.params.get("scale") == "log":
+            continue
+        rows.append(dict(zip(FACTOR_COLUMNS, (
+            rep.params["irrep"], rep.params["s"], rep.params["s_prime"],
+            rep.lhs, rep.rhs, rep.abs_residual,
+        ))))
+    return rows, all_passed

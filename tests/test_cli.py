@@ -1,6 +1,7 @@
 """Command line interface and the frozen golden report."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from bksverify import cli, config, suite
+from bksverify import cli, config, pairing, suite
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_CFG = os.path.join(GOLDEN_DIR, "torus.cfg")
@@ -140,6 +141,44 @@ def test_table_bar_is_the_bks_factor_tolerance(tmp_path, capsys):
     code = cli.main(["table", "pairing-factors", "--config", str(tight),
                      "--out", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("source", ["golden", "torus", "su2"])
+def test_factor_table_rows_are_the_bks_factor_reports(source):
+    # rows are the checks' own sides and residuals, in job order, minus the
+    # cells reported on the log scale; the torus defaults have such cells
+    if source == "golden":
+        cfg = config.load_config(GOLDEN_CFG)
+    else:
+        cfg = config.default_config(group=source, identities=("bks-factor",))
+    keys = [job.key for job in suite.build_jobs(cfg) if job.key.startswith("bks-factor/")]
+    report = suite.run_suite(dataclasses.replace(cfg, identities=("bks-factor",)))
+    by_key = dict(report.reports)
+    assert sorted(keys) == sorted(by_key)
+    want = [
+        (r.params["irrep"], r.params["s"], r.params["s_prime"], r.lhs, r.rhs,
+         r.abs_residual)
+        for r in (by_key[k] for k in keys) if r.params.get("scale") != "log"
+    ]
+    assert (len(want) < len(keys)) == (source == "torus")
+    rows, all_passed = suite.pairing_factor_rows(cfg)
+    assert [tuple(row[c] for c in suite.FACTOR_COLUMNS) for row in rows] == want
+    assert all_passed and report.summary["failed"] == 0
+
+
+def test_factor_table_fails_when_the_character_integral_is_off(tmp_path, capsys,
+                                                               monkeypatch):
+    # a t-dependent error in log G_R moves every off-diagonal factor
+    char_log = pairing.char_gaussian_log
+
+    def off(group, hbar0, t, irrep, quad):
+        logv, err = char_log(group, hbar0, t, irrep, quad)
+        return logv + 1e-3 * t, err
+
+    argv = ["table", "pairing-factors", "--config", GOLDEN_CFG, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(pairing, "char_gaussian_log", off)
+    assert cli.main(argv) == 1
 
 
 def test_empty_pairing_factor_table_writes_header_only(tmp_path, capsys):

@@ -195,6 +195,28 @@ def test_wedge_det_at_the_largest_exponent_budget(group):
         assert abs(det - closed) / closed < 1e-10
 
 
+@pytest.mark.parametrize("group, radius", [(SU2, 20.5), (SU3, 13.5)],
+                         ids=["su2", "su3"])
+def test_wedge_det_where_fixed_point_entries_leave_float_range(group, radius):
+    # s = s' = 3: the precision asks for more than 2^1024 times the entries
+    # of ad_Y, past float range, while the density itself is near 1e283
+    Y = np.random.default_rng(0).standard_normal(group.dim)
+    Y *= radius / np.linalg.norm(Y)
+    closed = halfform.wedge_density(group, 3.0, 3.0, Y)
+    assert 1e280 < closed < 1e300
+    det = halfform.wedge_density_det(group, 3.0, 3.0, Y)
+    assert det.real == pytest.approx(closed, rel=1e-10)
+
+
+def test_fixed_point_conversion_truncates_like_int():
+    rng = np.random.default_rng(5)
+    for v in rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200):
+        for b in (0, 3, 60, 200):
+            assert halfform._to_fixed(v, b) == int(math.ldexp(v, b))
+    assert halfform._to_fixed(-1.75, 0) == -1
+    assert halfform._to_fixed(-1e300, 100) == -int(1e300) << 100
+
+
 def test_wedge_det_is_exact_on_the_torus():
     # ad_Y = 0, so N_t = it exactly; the golden wedge/torus row needs rel 0
     rng = np.random.default_rng(18)

@@ -87,14 +87,20 @@ def test_errors_are_recorded_not_raised(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(pairing_mod, "verify_unitarity", boom)
     cfg = fast_cfg(identities=("unitarity",), s_grid=(1.0,), s_prime_grid=(0.5,))
+    # an errored row names its group the way every other row does
+    group = suite.run_suite(cfg).reports[0][1].group
+    assert group.startswith("U(1)^1")
+    monkeypatch.setattr(pairing_mod, "verify_unitarity", boom)
     rep = suite.run_suite(cfg)
     assert rep.summary["total"] > 0
     assert rep.summary["errors"] == rep.summary["total"]
+    raising_line = boom.__code__.co_firstlineno + 1
     for _, r in rep.reports:
         assert not r.passed
-        assert "RuntimeError: injected failure" in r.params["error"]
+        assert r.group == group
+        assert r.params["error"] == (
+            f"RuntimeError: injected failure at test_suite.py:{raising_line}")
         assert r.abs_residual == float("inf")
 
 
@@ -134,9 +140,9 @@ def test_emit_table_writes_report_and_summary(tmp_path):
 
 def test_factor_table_rows_and_emitter(tmp_path):
     cfg = fast_cfg()
-    rows = suite.pairing_factor_rows(cfg)
+    rows, all_passed = suite.pairing_factor_rows(cfg)
     # two irreps k = 1, 2 over the four positive cells
-    assert len(rows) == 8
+    assert len(rows) == 8 and all_passed
     for row in rows:
         assert row["residual"] <= 1e-9
         assert row["numeric_factor"] == pytest.approx(row["closed_factor"], rel=1e-9)
@@ -146,6 +152,26 @@ def test_factor_table_rows_and_emitter(tmp_path):
         table = list(csv.reader(fh))
     assert len(table) == 1 + len(rows)
     assert table[0][0] == "irrep"
+
+
+def test_rank_two_torus_keys_and_run():
+    # labels pad to the rank: (1, 0) is frequency 1 along the first circle
+    cfg = fast_cfg(torus_rank=2, identities=("unitarity", "delta", "bks-factor"))
+    keys = [job.key for job in suite.build_jobs(cfg)]
+    assert "unitarity/torus/(1, 0)/s=1:sp=0" in keys
+    assert "unitarity/torus/(5, 0)/s=0.5:sp=1" in keys
+    assert "delta/torus/one/(2, 0)" in keys
+    assert "delta/torus/two/(1, 0)" in keys
+    assert "bks-factor/torus/(0, 1)/s=1:sp=1" in keys
+    from bksverify import groups
+    assert suite.default_band_limit(groups.group_spec("torus", n=2)) == pytest.approx(
+        25 * 4 * math.pi ** 2, rel=1e-9)
+    rep = suite.run_suite(fast_cfg(torus_rank=2, s_grid=(1.0,), s_prime_grid=(0.0, 0.5),
+                                   identities=("unitarity", "delta", "pairing",
+                                               "bks-factor")))
+    assert rep.summary["total"] > 0
+    assert rep.summary["passed"] == rep.summary["total"]
+    assert all(r.group.startswith("U(1)^2") for _, r in rep.reports)
 
 
 def test_tolerance_scale_and_override_reach_reports():
