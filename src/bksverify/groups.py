@@ -575,51 +575,20 @@ def random_element(group: GroupSpec, rng: np.random.Generator):
 def character_element(group: GroupSpec, irrep: Irrep, g) -> complex:
     """Character evaluated on a stored group element (complexified allowed).
 
-    Uses the eigenvalues of the defining-representation matrix, so it is
-    stable at Weyl-singular points: SU(2) characters become finite
-    geometric sums, SU(3) characters Schur polynomials evaluated by the
-    Jacobi-Trudi determinant in complete homogeneous terms.  A stack of
-    N elements (angle vectors ``(N, rank)`` or matrices ``(N, d, d)``)
-    gives an ``(N,)`` array from one stacked eigenvalue solve.
+    Evaluated on tori and SU(2).  SU(2) characters come from the
+    eigenvalues of the defining-representation matrix as finite geometric
+    sums, so they are stable at Weyl-singular points.  A stack of N
+    elements (angle vectors ``(N, rank)`` or matrices ``(N, 2, 2)``) gives
+    an ``(N,)`` array from one stacked eigenvalue solve.
     """
     if group.kind == "torus":
         value = np.exp(1j * (np.asarray(g) @ np.asarray(irrep.label, dtype=float)))
-    else:
+    elif group.kind == "su2":
         eigs = np.linalg.eigvals(np.asarray(g, dtype=complex))
-        if group.kind == "su2":
-            m = irrep.label[0]
-            top = np.argmax(np.abs(eigs), axis=-1)[..., None]
-            x = np.take_along_axis(eigs, top, axis=-1)[..., 0]
-            value = sum(x ** (m - 2 * k) for k in range(m + 1))
-        else:
-            p, q = irrep.label
-            value = _schur_pq(p, q, eigs)
+        m = irrep.label[0]
+        top = np.argmax(np.abs(eigs), axis=-1)[..., None]
+        x = np.take_along_axis(eigs, top, axis=-1)[..., 0]
+        value = sum(x ** (m - 2 * k) for k in range(m + 1))
+    else:
+        raise ValueError("characters on group elements are evaluated on tori and SU(2) only")
     return complex(value) if np.ndim(value) == 0 else value
-
-
-def _complete_homogeneous(xs: np.ndarray, kmax: int) -> np.ndarray:
-    # h_0..h_kmax of the variables along the last axis of xs
-    h = np.zeros(xs.shape[:-1] + (kmax + 1,), dtype=complex)
-    h[..., 0] = 1.0
-    for i in range(xs.shape[-1]):
-        powers = xs[..., i, None] ** np.arange(kmax + 1)
-        h = np.stack(
-            [np.sum(h[..., : k + 1] * powers[..., k::-1], axis=-1) for k in range(kmax + 1)],
-            axis=-1,
-        )
-    return h
-
-
-def _schur_pq(p: int, q: int, eigs: np.ndarray) -> np.ndarray:
-    mu = (p + q, q, 0)
-    h = _complete_homogeneous(eigs, p + q + 2)
-    zero = np.zeros(h.shape[:-1], dtype=complex)
-
-    def hh(k: int) -> np.ndarray:
-        return h[..., k] if 0 <= k <= p + q + 2 else zero
-
-    mat = np.stack(
-        [np.stack([hh(mu[i] - i + j) for j in range(3)], axis=-1) for i in range(3)],
-        axis=-2,
-    )
-    return np.linalg.det(mat)

@@ -22,8 +22,8 @@ differences.
 eta, |Omega_s|^2, the wedge density and phi take one algebra vector of
 shape ``(dim,)`` and return a float, or a batch of shape ``(N, dim)``
 and return an ``(N,)`` array; the determinant route returns a complex
-number or an ``(N,)`` complex array.  |Omega_s|^2 and both wedge routes
-also take s and s' per row of a batch.
+number or an ``(N,)`` complex array.  |Omega_s|^2, both wedge routes,
+phi and the phi-flatness residual also take s and s' per row of a batch.
 """
 
 from __future__ import annotations
@@ -329,29 +329,35 @@ def wedge_density_det(group: GroupSpec, s, s_prime, Y):
     return complex(out[0]) if Y.ndim == 1 else out
 
 
-def phi(group: GroupSpec, s: float, s_prime: float, Y):
-    """Prequantum pairing factor |Omega_{(s+s')/2}|^2 / (|Omega_s||Omega_s'|)."""
-    if s <= 0.0 or s_prime <= 0.0:
+def phi(group: GroupSpec, s, s_prime, Y):
+    """Prequantum pairing factor |Omega_{(s+s')/2}|^2 / (|Omega_s||Omega_s'|).
+
+    s and s' are one value each or one per row of a batch Y.
+    """
+    s, s_prime = np.asarray(s, dtype=float), np.asarray(s_prime, dtype=float)
+    if np.any(s <= 0.0) or np.any(s_prime <= 0.0):
         raise ValueError("phi requires s, s' > 0")
     # the root values of tY are t times those of Y, so one eigen-solve of
     # ad_Y serves all three densities |Omega_t|^2 = t^n eta(tY)^2; they are
     # taken as logs, since eta(tY)^2 leaves float range long before phi
-    t = np.array([0.5 * (s + s_prime), s, s_prime])
     rv = root_values(group, Y)
+    t = np.stack([np.broadcast_to(v, rv.shape[:-1])
+                  for v in (0.5 * (s + s_prime), s, s_prime)])
     log_density = (
-        group.dim * np.log(t).reshape((3,) + (1,) * (rv.ndim - 1))
-        + 2.0 * np.sum(log_sinhc(np.multiply.outer(t, rv)), axis=-1)
+        group.dim * np.log(t) + 2.0 * np.sum(log_sinhc(t[..., None] * rv), axis=-1)
     )
     mid, at_s, at_sp = log_density
     return _scalar_or_array(np.exp(mid - 0.5 * (at_s + at_sp)))
 
 
-def phi_flatness_residual(group: GroupSpec, s: float, Y, h: float) -> float:
+def phi_flatness_residual(group: GroupSpec, s, Y, h: float):
     """Central-difference estimate of d(phi)/ds' at s' = s; O(h^2) small.
 
-    The vanishing of this derivative is the statement that the prequantum
-    BKS maps induce a flat connection in the polarization parameter.
+    s is one value or one per row of a batch Y.  The vanishing of this
+    derivative is the statement that the prequantum BKS maps induce a
+    flat connection in the polarization parameter.
     """
-    if h <= 0.0 or s - h <= 0.0:
+    s = np.asarray(s, dtype=float)
+    if h <= 0.0 or np.any(s - h <= 0.0):
         raise ValueError("need 0 < h < s")
     return (phi(group, s, s + h, Y) - phi(group, s, s - h, Y)) / (2.0 * h)

@@ -40,13 +40,6 @@ class BandLimitedFunction:
     group: GroupSpec
     blocks: dict
 
-    @property
-    def band_limit(self) -> float:
-        """Largest Casimir eigenvalue present in the table."""
-        if not self.blocks:
-            return 0.0
-        return max(casimir(self.group, label) for label in self.blocks)
-
     def labels(self) -> list:
         return sorted(self.blocks)
 
@@ -72,15 +65,13 @@ def matrix_element_function(group: GroupSpec, label, i: int, j: int) -> BandLimi
 
 
 def random_band_limited(
-    group: GroupSpec, casimir_cutoff: float, rng: np.random.Generator, scale: float = 1.0
+    group: GroupSpec, casimir_cutoff: float, rng: np.random.Generator
 ) -> BandLimitedFunction:
     """Random complex-Gaussian coefficient table up to the Casimir cutoff."""
     blocks = {}
     for irrep in enumerate_irreps(group, casimir_cutoff):
         d = irrep.dim
-        blocks[irrep.label] = scale * (
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        )
+        blocks[irrep.label] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return make_function(group, blocks)
 
 

@@ -13,7 +13,7 @@ is the character-Gaussian integral
 with contract value d_R (pi hbar0)^{n/2} e^{t hbar0 (c_R+|rho|^2)/2}.
 ``char_gaussian_log`` is the one entry to G_R: it returns log G_R(t)
 by the backend the rule carries (Weyl-reduced quadrature on the weight
-table, full Gauss-Hermite on defining-matrix eigenvalues, or
+table, full Gauss-Hermite on defining-matrix eigenvalues on SU(2), or
 importance-sampled Monte Carlo), and every identity is assembled from
 those logs.  Exponents grow linearly in t c_R, so assemblies stay in
 log space wherever float range could overflow.  The BKS block factor
@@ -88,7 +88,6 @@ class PrequantumSection:
     group: GroupSpec
     s: float
     amplitude: object
-    tag: str = "unit-frame"
 
     def __post_init__(self) -> None:
         if self.s <= 0.0:
@@ -142,14 +141,13 @@ def char_gaussian_quadrature(
     irrep: Irrep,
     points_per_panel: int = 14,
     panels: int = 10,
-    margin: float = 9.0,
     points: int = 64,
 ) -> quadrature.Quadrature:
     """Deterministic rule matched to the tilted Gaussian of G_R(t).
 
     The integrand peaks at distance hbar0 |lambda+rho| from the origin
     with width sqrt(hbar0/t), so the Cartan box (or the Hermite reach,
-    on tori) must cover the peak plus a margin of widths.
+    on tori) must cover the peak plus nine widths.
     """
     tilt = highest_weight(group, irrep.label) + group.rho
     shift = hbar0 * float(np.linalg.norm(tilt))
@@ -160,7 +158,7 @@ def char_gaussian_quadrature(
         return quadrature.hermite_quadrature(
             group, points, scale=sigma, center=-hbar0 * tilt
         )
-    half_width = shift + margin * sigma
+    half_width = shift + 9.0 * sigma
     return quadrature.cartan_quadrature(
         group, half_width, points_per_panel=points_per_panel, panels=panels
     )
@@ -199,8 +197,8 @@ def char_gaussian_log(
     """log G_R(t) with a relative error estimate, by the backend the rule
     carries.
 
-    Contract: log d_R (pi hbar0)^{n/2} + t hbar0 (c_R+|rho|^2)/2.  Off
-    tori a full Gauss-Hermite rule takes the eigenvalue route, which
+    Contract: log d_R (pi hbar0)^{n/2} + t hbar0 (c_R+|rho|^2)/2.  On
+    SU(2) a full Gauss-Hermite rule takes the eigenvalue route, which
     never reads the weight table; Monte Carlo rules take the Weyl-reduced
     Gaussian moment.  The Cartan-reduced integrand is a positive weight
     sum, so its log-space route is immune to e^{t hbar0 c_R} growth.
@@ -686,7 +684,7 @@ def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
 
 def verify_delta_two(
     group: GroupSpec, hbar0: float, s: float, s_prime: float, t: float, irrep: Irrep,
-    tolerance: float = 1e-3, seed: int = 0, t_alt: float | None = None,
+    tolerance: float = 1e-3, seed: int = 0, t_alt: float = 0.55,
     points: int = 32,
 ) -> PairingReport:
     """Two-kernel reproducing identity with a free deformation parameter.
@@ -699,8 +697,6 @@ def verify_delta_two(
     if group.kind == "su3":
         raise ValueError("delta-two is verified on tori and SU(2)")
     rng = np.random.default_rng(seed)
-    if t_alt is None:
-        t_alt = t + 0.25
     if group.kind == "torus":
         k = int(irrep.label[0])
         theta2 = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -738,28 +734,23 @@ def preq_map_apply(s: float, s_prime: float, secp: PrequantumSection) -> Prequan
     preserve norms away from the diagonal while the quantum one does
     not.
     """
-    if secp.tag != "unit-frame":
-        raise ValueError("amplitude must be in the unit-frame trivialization")
     if s <= 0.0 or s_prime != secp.s:
-        raise ValueError("target must be positive and source tag must match")
+        raise ValueError("target must be positive and s' must be the source section's s")
     group = secp.group
     amp = secp.amplitude
 
     def new_amp(Y):
         return np.sqrt(phi(group, s, s_prime, np.asarray(Y, dtype=float))) * amp(Y)
 
-    return PrequantumSection(group=group, s=s, amplitude=new_amp, tag="unit-frame")
+    return PrequantumSection(group=group, s=s, amplitude=new_amp)
 
 
 def preq_parallel_transport(s: float, s_prime: float,
                             secp: PrequantumSection) -> PrequantumSection:
     """Transport between polarizations: identity on unit-frame amplitudes."""
-    if secp.tag != "unit-frame":
-        raise ValueError("amplitude must be in the unit-frame trivialization")
     if s <= 0.0 or s_prime != secp.s:
-        raise ValueError("target must be positive and source tag must match")
-    return PrequantumSection(group=secp.group, s=s, amplitude=secp.amplitude,
-                             tag="unit-frame")
+        raise ValueError("target must be positive and s' must be the source section's s")
+    return PrequantumSection(group=secp.group, s=s, amplitude=secp.amplitude)
 
 
 def preq_norm_sq(sec: PrequantumSection, quad: quadrature.Quadrature):

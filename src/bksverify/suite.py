@@ -114,19 +114,20 @@ def _norm_product(f, fp) -> float:
     return math.sqrt(abs(l2_inner(f, f)) * abs(l2_inner(fp, fp)))
 
 
-def _wedge_draws(group, seed, samples=100):
-    """The wedge job's (Y, s, s') samples, drawn in (Y, s, s') order per sample."""
+def _sample_draws(group, seed, samples, params):
+    """``samples`` algebra vectors Y, each followed in the job's generator by
+    ``params`` uniform parameters in [0.25, 3]; returns Y and one array per
+    parameter."""
     rng = np.random.default_rng(seed)
-    Y, s, sp = np.empty((samples, group.dim)), np.empty(samples), np.empty(samples)
+    Y, p = np.empty((samples, group.dim)), np.empty((params, samples))
     for i in range(samples):
         Y[i] = rng.standard_normal(group.dim)
-        s[i] = rng.uniform(0.25, 3.0)
-        sp[i] = rng.uniform(0.25, 3.0)
-    return Y, s, sp
+        p[:, i] = rng.uniform(0.25, 3.0, params)
+    return (Y, *p)
 
 
 def _job_wedge(group, tol, seed, samples=100):
-    Y, s, sp = _wedge_draws(group, seed, samples)
+    Y, s, sp = _sample_draws(group, seed, samples, 2)
     direct = wedge_density(group, s, sp, Y)
     det = wedge_density_det(group, s, sp, Y)
     rel = np.abs(det - direct) / np.abs(direct)
@@ -147,12 +148,8 @@ def _job_phi_flatness(group, tol, seed, samples=100, h=1e-5):
     # at h = 1e-4 the O(h^2) truncation of the central difference reached
     # 5e-7 on SU(3), half the 1e-6 bar; at 1e-5 the worst of 40 seeds is
     # 5.7e-9, so the residual measures phi, not the step
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        Y = rng.standard_normal(group.dim)
-        s = float(rng.uniform(0.25, 3.0))
-        worst = max(worst, abs(phi_flatness_residual(group, s, Y, h)))
+    Y, s = _sample_draws(group, seed, samples, 1)
+    worst = float(np.max(np.abs(phi_flatness_residual(group, s, Y, h))))
     return _report(
         "phi-flatness", group, {"samples": samples, "h": h},
         worst, 0.0, worst, 0.0, tol,
@@ -487,7 +484,7 @@ def build_jobs(cfg: RunConfig) -> list:
             for irrep in spec_irreps[:2 if kind == "torus" else 3]:
                 key = f"delta/{kind}/two/{irrep.label}"
                 add(key, pairing.verify_delta_two, group, hbar0, 1.0, 0.5, 0.3, irrep,
-                    tolerance=tol, seed=seed(key), t_alt=0.55, points=pts)
+                    tolerance=tol, seed=seed(key), points=pts)
         elif family == "prequantum":
             if kind == "torus":
                 # phi is identically 1 on tori: there is no contrast to show
@@ -516,18 +513,20 @@ def _error_report(key: str, cfg: RunConfig, exc: Exception) -> PairingReport:
     )
 
 
+def _run(job: Job, cfg: RunConfig) -> PairingReport:
+    """The job's report, or an error report when it raises."""
+    try:
+        return job.thunk()
+    except Exception as exc:  # recorded, not raised
+        return _error_report(job.key, cfg, exc)
+
+
 def run_suite(cfg: RunConfig) -> SuiteReport:
     """Run the configured identity checks; one report per job, never aborting."""
     t0 = time.perf_counter()
     jobs = build_jobs(cfg)
 
-    results = []
-    for job in jobs:
-        try:
-            rep = job.thunk()
-        except Exception as exc:  # recorded, not raised
-            rep = _error_report(job.key, cfg, exc)
-        results.append((job.key, rep))
+    results = [(job.key, _run(job, cfg)) for job in jobs]
     results.sort(key=lambda pair: pair[0])
     passed = sum(1 for _, rep in results if rep.passed)
     errors = sum(1 for _, rep in results if "error" in rep.params)
@@ -629,11 +628,12 @@ def pairing_factor_rows(cfg: RunConfig) -> tuple:
     factor, residual) in job order, and whether every check passed."""
     rows, all_passed = [], True
     for job in build_jobs(replace(cfg, identities=("bks-factor",))):
-        rep = job.thunk()
+        rep = _run(job, cfg)
         all_passed = all_passed and rep.passed
         # factor columns are emitted as plain floats, so cells reported on
-        # the log scale (factor out of float range) get no row
-        if rep.params.get("scale") == "log":
+        # the log scale (factor out of float range) get no row, and errored
+        # cells have no factors to show
+        if "error" in rep.params or rep.params.get("scale") == "log":
             continue
         rows.append(dict(zip(FACTOR_COLUMNS, (
             rep.params["irrep"], rep.params["s"], rep.params["s_prime"],

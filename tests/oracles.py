@@ -4,10 +4,12 @@ Haar rules on the group (a product trapezoid grid on tori, an Euler-angle
 rule on SU(2)), the value of a band-limited function at group elements,
 the density of the averaged measure nu, the exact Gaussian moment of
 the Monte Carlo character backend, the eigen-solve routes to group
-elements and root values, and the one-sample wedge determinant at 1-norm
-1e-3.  The verifier runs none of them; the tests use them as independent
-oracles for Schur orthogonality, the Peter-Weyl L2 product, the measure
-normalization, the SU(2) closed forms and the batched wedge determinant.
+elements and root values, SU(3) characters by the Jacobi-Trudi
+determinant, the one-sample wedge determinant at 1-norm 1e-3 and the
+one-sample phi-flatness loop.  The verifier runs none of them; the tests
+use them as independent oracles for Schur orthogonality, the Peter-Weyl
+L2 product, the measure normalization, the SU(2) closed forms, the SU(3)
+weight table, the batched wedge determinant and the batched phi job.
 
 Group integrands are batched like algebra ones: a stack of N elements
 (``(N, rank)`` torus angles or ``(N, 2, 2)`` SU(2) matrices) in, an
@@ -119,6 +121,52 @@ def root_values_eigvalsh(group, Y):
     as the top eigenvalues of i ad_Y."""
     eigs = np.linalg.eigvalsh(1j * groups.ad_matrix(group, Y))
     return eigs[..., -group.n_positive_roots:]
+
+
+def _complete_homogeneous(xs, kmax):
+    # h_0..h_kmax of the variables along the last axis of xs
+    h = np.zeros(xs.shape[:-1] + (kmax + 1,), dtype=complex)
+    h[..., 0] = 1.0
+    for i in range(xs.shape[-1]):
+        powers = xs[..., i, None] ** np.arange(kmax + 1)
+        h = np.stack(
+            [np.sum(h[..., : k + 1] * powers[..., k::-1], axis=-1) for k in range(kmax + 1)],
+            axis=-1,
+        )
+    return h
+
+
+def su3_character_jacobi_trudi(label, g):
+    """SU(3) character of Dynkin label (p, q) at defining-representation
+    matrices g, from their eigenvalues: the Schur polynomial of the
+    partition (p + q, q, 0) as the Jacobi-Trudi determinant in complete
+    homogeneous terms.  Never reads the weight table."""
+    p, q = label
+    eigs = np.linalg.eigvals(np.asarray(g, dtype=complex))
+    mu = (p + q, q, 0)
+    h = _complete_homogeneous(eigs, p + q + 2)
+    zero = np.zeros(h.shape[:-1], dtype=complex)
+
+    def hh(k):
+        return h[..., k] if 0 <= k <= p + q + 2 else zero
+
+    mat = np.stack(
+        [np.stack([hh(mu[i] - i + j) for j in range(3)], axis=-1) for i in range(3)],
+        axis=-2,
+    )
+    return np.linalg.det(mat)
+
+
+def phi_flatness_worst_per_sample(group, seed, samples=100, h=1e-5):
+    """The phi-flatness job's worst |d phi/ds'|, one sample at a time: draw
+    Y and then s from the job's generator, and call the one-vector route."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        Y = rng.standard_normal(group.dim)
+        s = float(rng.uniform(0.25, 3.0))
+        worst = max(worst, abs(halfform.phi_flatness_residual(group, s, Y, h)))
+    return worst
 
 
 def _cmul(x, y, shift):

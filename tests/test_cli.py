@@ -143,6 +143,21 @@ def test_table_bar_is_the_bks_factor_tolerance(tmp_path, capsys):
     assert code == 1
 
 
+def test_factor_table_fails_without_a_traceback_when_a_check_errors(tmp_path, capsys):
+    # a 400-point torus character rule is refused, so every bks-factor job
+    # raises: the table records the errors like verify does, writes no row
+    # for them and fails
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("[run]\ngroup = torus\n[quadrature]\nhermite_points = 400\n",
+                   encoding="utf-8")
+    code = cli.main(["table", "pairing-factors", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert "(0 rows" in capsys.readouterr().out
+    with open(tmp_path / "pairing-factors.json", encoding="utf-8") as fh:
+        assert json.load(fh) == []
+
+
 @pytest.mark.parametrize("source", ["golden", "torus", "su2"])
 def test_factor_table_rows_are_the_bks_factor_reports(source):
     # rows are the checks' own sides and residuals, in job order, minus the

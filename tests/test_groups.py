@@ -109,6 +109,25 @@ def test_adjoint_weight_multiplicities():
     assert zero.tolist() == [2]
 
 
+@pytest.mark.parametrize("label", [(1, 0), (0, 1), (1, 1), (2, 1), (3, 0), (2, 2)])
+def test_su3_weight_table_gives_the_jacobi_trudi_character(label):
+    # the Freudenthal table gives chi(e^{itH}) = sum mult e^{-t mu(H)} on
+    # Cartan vectors H; the Jacobi-Trudi determinant on the eigenvalues of
+    # the defining matrix never reads that table
+    su3 = groups.group_spec("su3")
+    irrep = groups.make_irrep(su3, label)
+    rng = np.random.default_rng(31)
+    H = rng.standard_normal((20, su3.rank)) * 0.8
+    Y = np.zeros((20, su3.dim))
+    Y[:, list(su3.cartan_indices)] = H
+    t = 0.6
+    mu, mult = groups.weights_with_multiplicities(su3, irrep)
+    table = np.exp(-t * (H @ mu.T)) @ mult
+    chi = oracles.su3_character_jacobi_trudi(label, groups.group_exp(su3, Y, 1j * t))
+    np.testing.assert_allclose(chi, table, rtol=1e-10, atol=0.0)
+    assert int(mult.sum()) == irrep.dim
+
+
 def test_su2_weights_are_symmetric_ladders():
     su2 = groups.group_spec("su2")
     for m in (1, 2, 3, 4):
@@ -177,14 +196,6 @@ def test_character_on_complexified_argument():
     chi = groups.character_element(su2, ir, g)
     direct = sum(np.exp(1j * (1j * 0.37) * wv) for wv in w.ravel())
     assert chi == pytest.approx(direct, rel=1e-10)
-
-
-def test_su3_character_dimension_at_identity():
-    su3 = groups.group_spec("su3")
-    e = np.eye(3, dtype=complex)
-    for label in ((1, 0), (1, 1), (2, 1)):
-        ir = groups.make_irrep(su3, label)
-        assert groups.character_element(su3, ir, e) == pytest.approx(ir.dim, rel=1e-12)
 
 
 def test_casimir_from_laplacian_on_matrix_elements():
@@ -319,16 +330,19 @@ def test_torus_group_spec_describe_roundtrip():
 def test_batched_elements_and_characters_match_one_element_calls(kind):
     # a stack of N nodes gives the N one-node results: group_exp from the
     # closed form on SU(2) and one stacked eigen-solve on SU(3), characters
-    # from stacked eigenvalues (not from the weight table), Wigner matrices
-    # from one monomial table
+    # from stacked eigenvalues (not from the weight table) on tori and
+    # SU(2), Wigner matrices from one monomial table
     group = groups.group_spec(kind, n=2)
     rng = np.random.default_rng(21)
     Y = rng.standard_normal((25, group.dim)) * 0.6
     g = groups.group_exp(group, Y, 0.8j)
     np.testing.assert_allclose(g, np.array([groups.group_exp(group, y, 0.8j) for y in Y]),
                                rtol=1e-14, atol=0.0)
-    labels = {"torus": [(1, -2), (0, 3)], "su2": [(0,), (1,), (4,)],
-              "su3": [(1, 0), (1, 1), (2, 1)]}[kind]
+    if kind == "su3":
+        with pytest.raises(ValueError, match="tori and SU\\(2\\)"):
+            groups.character_element(group, groups.make_irrep(group, (1, 0)), g)
+        return
+    labels = {"torus": [(1, -2), (0, 3)], "su2": [(0,), (1,), (4,)]}[kind]
     for label in labels:
         irrep = groups.make_irrep(group, label)
         chi = groups.character_element(group, irrep, g)

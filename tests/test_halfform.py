@@ -257,7 +257,7 @@ def _job_draws(kind):
     from bksverify import suite
 
     group = groups.group_spec(kind)
-    return (group,) + suite._wedge_draws(group, suite._job_seed(0, f"wedge/{kind}"))
+    return (group,) + suite._sample_draws(group, suite._job_seed(0, f"wedge/{kind}"), 100, 2)
 
 
 @pytest.mark.parametrize("kind", ["su2", "su3"])
@@ -451,6 +451,18 @@ def test_phi_finite_where_the_densities_overflow():
     assert math.isfinite(got)
     assert got == pytest.approx(want, rel=1e-12)
     assert np.all(np.isfinite(halfform.phi(SU3, 1.0, 4.0, quad.nodes)))
+
+
+@pytest.mark.parametrize("group", [TORUS, SU2, SU3], ids=lambda g: g.kind)
+def test_phi_takes_per_row_parameters(group):
+    # arrays of s and s' give row by row the one-vector values, bit for bit
+    rng = np.random.default_rng(23)
+    Y = rng.standard_normal((30, group.dim)) * 1.5
+    s, sp = rng.uniform(0.25, 3.0, size=(2, 30))
+    rows = [halfform.phi(group, float(a), float(b), y) for a, b, y in zip(s, sp, Y)]
+    assert np.array_equal(halfform.phi(group, s, sp, Y), rows)
+    rows = [halfform.phi_flatness_residual(group, float(a), y, 1e-5) for a, y in zip(s, Y)]
+    assert np.array_equal(halfform.phi_flatness_residual(group, s, Y, 1e-5), rows)
 
 
 def test_phi_flatness_torus_quadratic_in_h():

@@ -511,11 +511,3 @@ def test_prequantum_torus_constant_multiplier():
     Y = np.array([[0.4], [-1.1], [2.0]])
     np.testing.assert_allclose(mapped.amplitude(Y), math.sqrt(1.25) * amp(Y), rtol=1e-12)
 
-
-def test_prequantum_tag_mismatch_rejected():
-    amp = lambda Y: np.ones(len(Y))
-    odd = pairing.PrequantumSection(SU2, 2.0, amp, tag="half-form-frame")
-    with pytest.raises(ValueError):
-        pairing.preq_map_apply(1.0, 2.0, odd)
-    with pytest.raises(ValueError):
-        pairing.preq_parallel_transport(1.0, 2.0, odd)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from bksverify import config, suite
 from bksverify import pairing as pairing_mod
 
@@ -224,6 +225,18 @@ def test_wedge_report_gives_the_worst_samples_absolute_and_relative_error(kind):
         return
     assert 0.0 < rep.rel_residual < 1e-12 < 1.0 < abs(rep.rhs)
     assert not suite._job_wedge(group, 0.5 * rep.rel_residual, 5, samples=20).passed
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
+def test_phi_flatness_job_matches_the_per_sample_loop(kind):
+    # one batched call over the job's default draws gives the worst residual
+    # of the one-sample loop over the same generator
+    from bksverify import groups
+    group = groups.group_spec(kind)
+    seed = suite._job_seed(0, f"phi-flatness/{kind}")
+    rep = suite._job_phi_flatness(group, 1e-6, seed)
+    assert rep.abs_residual == oracles.phi_flatness_worst_per_sample(group, seed)
+    assert rep.passed
 
 
 @pytest.mark.parametrize("kind", ["torus", "su2"])
