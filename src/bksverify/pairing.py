@@ -14,9 +14,11 @@ with contract value d_R (pi hbar0)^{n/2} e^{t hbar0 (c_R+|rho|^2)/2}.
 ``char_gaussian_log`` is the one entry to G_R: it returns log G_R(t)
 by the backend the rule carries (Weyl-reduced quadrature on the weight
 table, full Gauss-Hermite on defining-matrix eigenvalues on SU(2), or
-importance-sampled Monte Carlo), and every identity is assembled from
-those logs.  Exponents grow linearly in t c_R, so assemblies stay in
-log space wherever float range could overflow.  The BKS block factor
+importance-sampled Monte Carlo).  ``char_log_table`` is the one per-run
+source of those logs: it picks each rule, computes each (t, irrep) once
+and hands the stored pair to every identity assembled from it.
+Exponents grow linearly in t c_R, so assemblies stay in log space
+wherever float range could overflow.  The BKS block factor
 has one closed exponent, ``bks_exponent``, and one numeric log,
 ``bks_factor_log``.  The pairing map itself is ``bks_map_apply``; the
 unitarity check applies it and measures norms with ``quantum_norm_sq``.
@@ -279,39 +281,39 @@ def _char_mc_prefactor_log(group, hbar0, t, irrep):
     )
 
 
-def default_char_factory(
-    group: GroupSpec,
-    hbar0: float,
-    backend: str = "cartan-reduced",
-    samples: int = 200_000,
-    seed: int = 0,
-    points_per_panel: int = 14,
-    panels: int = 10,
-    hermite_points: int = 64,
-):
-    """Factory (t, irrep) -> quadrature rule for pairing assemblies.
-
-    The cartan-reduced backend rebuilds the rule around each integrand's
-    tilt (a recentered Hermite rule on tori); the Monte Carlo backend
-    derives one child seed per (t, label) so results stay reproducible
-    under any evaluation order.
-    ``hermite_points`` is the length of the recentered torus rule.
+def char_log_table(group: GroupSpec, hbar0: float, backend: str = "cartan-reduced",
+                   samples: int = 200_000, seed: int = 0, points_per_panel: int = 14,
+                   panels: int = 10, hermite_points: int = 64):
+    """One run's character integrals, char_log(t, irrep) -> (log G_R(t),
+    relative error): ``char_gaussian_log`` on the first ask for an exact
+    (t, label), the stored pair after that.  Rules follow the backend: a
+    recentered Hermite rule of ``hermite_points`` on tori, the Cartan box
+    elsewhere, or one Monte Carlo child seed per (t, label), so values do
+    not depend on the order of asks.  Build one table per run.
     """
     if backend == "monte-carlo":
         if group.kind == "torus":
             raise ValueError("use a deterministic backend on tori")
 
-        def factory(t, irrep):
+        def rule(t, irrep):
             child = zlib.crc32(repr((round(t, 12), irrep.label)).encode()) ^ seed
             return quadrature.algebra_montecarlo(group, samples, child)
-
-        return factory
-    if backend != "cartan-reduced":
+    elif backend == "cartan-reduced":
+        rule = functools.partial(
+            char_gaussian_quadrature, group, hbar0,
+            points_per_panel=points_per_panel, panels=panels, points=hermite_points,
+        )
+    else:
         raise ValueError(f"unknown backend {backend!r}")
-    return functools.partial(
-        char_gaussian_quadrature, group, hbar0,
-        points_per_panel=points_per_panel, panels=panels, points=hermite_points,
-    )
+    table = {}
+
+    def char_log(t, irrep):
+        key = (t, irrep.label)
+        if key not in table:
+            table[key] = char_gaussian_log(group, hbar0, t, irrep, rule(t, irrep))
+        return table[key]
+
+    return char_log
 
 
 # -- quantum pairings ----------------------------------------------------
@@ -321,13 +323,13 @@ def _common_labels(f: BandLimitedFunction, fp: BandLimitedFunction):
     return sorted(set(f.blocks) & set(fp.blocks))
 
 
-def _assemble_pair(group, hbar0, t, f, fp, quad_factory):
+def _assemble_pair(group, hbar0, t, f, fp, char_log):
     # Per-block sum of e^{-t hbar0 c/2} <f_R, f'_R> G_R(t) / d^2.
     # The transform exponent and G_R grow oppositely like e^{t hbar0 c/2},
     # so each block is combined in log magnitude before the phase sum;
     # multiplying the float extremes directly would underflow first.
-    if quad_factory is None:
-        quad_factory = default_char_factory(group, hbar0)
+    if char_log is None:
+        char_log = char_log_table(group, hbar0)
     phases = []
     logmags = []
     logerrs = []
@@ -336,9 +338,7 @@ def _assemble_pair(group, hbar0, t, f, fp, quad_factory):
         if raw == 0.0:
             continue
         irrep = make_irrep(group, label)
-        log_g, log_err = char_gaussian_log(
-            group, hbar0, t, irrep, quad_factory(t, irrep)
-        )
+        log_g, log_err = char_log(t, irrep)
         logmags.append(
             math.log(abs(raw))
             - 0.5 * t * hbar0 * irrep.casimir
@@ -364,7 +364,7 @@ def _check_same_group(sec: QuantumSection, secp: QuantumSection) -> GroupSpec:
     return g
 
 
-def quantum_pair(sec: QuantumSection, secp: QuantumSection, quad_factory=None):
+def quantum_pair(sec: QuantumSection, secp: QuantumSection, char_log=None):
     """BKS pairing of two positive-parameter sections, as (value, error).
 
     Contract: a_{(s+s')/2} <f, f'>_{L2(K)}.  Assembled per irrep as
@@ -373,20 +373,20 @@ def quantum_pair(sec: QuantumSection, secp: QuantumSection, quad_factory=None):
     group = _check_same_group(sec, secp)
     if sec.s <= 0.0 or secp.s <= 0.0:
         raise ValueError("use vertical_pair when one parameter is 0")
-    return _assemble_pair(group, sec.hbar0, sec.s + secp.s, sec.f, secp.f, quad_factory)
+    return _assemble_pair(group, sec.hbar0, sec.s + secp.s, sec.f, secp.f, char_log)
 
 
-def quantum_norm_sq(sec: QuantumSection, quad_factory=None):
+def quantum_norm_sq(sec: QuantumSection, char_log=None):
     """Numeric squared norm; contract a_s |f|^2 for s > 0 and the
     rescaled (pi hbar0)^{n/2} |f|^2 at s = 0."""
     if sec.s == 0.0:
         return vertical_inner(sec.hbar0, sec.f, sec.f).real, 0.0
-    value, err = quantum_pair(sec, sec, quad_factory)
+    value, err = quantum_pair(sec, sec, char_log)
     return value.real, err
 
 
 def vertical_pair(hbar0: float, s: float, f: BandLimitedFunction,
-                  fp: BandLimitedFunction, quad_factory=None):
+                  fp: BandLimitedFunction, char_log=None):
     """Pairing of the s-polarization against the vertical one.
 
     Contract: a_{s/2} <f, f'>_{L2(K)}, the s' -> 0 limit of the
@@ -395,7 +395,7 @@ def vertical_pair(hbar0: float, s: float, f: BandLimitedFunction,
     """
     if s <= 0.0:
         raise ValueError("vertical pairing needs s > 0")
-    return _assemble_pair(f.group, hbar0, s, f, fp, quad_factory)
+    return _assemble_pair(f.group, hbar0, s, f, fp, char_log)
 
 
 def vertical_inner(hbar0: float, f: BandLimitedFunction,
@@ -418,7 +418,7 @@ def bks_factor_closed(group: GroupSpec, hbar0: float, s: float, s_prime: float,
 
 def bks_factor_log(
     group: GroupSpec, hbar0: float, s: float, s_prime: float, irrep: Irrep,
-    quad_factory=None,
+    char_log=None,
 ):
     """log G_R(s+s') - log G_R(2s), the numeric log of the block factor.
 
@@ -428,14 +428,10 @@ def bks_factor_log(
     """
     if s <= 0.0 or s_prime <= 0.0:
         raise ValueError("the factor ratio needs s, s' > 0")
-    if quad_factory is None:
-        quad_factory = default_char_factory(group, hbar0)
-    log_cross, err_cross = char_gaussian_log(
-        group, hbar0, s + s_prime, irrep, quad_factory(s + s_prime, irrep)
-    )
-    log_norm, err_norm = char_gaussian_log(
-        group, hbar0, 2.0 * s, irrep, quad_factory(2.0 * s, irrep)
-    )
+    if char_log is None:
+        char_log = char_log_table(group, hbar0)
+    log_cross, err_cross = char_log(s + s_prime, irrep)
+    log_norm, err_norm = char_log(2.0 * s, irrep)
     return log_cross - log_norm, err_cross + err_norm
 
 
@@ -461,7 +457,7 @@ def bks_map_apply(s: float, s_prime: float, secp: QuantumSection) -> QuantumSect
 
 def verify_unitarity(
     group: GroupSpec, hbar0: float, s: float, s_prime: float, irrep: Irrep,
-    quad_factory=None, tolerance: float = 1e-6,
+    char_log=None, tolerance: float = 1e-6,
 ) -> PairingReport:
     """Unitarity of the pairing map, |B sigma'|^2 / |sigma'|^2 vs 1.
 
@@ -475,8 +471,8 @@ def verify_unitarity(
     secp = QuantumSection(
         s=s_prime, f=matrix_element_function(group, irrep.label, 0, 0), hbar0=hbar0
     )
-    norm, err = quantum_norm_sq(bks_map_apply(s, s_prime, secp), quad_factory)
-    norm_p, err_p = quantum_norm_sq(secp, quad_factory)
+    norm, err = quantum_norm_sq(bks_map_apply(s, s_prime, secp), char_log)
+    norm_p, err_p = quantum_norm_sq(secp, char_log)
     ratio = norm / norm_p
     return _report(
         "unitarity", group,
@@ -512,7 +508,7 @@ def verify_factorization(
 
 def continuity_check(
     group: GroupSpec, hbar0: float, f: BandLimitedFunction, s_list,
-    quad_factory=None, tolerance: float = 1e-6,
+    char_log=None, tolerance: float = 1e-6,
 ) -> PairingReport:
     """Norm continuity toward the vertical fiber.
 
@@ -526,7 +522,7 @@ def continuity_check(
     errors = []
     for s in s_list:
         norm, err = quantum_norm_sq(QuantumSection(s=float(s), f=f, hbar0=hbar0),
-                                    quad_factory)
+                                    char_log)
         ratios.append(float(norm / base))
         errors.append(err / base)
     contract = [math.exp(group.rho_norm_sq * hbar0 * float(s)) for s in s_list]
@@ -541,13 +537,17 @@ def continuity_check(
 # -- delta identities ----------------------------------------------------
 
 
+# length of delta-one's recentered Hermite rule on tori, per coordinate
+DELTA_ONE_POINTS = 48
+
+
 def _delta_one_scalar(group, hbar0, s, irrep):
     # e^{-hbar c_R} (a_s s^{n/2})^{-1} (1/d) *
     #   int chi_R(e^{2iY}) eta(Y) e^{-|Y|^2/hbar} dY,   contract 1.
     # The integral is G_R(2) at base constant hbar = s hbar0.
     hbar = s * hbar0
     quad = char_gaussian_quadrature(
-        group, hbar, 2.0, irrep, points_per_panel=16, panels=10, points=48
+        group, hbar, 2.0, irrep, points_per_panel=16, panels=10, points=DELTA_ONE_POINTS
     )
     logv, logerr = char_gaussian_log(group, hbar, 2.0, irrep, quad)
     lognorm = (

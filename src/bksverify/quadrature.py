@@ -62,6 +62,9 @@ class Quadrature:
 # at once (a few kB per node for SU(2) Wigner or SU(3) eigen-solves)
 BATCH = 512
 
+# node cap of a tensor Gauss-Hermite rule, points ** dim
+MAX_TENSOR_NODES = 2_000_000
+
 _WEYL_CACHE: dict = {}
 
 
@@ -168,7 +171,7 @@ def hermite_quadrature(
     Gaussian.  Shifting the center is how linearly tilted Gaussians are
     handled without inflating the point count.
     """
-    if points**group.dim > 2_000_000:
+    if points**group.dim > MAX_TENSOR_NODES:
         raise ValueError("tensor rule too large; use cartan-reduced")
     if points > 350:
         # a size bound, not a stability one: a rule this long means an

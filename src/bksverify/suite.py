@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import pairing, quadrature
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .groups import GroupSpec, casimir, enumerate_irreps, group_spec, make_irrep
 from .halfform import phi_flatness_residual, wedge_density, wedge_density_det
 from .heat import (
@@ -193,7 +193,7 @@ def _job_cst_quadrature(group, hbar0, s, band, points, tol, seed):
     )
 
 
-def _job_pairing_random(group, hbar0, s, sp, band, n_pairs, factory, tol, seed):
+def _job_pairing_random(group, hbar0, s, sp, band, n_pairs, char_log, tol, seed):
     draws = _draw(group, band, seed, 2 * n_pairs)
     amid = a_s(group, hbar0, 0.5 * (s + sp))
     worst = 0.0
@@ -203,7 +203,7 @@ def _job_pairing_random(group, hbar0, s, sp, band, n_pairs, factory, tol, seed):
         val, err = pairing.quantum_pair(
             QuantumSection(s=s, f=f, hbar0=hbar0),
             QuantumSection(s=sp, f=fp, hbar0=hbar0),
-            factory,
+            char_log,
         )
         target = amid * l2_inner(f, fp)
         scale = amid * _norm_product(f, fp)
@@ -218,7 +218,7 @@ def _job_pairing_random(group, hbar0, s, sp, band, n_pairs, factory, tol, seed):
     )
 
 
-def _job_pairing_orthogonal(group, hbar0, s, sp, band, factory, tol, seed):
+def _job_pairing_orthogonal(group, hbar0, s, sp, band, char_log, tol, seed):
     f, fp = _draw(group, band, seed)
     # blockwise Gram-Schmidt so <f, f_perp> = 0 at machine precision
     coeff = l2_inner(f, fp) / l2_inner(f, f)
@@ -229,7 +229,7 @@ def _job_pairing_orthogonal(group, hbar0, s, sp, band, factory, tol, seed):
     val, err = pairing.quantum_pair(
         QuantumSection(s=s, f=f, hbar0=hbar0),
         QuantumSection(s=sp, f=f_perp, hbar0=hbar0),
-        factory,
+        char_log,
     )
     amid = a_s(group, hbar0, 0.5 * (s + sp))
     scale = amid * _norm_product(f, f_perp)
@@ -242,10 +242,10 @@ def _job_pairing_orthogonal(group, hbar0, s, sp, band, factory, tol, seed):
     )
 
 
-def _job_bks_factor(group, hbar0, s, sp, irrep, factory, tol):
+def _job_bks_factor(group, hbar0, s, sp, irrep, char_log, tol):
     # log-space comparison: at large (s - s') c_R the factor itself
     # leaves float range while the log residual stays well defined
-    log_num, err = pairing.bks_factor_log(group, hbar0, s, sp, irrep, factory)
+    log_num, err = pairing.bks_factor_log(group, hbar0, s, sp, irrep, char_log)
     log_closed = pairing.bks_exponent(group, hbar0, s, sp, irrep)
     rel = abs(math.expm1(log_num - log_closed))
     params = {"hbar0": hbar0, "s": s, "s_prime": sp, "irrep": str(irrep.label)}
@@ -287,9 +287,9 @@ def _job_factorization(group, hbar0, cells, triples, irrep, tol):
     )
 
 
-def _job_vertical_direct(group, hbar0, s, band, factory, tol, seed):
+def _job_vertical_direct(group, hbar0, s, band, char_log, tol, seed):
     f, fp = _draw(group, band, seed)
-    val, err = pairing.vertical_pair(hbar0, s, f, fp, factory)
+    val, err = pairing.vertical_pair(hbar0, s, f, fp, char_log)
     target = a_s(group, hbar0, 0.5 * s) * l2_inner(f, fp)
     scale = a_s(group, hbar0, 0.5 * s) * _norm_product(f, fp)
     rel = abs(val - target) / scale
@@ -300,19 +300,19 @@ def _job_vertical_direct(group, hbar0, s, band, factory, tol, seed):
     )
 
 
-def _job_vertical_extrapolation(group, hbar0, s, band, factory, seed):
+def _job_vertical_extrapolation(group, hbar0, s, band, char_log, seed):
     # linear-in-s' Richardson from two small parameters; the tolerance
     # is three times the extrapolation's own error estimate
     f, fp = _draw(group, band, seed)
-    target, _ = pairing.vertical_pair(hbar0, s, f, fp, factory)
+    target, _ = pairing.vertical_pair(hbar0, s, f, fp, char_log)
     s1, s3 = 1e-2, 1e-3
     v1, _ = pairing.quantum_pair(
         QuantumSection(s=s, f=f, hbar0=hbar0),
-        QuantumSection(s=s1, f=fp, hbar0=hbar0), factory,
+        QuantumSection(s=s1, f=fp, hbar0=hbar0), char_log,
     )
     v3, _ = pairing.quantum_pair(
         QuantumSection(s=s, f=f, hbar0=hbar0),
-        QuantumSection(s=s3, f=fp, hbar0=hbar0), factory,
+        QuantumSection(s=s3, f=fp, hbar0=hbar0), char_log,
     )
     extrap = (s1 * v3 - s3 * v1) / (s1 - s3)
     est = abs(extrap - v3)
@@ -329,9 +329,9 @@ def _job_vertical_extrapolation(group, hbar0, s, band, factory, seed):
     )
 
 
-def _job_continuity(group, hbar0, band, factory, tol, seed):
+def _job_continuity(group, hbar0, band, char_log, tol, seed):
     (f,) = _draw(group, band, seed, count=1)
-    return pairing.continuity_check(group, hbar0, f, (4e-3, 2e-3, 1e-3), factory, tol)
+    return pairing.continuity_check(group, hbar0, f, (4e-3, 2e-3, 1e-3), char_log, tol)
 
 
 def _job_prequantum(group, tol):
@@ -371,13 +371,35 @@ def _group(cfg: RunConfig) -> GroupSpec:
     return group_spec(cfg.group, n=cfg.torus_rank, normalization=cfg.normalization)
 
 
+def _check_rule_sizes(cfg: RunConfig, group: GroupSpec) -> None:
+    """ConfigError naming the first selected family whose tensor
+    Gauss-Hermite rule, points ** dim nodes, is over the quadrature cap.
+    On tori the families that read the character table build one of
+    ``hermite_points``."""
+    table = ("pairing", "bks-factor", "unitarity", "vertical-limit", "continuity")
+    points = {
+        "torus": {"cst-unitarity": cfg.hl2_points_torus, "delta": pairing.DELTA_ONE_POINTS,
+                  **dict.fromkeys(table, cfg.hermite_points)},
+        "su2": {"cst-unitarity": cfg.hl2_points_su2, "delta": cfg.delta_points_su2},
+    }.get(group.kind, {})
+    cap = quadrature.MAX_TENSOR_NODES
+    for family in cfg.identities:
+        nodes = points.get(family, 0) ** group.dim
+        if nodes > cap:
+            raise ConfigError(
+                f"{family} on {group.describe()} needs a {points[family]}^{group.dim} = "
+                f"{nodes:,}-node rule, over the cap of {cap:,} nodes"
+            )
+
+
 def build_jobs(cfg: RunConfig) -> list:
     """All jobs for the configured group and identity selection; the one
-    place that derives a run's band limit, character rules and cells."""
+    place that derives a run's band limit, character table and cells."""
     group = _group(cfg)
+    _check_rule_sizes(cfg, group)
     kind = group.kind
     band = cfg.band_limit if cfg.band_limit is not None else default_band_limit(group)
-    factory = pairing.default_char_factory(
+    char_log = pairing.char_log_table(
         group, cfg.hbar0, backend=cfg.char_backend, samples=cfg.mc_samples,
         seed=cfg.seed, points_per_panel=cfg.points_per_panel, panels=cfg.panels,
         hermite_points=cfg.hermite_points,
@@ -436,17 +458,17 @@ def build_jobs(cfg: RunConfig) -> list:
             for s, sp in cells:
                 key = f"pairing/{kind}/random/s={_fmt(s)}:sp={_fmt(sp)}"
                 add(key, _job_pairing_random, group, hbar0, s, sp, band,
-                    cfg.pairs_per_cell, factory, tol, seed(key))
+                    cfg.pairs_per_cell, char_log, tol, seed(key))
                 key = f"pairing/{kind}/orthogonal/s={_fmt(s)}:sp={_fmt(sp)}"
                 add(key, _job_pairing_orthogonal, group, hbar0, s, sp, band,
-                    factory, tol_orth, seed(key))
+                    char_log, tol_orth, seed(key))
         elif family == "bks-factor":
             tol = _tol(cfg, family, 1e-10 if kind == "torus" else 1e-6)
             for irrep in band_irreps:
                 for s, sp in cells:
                     key = (f"bks-factor/{kind}/{irrep.label}/"
                            f"s={_fmt(s)}:sp={_fmt(sp)}")
-                    add(key, _job_bks_factor, group, hbar0, s, sp, irrep, factory, tol)
+                    add(key, _job_bks_factor, group, hbar0, s, sp, irrep, char_log, tol)
         elif family == "unitarity":
             tol = _tol(cfg, family, 1e-6)
             for irrep in spec_irreps:
@@ -454,7 +476,7 @@ def build_jobs(cfg: RunConfig) -> list:
                     key = (f"unitarity/{kind}/{irrep.label}/"
                            f"s={_fmt(s)}:sp={_fmt(sp)}")
                     add(key, pairing.verify_unitarity, group, hbar0, s, sp, irrep,
-                        factory, tol)
+                        char_log, tol)
         elif family == "factorization":
             tol = _tol(cfg, family, 1e-14)
             for irrep in spec_irreps:
@@ -462,14 +484,14 @@ def build_jobs(cfg: RunConfig) -> list:
                 add(key, _job_factorization, group, hbar0, cells, triples, irrep, tol)
         elif family == "vertical-limit":
             key = f"vertical-limit/{kind}/direct"
-            add(key, _job_vertical_direct, group, hbar0, s_mid, band, factory,
+            add(key, _job_vertical_direct, group, hbar0, s_mid, band, char_log,
                 _tol(cfg, family, 1e-6), seed(key))
             key = f"vertical-limit/{kind}/extrapolation"
-            add(key, _job_vertical_extrapolation, group, hbar0, s_mid, band, factory,
+            add(key, _job_vertical_extrapolation, group, hbar0, s_mid, band, char_log,
                 seed(key))
         elif family == "continuity":
             key = f"continuity/{kind}"
-            add(key, _job_continuity, group, hbar0, band, factory,
+            add(key, _job_continuity, group, hbar0, band, char_log,
                 _tol(cfg, family, 1e-10), seed(key))
         elif family == "delta":
             tol = _tol(cfg, family, 1e-8 if kind == "torus" else 1e-3)

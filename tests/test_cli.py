@@ -102,6 +102,56 @@ def test_monte_carlo_on_torus_exit_code(tmp_path, capsys, command):
     assert "monte-carlo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank, identities, family, rule", [
+    (3, "all", "cst-unitarity", "300^3 = 27,000,000"),
+    (4, "cst-unitarity, bks-factor, wedge", "cst-unitarity", "300^4 = 8,100,000,000"),
+    (4, "wedge, bks-factor", "bks-factor", "64^4 = 16,777,216"),
+    (4, "continuity", "continuity", "64^4 = 16,777,216"),
+    (4, "delta", "delta", "48^4 = 5,308,416"),
+])
+def test_torus_rank_over_the_rule_cap_exit_code(tmp_path, capsys, rank, identities,
+                                                 family, rule):
+    # a family whose tensor Hermite rule the cap refuses is a config error,
+    # raised before any job runs, with no traceback
+    cfg = tmp_path / "rank.cfg"
+    cfg.write_text(f"[run]\ngroup = torus\ntorus_rank = {rank}\nidentities = {identities}\n",
+                   encoding="utf-8")
+    code = cli.main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: {family} on U(1)^{rank}")
+    assert f"{rule}-node rule, over the cap of 2,000,000 nodes" in err
+    assert "Traceback" not in err and not (tmp_path / "r").exists()
+
+
+def test_torus_rank_4_runs_the_families_under_the_cap(tmp_path, capsys):
+    cfg = tmp_path / "rank.cfg"
+    cfg.write_text("[run]\ngroup = torus\ntorus_rank = 4\nidentities = wedge\n",
+                   encoding="utf-8")
+    assert cli.main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "1/1 passed, 0 failed (0 errors)" in capsys.readouterr().out
+
+
+def test_su2_rule_over_the_cap_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "su2.cfg"
+    cfg.write_text("[run]\ngroup = su2\nidentities = delta\n"
+                   "[quadrature]\ndelta_points_su2 = 127\n", encoding="utf-8")
+    assert cli.main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "127^3 = 2,048,383-node rule" in capsys.readouterr().err
+
+
+def test_build_jobs_and_the_hermite_rule_read_one_cap(monkeypatch):
+    from bksverify import groups, quadrature
+    cfg = config.default_config(group="torus", identities=("bks-factor",))
+    assert suite.build_jobs(cfg)
+    monkeypatch.setattr(quadrature, "MAX_TENSOR_NODES", 63)
+    with pytest.raises(config.ConfigError, match="64\\^1 = 64-node rule"):
+        suite.build_jobs(cfg)
+    with pytest.raises(ValueError, match="tensor rule too large"):
+        quadrature.hermite_quadrature(groups.group_spec("torus", n=1), 64)
+    quadrature.hermite_quadrature(groups.group_spec("torus", n=1), 63)
+
+
 @pytest.mark.parametrize("command", [
     ["verify", "delta", "--group", "torus"], ["table", "pairing-factors", "--group", "torus"],
     ["calibrate"], ["convergence", "--group", "torus"],

@@ -106,6 +106,49 @@ def test_hermite_route_never_reads_the_weight_table(monkeypatch):
         pairing.char_gaussian_log(SU2, 1.0, 1.0, ir, quad_c)
 
 
+def test_char_log_table_computes_each_key_once(monkeypatch):
+    ir = groups.make_irrep(SU2, (2,))
+    # the stored pair is the one the Cartan rule of the same (t, irrep) gives
+    char_gaussian_log = pairing.char_gaussian_log
+    want = char_gaussian_log(SU2, 1.0, 1.5, ir, pairing.char_gaussian_quadrature(SU2, 1.0, 1.5, ir))
+    calls = []
+
+    def spy(group, hbar0, t, irrep, quad):
+        calls.append((t, irrep.label))
+        return char_gaussian_log(group, hbar0, t, irrep, quad)
+
+    monkeypatch.setattr(pairing, "char_gaussian_log", spy)
+    char_log = pairing.char_log_table(SU2, 1.0)
+    assert char_log(1.5, ir) == want
+    assert char_log(1.5, groups.make_irrep(SU2, (2,))) == want
+    assert calls == [(1.5, (2,))]
+    char_log(0.5, ir)
+    char_log(1.5, groups.make_irrep(SU2, (1,)))
+    assert calls[1:] == [(0.5, (2,)), (1.5, (1,))]
+    # a new table holds nothing of the old one
+    pairing.char_log_table(SU2, 1.0)(1.5, ir)
+    assert calls[-1] == (1.5, (2,)) and len(calls) == 4
+
+
+def test_char_log_table_rules_follow_the_backend():
+    # tori take the recentered Hermite rule of hermite_points nodes
+    ir = groups.make_irrep(TORUS, (3,))
+    want = pairing.char_gaussian_log(
+        TORUS, 1.0, 0.7, ir, pairing.char_gaussian_quadrature(TORUS, 1.0, 0.7, ir, points=24))
+    assert pairing.char_log_table(TORUS, 1.0, hermite_points=24)(0.7, ir) == want
+    # Monte Carlo seeds are per (t, label): the order of asks changes nothing
+    irs = [groups.make_irrep(SU3, lab) for lab in ((1, 0), (1, 1))]
+    a = pairing.char_log_table(SU3, 1.0, backend="monte-carlo", samples=2000, seed=3)
+    b = pairing.char_log_table(SU3, 1.0, backend="monte-carlo", samples=2000, seed=3)
+    forward = [a(1.0, irs[0]), a(2.0, irs[1])]
+    assert [b(2.0, irs[1]), b(1.0, irs[0])] == forward[::-1]
+    assert a(1.0, irs[1]) != forward[0]
+    with pytest.raises(ValueError, match="deterministic"):
+        pairing.char_log_table(TORUS, 1.0, backend="monte-carlo")
+    with pytest.raises(ValueError, match="unknown backend"):
+        pairing.char_log_table(SU2, 1.0, backend="gauss-hermite-full")
+
+
 def test_char_moment_oracle_su2_closed_form():
     # for SU(2) the reduced moment is alpha(hbar0 (lambda + rho)) =
     # hbar0 (m + 1) / lam, independent of t
@@ -225,8 +268,8 @@ def test_bks_factor_su2_two_backends():
     ir = groups.make_irrep(SU2, (1,))
     want = math.exp(-0.5 * (ir.casimir + SU2.rho_norm_sq))
     num_c = math.exp(pairing.bks_factor_log(SU2, 1.0, 2.0, 1.0, ir)[0])
-    factory_mc = pairing.default_char_factory(SU2, 1.0, backend="monte-carlo", samples=50_000)
-    num_m = math.exp(pairing.bks_factor_log(SU2, 1.0, 2.0, 1.0, ir, quad_factory=factory_mc)[0])
+    char_log_mc = pairing.char_log_table(SU2, 1.0, backend="monte-carlo", samples=50_000)
+    num_m = math.exp(pairing.bks_factor_log(SU2, 1.0, 2.0, 1.0, ir, char_log=char_log_mc)[0])
     assert num_c == pytest.approx(want, rel=1e-8)
     assert num_m == pytest.approx(want, rel=1e-8)   # degree-one moment, MC exact
     assert num_c == pytest.approx(pairing.bks_factor_closed(SU2, 1.0, 2.0, 1.0, ir), rel=1e-8)
@@ -305,9 +348,9 @@ def test_verify_unitarity_vertical_endpoint():
 
 
 def test_verify_unitarity_su3_montecarlo():
-    factory = pairing.default_char_factory(SU3, 1.0, backend="monte-carlo", samples=200_000)
+    char_log = pairing.char_log_table(SU3, 1.0, backend="monte-carlo", samples=200_000)
     rep = pairing.verify_unitarity(SU3, 1.0, 1.0, 2.0, groups.make_irrep(SU3, (1, 0)),
-                                   quad_factory=factory, tolerance=1e-3)
+                                   char_log=char_log, tolerance=1e-3)
     assert rep.passed, rep.abs_residual
     assert rep.abs_residual <= 5 * rep.error_estimate
 

@@ -274,6 +274,76 @@ def test_mc_samples_reach_the_monte_carlo_character_rule(monkeypatch):
     assert rep.summary["total"] > 0 and rep.summary["passed"] == rep.summary["total"]
 
 
+@pytest.fixture(scope="module", params=["torus", "su2", "su3"])
+def default_run(request):
+    """One default run per group, with every char_gaussian_log call it made
+    keyed by the integral it computes: (hbar0, t, label, rule)."""
+    calls = []
+    char_log = pairing_mod.char_gaussian_log
+
+    def spy(group, hbar0, t, irrep, quad):
+        calls.append((hbar0, t, irrep.label, quad.backend, len(quad.nodes)))
+        return char_log(group, hbar0, t, irrep, quad)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairing_mod, "char_gaussian_log", spy)
+        rep = suite.run_suite(config.default_config(group=request.param))
+    return request.param, rep, calls
+
+
+# distinct character integrals of a default run: the table's (t, label)
+# pairs plus delta-one's three, which run on a rule of their own
+DEFAULT_CHAR_INTEGRALS = {"torus": 157, "su2": 77, "su3": 29}
+
+
+def test_a_run_computes_each_character_integral_once(default_run):
+    kind, rep, calls = default_run
+    assert rep.summary["total"] == rep.summary["passed"] > 0
+    assert len(set(calls)) == DEFAULT_CHAR_INTEGRALS[kind]
+    assert len(calls) == len(set(calls))
+
+
+def _rows(rep):
+    return {row["key"]: json.dumps(row)
+            for row in json.loads(suite.render_json(rep))["reports"]}
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
+def test_each_family_alone_gives_its_rows_from_verify_all(kind):
+    # the jobs of a run share one character table; whichever family asks
+    # for an integral first, every row reads the same bytes
+    band = {} if kind == "torus" else {"band_limit": None}
+    cfg = fast_cfg(group=kind, identities=config.IDENTITY_FAMILIES, **band)
+    together = _rows(suite.run_suite(cfg))
+    alone = {}
+    for family in config.IDENTITY_FAMILIES:
+        alone.update(_rows(suite.run_suite(fast_cfg(group=kind, identities=(family,),
+                                                    **band))))
+    assert len(together) > 0
+    assert alone == together
+
+
+def _bar_holds(key, rep):
+    # the field each family's bar bounds (README, "Report fields"): wedge
+    # bounds the relative error, prequantum is inverted and needs its
+    # contrast above the bar, every other family bounds abs_residual
+    family = key.split("/", 1)[0]
+    if family == "wedge":
+        return rep.rel_residual <= rep.tolerance
+    if family == "prequantum":
+        return rep.abs_residual > rep.tolerance
+    return rep.abs_residual <= rep.tolerance
+
+
+def test_each_bar_bounds_the_field_named_for_its_family(default_run):
+    kind, rep, _ = default_run
+    strict = suite.run_suite(config.default_config(group=kind, tolerance_scale=1e-30))
+    assert strict.summary["failed"] > 0
+    for run in (rep, strict):
+        assert run.summary["errors"] == 0
+        assert [k for k, r in run.reports if r.passed != _bar_holds(k, r)] == []
+
+
 def _gaussian_importance(F, dim, samples, seed, scale):
     # int F dY as the mean of F(Y) / p(Y) over Y ~ N(0, scale^2 I), with
     # its standard error; plain numpy, independent of the package's rules
@@ -381,8 +451,8 @@ def test_continuity_job_fails_when_the_norm_slope_is_off(kind, monkeypatch):
     assert rep.summary["total"] == rep.summary["passed"] == 1
     norm_sq = pairing_mod.quantum_norm_sq
 
-    def steeper(sec, quad_factory=None):
-        value, err = norm_sq(sec, quad_factory)
+    def steeper(sec, char_log=None):
+        value, err = norm_sq(sec, char_log)
         grow = math.exp(0.1 * sec.f.group.rho_norm_sq * sec.hbar0 * sec.s)
         return value * grow, err * grow
 
