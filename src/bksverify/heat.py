@@ -158,8 +158,11 @@ def hl2_inner_quadrature(
     """Quadrature route for the holomorphic inner product, as (value, error).
 
     Integrates over the polar slice: the compact direction is summed by
-    Schur orthogonality, the algebra direction by a Gauss-Hermite rule
-    matched to the Gaussian of the measure.  Available where matrix
+    Schur orthogonality, the algebra direction by a rule matched to the
+    Gaussian of the measure.  That rule is the tensor Gauss-Hermite rule
+    of ``points`` per coordinate on tori, and on SU(2) the
+    spherical-radial rule with ``points`` radial nodes on (0, inf) and
+    sphere degree the largest label in F and F'.  Available where matrix
     elements are realized (tori and SU(2)).
     """
     if group.kind == "su3":
@@ -180,7 +183,11 @@ def hl2_inner_quadrature(
             total += np.einsum("nij,nij->n", A.conj(), B) / d
         return total * eta(group, Y) * np.exp(-np.sum(Y * Y, axis=1) / hbar)
 
-    quad = quadrature.hermite_quadrature(group, points, scale=math.sqrt(hbar))
+    if group.kind == "su2":
+        degree = max((label[0] for label in labels), default=0)
+        quad = quadrature.spherical_radial(group, points, math.sqrt(hbar), degree)
+    else:
+        quad = quadrature.hermite_quadrature(group, points, scale=math.sqrt(hbar))
     value, err = quadrature.integrate_algebra(integrand, quad)
     norm = a_s(group, hbar0, s) * s ** (group.dim / 2.0)
     return value / norm, err / norm

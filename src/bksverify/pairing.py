@@ -588,15 +588,17 @@ def _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points):
     #   int C^T [(W_- Wx2^{-1})^T conj(W_+)] C  eta(Y) e^{-|Y|^2/hbar''} dY
     # with W_pm the irrep lifts of exp(i(1 pm t)Y).  The two lifts are
     # built separately so the deformation parameter stays live in the
-    # numerics instead of cancelling analytically.  Nodes are summed in
-    # fixed-size batches, in node order.
+    # numerics instead of cancelling analytically.  The integral runs on
+    # the spherical-radial rule with ``points`` radial nodes and sphere
+    # degree 2j (quadrature.spherical_radial says why that is exact).
+    # Nodes are summed in fixed-size batches, in node order.
     hbar_pp = 0.5 * (s + s_prime) * hbar0
     s_pp = 0.5 * (s + s_prime)
     j = irrep.label[0] / 2.0
     d = irrep.dim
     C = _su2_conjugation_intertwiner(d)
     Wx2_inv = wigner_matrix(j, np.linalg.inv(x2))
-    quad = quadrature.hermite_quadrature(group, points, scale=math.sqrt(hbar_pp))
+    quad = quadrature.spherical_radial(group, points, math.sqrt(hbar_pp), irrep.label[0])
     total = np.zeros((d, d), dtype=complex)
     for part in quadrature.batches(len(quad.nodes)):
         Y, w = quad.nodes[part], quad.weights[part]

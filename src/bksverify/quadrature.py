@@ -1,7 +1,7 @@
 """Integration rules over the Lie algebra.
 
 Every integral in the verification pipeline is an algebra integral
-against a Gaussian weight.  Two deterministic backends cover the
+against a Gaussian weight.  Three deterministic backends cover the
 regimes that occur:
 
 * ``cartan-reduced``: Weyl reduction of Ad-invariant integrands to the
@@ -9,9 +9,12 @@ regimes that occur:
   the constant c_K folded into composite Gauss-Legendre weights.
 * ``gauss-hermite-full``: tensor Gauss-Hermite rule on all ``dim``
   coordinates with the Gaussian weight divided back out, rescaled to
-  the width of the integrand at hand.
+  the width of the integrand at hand (tori, ``convergence``, tests).
+* ``spherical-radial``: on su(2) = R^3, a product rule on the unit
+  sphere times a radial Gauss-Hermite rule, for integrands that are a
+  radial function times a polynomial of known degree in Y/|Y|.
 
-A third rule, ``monte-carlo``, holds no nodes: it carries a sample
+A fourth rule, ``monte-carlo``, holds no nodes: it carries a sample
 count and a seed to the Monte Carlo character backend, which draws its
 own Gaussian moment (``pairing.char_gaussian_log``).
 
@@ -64,6 +67,11 @@ BATCH = 512
 
 # node cap of a tensor Gauss-Hermite rule, points ** dim
 MAX_TENSOR_NODES = 2_000_000
+
+# length cap of one 1-D Gauss-Hermite rule.  A size bound, not a stability
+# one: a rule this long means an integrand far wider than its scale, which
+# recentering or rescaling serves more cheaply
+MAX_RULE_POINTS = 350
 
 _WEYL_CACHE: dict = {}
 
@@ -173,11 +181,7 @@ def hermite_quadrature(
     """
     if points**group.dim > MAX_TENSOR_NODES:
         raise ValueError("tensor rule too large; use cartan-reduced")
-    if points > 350:
-        # a size bound, not a stability one: a rule this long means an
-        # integrand far wider than its scale, which recentering or
-        # rescaling serves more cheaply
-        raise ValueError("rule too long; recenter or rescale instead")
+    _require_rule_length(points)
     return _with_companion(
         "gauss-hermite-full", group,
         lambda n: _hermite_rule(group.dim, n, scale, center),
@@ -194,6 +198,59 @@ def _hermite_rule(dim: int, points: int, scale: float, center=None):
         nodes = nodes + np.asarray(center, dtype=float)[None, :]
     weights = scale**dim * _tensor_weights(detached, dim)
     return nodes, weights
+
+
+def _require_rule_length(points: int) -> None:
+    if points > MAX_RULE_POINTS:
+        raise ValueError("rule too long; recenter or rescale instead")
+
+
+def spherical_radial(group: GroupSpec, points: int, scale: float, degree: int) -> Quadrature:
+    """Spherical-radial rule on su(2) = R^3 (Stroud 1971; Genz-Monahan 1998).
+
+    Nodes scale * r_i u_k.  The r_i are the ``points`` positive nodes of
+    the 2 * points Gauss-Hermite rule; with the even extension of the
+    radial integrand their weights are scale^3 * (detached weight) * r_i^2.
+    The directions u_k are a Gauss-Legendre rule in cos(theta) with
+    degree // 2 + 1 points times a (degree + 1)-point trapezoid rule in
+    phi, exact for every polynomial in u of degree <= ``degree``.  The
+    companion is the shorter radial rule, max(4, 3 * points // 4) positive
+    nodes, on the same directions, so the estimate measures the radial
+    error alone.
+
+    The integrands this serves have the form g(|Y|) times an entry
+    (or a linear combination of entries) of the spin-j matrix of
+    exp(2iY) = P^2, with P = exp(iY) Hermitian positive: the holomorphic
+    inner product reads (M^dagger M)^T = D^j(P^2)^T, and the two
+    delta-two lifts combine as D^j(P_-)^T conj(D^j(P_+)) = D^j(P_+ P_-)^T
+    = D^j(P^2)^T.  On the sphere |Y| = r the entries of P^2 are affine in
+    u = Y / r, so those of its spin-j matrix are polynomials of degree
+    2j in u: ``degree`` = 2 j_max (the largest SU(2) label) makes the
+    direction sum exact and leaves only the radial error.  Read entry by
+    entry, the product of the two factors has degree 4 j_max; the group
+    law folds it to 2 j_max, and one degree less leaves errors of order
+    1e-2 to 1 in both integrands.
+    """
+    if group.kind != "su2":
+        raise ValueError("the spherical-radial rule is built on su(2) only")
+    _require_rule_length(2 * points)
+    z, wz = _gauss_legendre(degree // 2 + 1)
+    phi = 2.0 * math.pi * np.arange(degree + 1) / (degree + 1)
+    sin_theta = np.sqrt(1.0 - z * z)
+    directions = np.stack([
+        np.outer(sin_theta, np.cos(phi)).ravel(),
+        np.outer(sin_theta, np.sin(phi)).ravel(),
+        np.repeat(z, degree + 1),
+    ], axis=-1)
+    direction_weights = np.repeat(wz * (2.0 * math.pi / (degree + 1)), degree + 1)
+
+    def rule(n):
+        x, detached = _gauss_hermite(2 * n)
+        r, wr = x[n:], scale**3 * detached[n:] * x[n:] ** 2
+        nodes = (scale * r[:, None, None] * directions[None, :, :]).reshape(-1, 3)
+        return nodes, np.outer(wr, direction_weights).ravel()
+
+    return _with_companion("spherical-radial", group, rule, points, max(4, (3 * points) // 4))
 
 
 @functools.lru_cache(maxsize=None)

@@ -183,7 +183,9 @@ def _job_cst_quadrature(group, hbar0, s, band, points, tol, seed):
     F, Fp = cst_forward(hbar, f), cst_forward(hbar, fp)
     lhs, err = hl2_inner_quadrature(group, hbar0, s, F, Fp, points=points)
     rhs = hl2_inner(group, hbar0, s, F, Fp)
-    scale = _norm_product(f, fp)
+    # relative to the inner product under test: over ||f|| ||f'|| a
+    # relative error e would read only e |<f, f'>| / (||f|| ||f'||)
+    scale = abs(l2_inner(f, fp))
     rel = abs(lhs - rhs) / scale
     return _report(
         "cst-unitarity", group,
@@ -372,22 +374,31 @@ def _group(cfg: RunConfig) -> GroupSpec:
 
 
 def _check_rule_sizes(cfg: RunConfig, group: GroupSpec) -> None:
-    """ConfigError naming the first selected family whose tensor
-    Gauss-Hermite rule, points ** dim nodes, is over the quadrature cap.
-    On tori the families that read the character table build one of
-    ``hermite_points``."""
+    """ConfigError naming the first selected family whose Gauss-Hermite
+    rule is over a quadrature cap: a 1-D length over MAX_RULE_POINTS, or a
+    tensor rule, length ** dim nodes, over MAX_TENSOR_NODES.  On tori the
+    families that read the character table build one of ``hermite_points``;
+    SU(2)'s spherical-radial rules take their radial nodes from one
+    2 * points rule and hold no tensor product."""
     table = ("pairing", "bks-factor", "unitarity", "vertical-limit", "continuity")
-    points = {
+    rules = {
         "torus": {"cst-unitarity": cfg.hl2_points_torus, "delta": pairing.DELTA_ONE_POINTS,
                   **dict.fromkeys(table, cfg.hermite_points)},
-        "su2": {"cst-unitarity": cfg.hl2_points_su2, "delta": cfg.delta_points_su2},
+        "su2": {"cst-unitarity": 2 * cfg.hl2_points_su2, "delta": 2 * cfg.delta_points_su2},
     }.get(group.kind, {})
+    dim = group.dim if group.kind == "torus" else 1
     cap = quadrature.MAX_TENSOR_NODES
     for family in cfg.identities:
-        nodes = points.get(family, 0) ** group.dim
+        length = rules.get(family, 0)
+        if length > quadrature.MAX_RULE_POINTS:
+            raise ConfigError(
+                f"{family} on {group.describe()} needs a {length}-point Gauss-Hermite "
+                f"rule, over the cap of {quadrature.MAX_RULE_POINTS} points"
+            )
+        nodes = length**dim
         if nodes > cap:
             raise ConfigError(
-                f"{family} on {group.describe()} needs a {points[family]}^{group.dim} = "
+                f"{family} on {group.describe()} needs a {length}^{dim} = "
                 f"{nodes:,}-node rule, over the cap of {cap:,} nodes"
             )
 

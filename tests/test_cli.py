@@ -133,11 +133,26 @@ def test_torus_rank_4_runs_the_families_under_the_cap(tmp_path, capsys):
 
 
 def test_su2_rule_over_the_cap_exit_code(tmp_path, capsys):
+    # the radial nodes of a spherical-radial rule are the positive half of
+    # a 2 * points Gauss-Hermite rule, so 176 points ask for 352
     cfg = tmp_path / "su2.cfg"
     cfg.write_text("[run]\ngroup = su2\nidentities = delta\n"
-                   "[quadrature]\ndelta_points_su2 = 127\n", encoding="utf-8")
+                   "[quadrature]\ndelta_points_su2 = 176\n", encoding="utf-8")
     assert cli.main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "127^3 = 2,048,383-node rule" in capsys.readouterr().err
+    assert "352-point Gauss-Hermite rule, over the cap of 350 points" in capsys.readouterr().err
+
+
+def test_torus_rule_over_the_length_cap_exit_code(tmp_path, capsys):
+    # 400 points stay under the node cap on U(1) but over the length cap
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text("[run]\ngroup = torus\nidentities = cst-unitarity\n"
+                   "[quadrature]\nhl2_points_torus = 400\n", encoding="utf-8")
+    code = cli.main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("config error: cst-unitarity on U(1)^1")
+    assert "needs a 400-point Gauss-Hermite rule, over the cap of 350 points" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_build_jobs_and_the_hermite_rule_read_one_cap(monkeypatch):
@@ -150,6 +165,22 @@ def test_build_jobs_and_the_hermite_rule_read_one_cap(monkeypatch):
     with pytest.raises(ValueError, match="tensor rule too large"):
         quadrature.hermite_quadrature(groups.group_spec("torus", n=1), 64)
     quadrature.hermite_quadrature(groups.group_spec("torus", n=1), 63)
+
+
+def test_build_jobs_and_both_hermite_rules_read_one_length_cap(monkeypatch):
+    from bksverify import groups, quadrature
+    su2 = groups.group_spec("su2")
+    cfg = config.default_config(group="su2", identities=("cst-unitarity",))
+    assert suite.build_jobs(cfg)
+    monkeypatch.setattr(quadrature, "MAX_RULE_POINTS", 79)
+    with pytest.raises(config.ConfigError, match="80-point Gauss-Hermite rule"):
+        suite.build_jobs(cfg)
+    with pytest.raises(ValueError, match="rule too long"):
+        quadrature.spherical_radial(su2, 40, 1.0, 4)
+    with pytest.raises(ValueError, match="rule too long"):
+        quadrature.hermite_quadrature(groups.group_spec("torus", n=1), 80)
+    quadrature.spherical_radial(su2, 39, 1.0, 4)
+    quadrature.hermite_quadrature(groups.group_spec("torus", n=1), 79)
 
 
 @pytest.mark.parametrize("command", [
@@ -193,13 +224,17 @@ def test_table_bar_is_the_bks_factor_tolerance(tmp_path, capsys):
     assert code == 1
 
 
-def test_factor_table_fails_without_a_traceback_when_a_check_errors(tmp_path, capsys):
-    # a 400-point torus character rule is refused, so every bks-factor job
-    # raises: the table records the errors like verify does, writes no row
-    # for them and fails
-    cfg = tmp_path / "long.cfg"
-    cfg.write_text("[run]\ngroup = torus\n[quadrature]\nhermite_points = 400\n",
-                   encoding="utf-8")
+def test_factor_table_fails_without_a_traceback_when_a_check_errors(tmp_path, capsys,
+                                                                    monkeypatch):
+    # every character integral raises, so every bks-factor job raises: the
+    # table records the errors like verify does, writes no row for them
+    # and fails
+    def refused(*args):
+        raise ValueError("rule too long; recenter or rescale instead")
+
+    monkeypatch.setattr(pairing, "char_gaussian_log", refused)
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text("[run]\ngroup = torus\n", encoding="utf-8")
     code = cli.main(["table", "pairing-factors", "--config", str(cfg),
                      "--out", str(tmp_path)])
     assert code == 1

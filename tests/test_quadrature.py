@@ -81,6 +81,38 @@ def test_hermite_odd_integrand_vanishes():
     assert abs(val) < 1e-12
 
 
+def test_spherical_radial_moments_exact_at_the_sphere_degree():
+    # Y1^2 Y2^4 e^{-|Y|^2} = r^6 e^{-r^2} times a degree-6 polynomial in the
+    # unit vector: exact at degree 6, not at 5 (the phi rule aliases
+    # cos(6 phi)); the Gaussian mass and odd integrands hold at degree 0
+    want = (math.sqrt(math.pi) / 2) * (3 * math.sqrt(math.pi) / 4) * math.sqrt(math.pi)
+    moment = lambda Y: Y[:, 0] ** 2 * Y[:, 1] ** 4 * gauss(Y)
+    val, est = quadrature.integrate_algebra(moment, quadrature.spherical_radial(SU2, 8, 1.0, 6))
+    assert val == pytest.approx(want, rel=1e-13) and est < 1e-13 * want
+    low, _ = quadrature.integrate_algebra(moment, quadrature.spherical_radial(SU2, 8, 1.0, 5))
+    assert abs(low - want) > 1e-2 * want
+    mass = quadrature.spherical_radial(SU2, 8, 0.5, 0)
+    val, _ = quadrature.integrate_algebra(lambda Y: gauss(2.0 * Y), mass)
+    assert val == pytest.approx(math.pi ** 1.5 / 8, rel=1e-13)
+    val, _ = quadrature.integrate_algebra(
+        lambda Y: (Y[:, 0] ** 3 + Y[:, 2]) * gauss(Y), quadrature.spherical_radial(SU2, 8, 1.0, 3))
+    assert abs(val) < 1e-13
+
+
+def test_spherical_radial_sizes_and_companion():
+    # points radial nodes on (0, inf) times (degree // 2 + 1)(degree + 1)
+    # directions; the companion shortens the radial rule only
+    quad = quadrature.spherical_radial(SU2, 16, 1.0, 4)
+    assert quad.backend == "spherical-radial"
+    assert quad.nodes.shape == (16 * 15, 3) and quad.coarse_nodes.shape == (12 * 15, 3)
+    r = np.linalg.norm(quad.nodes, axis=1)
+    assert r.min() > 0.0 and np.all(quad.weights > 0.0)
+    assert np.allclose(r.reshape(16, 15), r.reshape(16, 15)[:, :1])
+    assert quadrature.spherical_radial(SU2, 4, 1.0, 0).coarse_nodes.shape == (4, 3)
+    with pytest.raises(ValueError, match="su\\(2\\) only"):
+        quadrature.spherical_radial(TORUS, 8, 1.0, 2)
+
+
 def test_hermite_point_cap():
     with pytest.raises(ValueError):
         quadrature.hermite_quadrature(TORUS, 400)

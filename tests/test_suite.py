@@ -511,11 +511,10 @@ def test_pairing_jobs_fail_when_the_character_integral_is_off(kind, monkeypatch)
 
 @pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
 def test_cst_jobs_fail_when_the_holomorphic_inner_product_is_off(kind, monkeypatch):
-    # s = 0.25 sets the quadrature route's Hermite rule; at s = 0.5 the
-    # unmutated SU(2) route already misses its bar.  That route divides by
-    # ||f|| ||f'||, so the error shows scaled by |<f, f'>| / (||f|| ||f'||):
-    # on SU(2) it reads 2.2e-4 against the 1e-4 bar here
-    cfg = fast_cfg(group=kind, s_grid=(0.25, 1.0), identities=("cst-unitarity",))
+    # the group's default band: the quadrature route divides by |<f, f'>|,
+    # the inner product it tests, so the 1e-3 error reads 1e-3 there
+    cfg = fast_cfg(group=kind, band_limit=None, s_grid=(0.25, 1.0),
+                   identities=("cst-unitarity",))
 
     def mutate(mp):
         mp.setattr(suite, "hl2_inner", _scaled(suite, "hl2_inner", 1.0 + 1e-3))
@@ -561,3 +560,32 @@ def test_prequantum_job_fails_when_the_map_is_parallel_transport(kind, monkeypat
         mp.setattr(pairing_mod, "preq_map_apply", pairing_mod.preq_parallel_transport)
 
     _assert_every_job_fails(cfg, mutate, monkeypatch)
+
+
+def test_su2_quadrature_rows_fail_one_sphere_degree_below_the_labels(monkeypatch):
+    # the spherical-radial companion shares the sphere rule, so its estimate
+    # cannot see a sphere degree that is too low; these rows must
+    from bksverify import quadrature
+
+    cfg = config.default_config(group="su2", identities=("cst-unitarity", "delta"))
+    assert all(r.passed for _, r in suite.run_suite(cfg).reports)
+    rule = quadrature.spherical_radial
+
+    def lowered(group, points, scale, degree):
+        return rule(group, points, scale, max(degree - 1, 0))
+
+    monkeypatch.setattr(quadrature, "spherical_radial", lowered)
+    failed = sorted(k for k, r in suite.run_suite(cfg).reports if not r.passed)
+    assert failed == ["cst-unitarity/su2/quadrature/s=0.25",
+                      "delta/su2/two/(1,)", "delta/su2/two/(2,)"]
+
+
+def test_su2_quadrature_rows_pass_at_hbar0_3():
+    # the radial peak moves outward with hbar0; 100 radial nodes hold every
+    # row to rounding, where 100^3 tensor nodes would be needed
+    cfg = config.default_config(group="su2", hbar0=3.0,
+                                identities=("cst-unitarity", "delta"),
+                                hl2_points_su2=100, delta_points_su2=100)
+    rep = suite.run_suite(cfg)
+    assert rep.summary == {"total": 10, "passed": 10, "failed": 0, "errors": 0}
+    assert max(r.abs_residual for _, r in rep.reports) < 1e-12
