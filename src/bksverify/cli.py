@@ -174,8 +174,8 @@ def _convergence_rows(cfg: RunConfig) -> list:
     )
     rows = []
 
-    def record(backend, resolution, quad):
-        logv, est = pairing.char_gaussian_log(group, cfg.hbar0, t, irrep, quad)
+    def record(backend, resolution, result):
+        logv, est = result
         rows.append({
             "backend": backend,
             "resolution": resolution,
@@ -183,23 +183,26 @@ def _convergence_rows(cfg: RunConfig) -> list:
             "error_estimate": est,
         })
 
+    def on(quad):
+        return pairing.char_gaussian_log(group, cfg.hbar0, t, irrep, quad)
+
     if group.kind == "torus":
         for pts in (8, 12, 16, 24, 32):
-            record("gauss-hermite", pts, pairing.char_gaussian_quadrature(
-                group, cfg.hbar0, t, irrep, points=pts))
+            record("gauss-hermite", pts, on(pairing.char_gaussian_quadrature(
+                group, cfg.hbar0, t, irrep, points=pts)))
     else:
         for panels in (2, 4, 6, 8, 10):
-            record("cartan-reduced", panels, pairing.char_gaussian_quadrature(
+            record("cartan-reduced", panels, on(pairing.char_gaussian_quadrature(
                 group, cfg.hbar0, t, irrep,
-                points_per_panel=cfg.points_per_panel, panels=panels))
+                points_per_panel=cfg.points_per_panel, panels=panels)))
         if group.kind == "su2":
             sigma = math.sqrt(cfg.hbar0 / t)
             for pts in (32, 44, 56, 64):
                 record("gauss-hermite-full", pts,
-                       quadrature.hermite_quadrature(group, pts, scale=sigma))
+                       on(quadrature.hermite_quadrature(group, pts, scale=sigma)))
         for samples in sorted({10_000, 100_000, cfg.mc_samples}):
-            quad = quadrature.algebra_montecarlo(group, samples, cfg.seed)
-            record("monte-carlo", samples, quad)
+            record("monte-carlo", samples, pairing.char_gaussian_log_mc(
+                group, cfg.hbar0, t, irrep, samples, cfg.seed))
     return rows
 
 

@@ -1,7 +1,7 @@
 """Run configuration: plain-text key = value files with sections.
 
 A config file has three optional sections, all keys shown with their
-defaults in DEFAULTS below.  Unknown sections or keys are rejected so a
+defaults in RunConfig below.  Unknown sections or keys are rejected so a
 typo cannot silently fall back to a default.  Values in [tolerances]
 other than `scale` override the per-identity defaults resolved in the
 suite module; absent keys defer to those.
@@ -114,46 +114,31 @@ def _names(text: str) -> tuple[str, ...]:
     return items
 
 
-# section -> key -> (attribute, converter)
-_SCHEMA = {
-    "run": {
-        "group": ("group", str),
-        "torus_rank": ("torus_rank", int),
-        "normalization": ("normalization", str),
-        "hbar0": ("hbar0", float),
-        "seed": ("seed", int),
-        "band_limit": ("band_limit", float),
-        "s_grid": ("s_grid", _floats),
-        "s_prime_grid": ("s_prime_grid", _floats),
-        "pairs_per_cell": ("pairs_per_cell", int),
-        "identities": ("identities", _names),
-        "out_dir": ("out_dir", str),
-        "format": ("format", str),
-        "threads": ("threads", int),
-    },
-    "quadrature": {
-        "char_backend": ("char_backend", str),
-        "points_per_panel": ("points_per_panel", int),
-        "panels": ("panels", int),
-        "hermite_points": ("hermite_points", int),
-        "mc_samples": ("mc_samples", int),
-        "hl2_points_torus": ("hl2_points_torus", int),
-        "hl2_points_su2": ("hl2_points_su2", int),
-        "delta_points_torus": ("delta_points_torus", int),
-        "delta_points_su2": ("delta_points_su2", int),
-    },
+# the [quadrature] keys; every other field but the two [tolerances] ones
+# is a [run] key, under its own name
+_QUADRATURE_KEYS = (
+    "char_backend", "points_per_panel", "panels", "hermite_points", "mc_samples",
+    "hl2_points_torus", "hl2_points_su2", "delta_points_torus", "delta_points_su2",
+)
+
+# declared field type -> parser of the config value
+_PARSERS = {"str": str, "int": int, "float": float, "float | None": float,
+            "tuple[float, ...]": _floats, "tuple[str, ...]": _names}
+_KEYS = {
+    f.name: _PARSERS[f.type] for f in fields(RunConfig) if not f.name.startswith("tolerance_")
 }
 
-# counts that select nothing, or index an empty rule, at 0
-_POSITIVE_COUNTS = (
-    "pairs_per_cell",
-    "panels",
-    "hermite_points",
-    "mc_samples",
-    "hl2_points_torus",
-    "hl2_points_su2",
-    "delta_points_torus",
-    "delta_points_su2",
+# section -> key -> parser
+_SCHEMA = {
+    "run": {key: parse for key, parse in _KEYS.items() if key not in _QUADRATURE_KEYS},
+    "quadrature": {key: _KEYS[key] for key in _QUADRATURE_KEYS},
+}
+
+# counts that select nothing, or index an empty rule, at 0: every int
+# field but the seed and the two with bars of their own
+_POSITIVE_COUNTS = tuple(
+    f.name for f in fields(RunConfig)
+    if f.type == "int" and f.name not in ("seed", "threads", "points_per_panel")
 )
 
 _CHOICE_FIELDS = {
@@ -177,8 +162,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("out_dir must not be empty")
     if cfg.hbar0 <= 0.0:
         raise ConfigError("hbar0 must be positive")
-    if cfg.torus_rank < 1:
-        raise ConfigError("torus_rank must be at least 1")
     if cfg.threads not in (0, 1):
         raise ConfigError(
             f"threads must be 0 or 1, got {cfg.threads}: the suite runs on one thread"
@@ -232,9 +215,8 @@ def parse_config(text: str) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in table:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            attr, conv = table[key]
             try:
-                values[attr] = conv(raw)
+                values[key] = table[key](raw)
             except ConfigError:
                 raise
             except ValueError as exc:

@@ -28,6 +28,7 @@ integer frequency vectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -417,18 +418,13 @@ def _su3_weight_system(group: GroupSpec, irrep: Irrep) -> tuple[np.ndarray, np.n
 # SU(2) matrix elements
 
 
-_WIGNER_TERMS: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _wigner_terms(twoj: int):
     # Entry (row, col) of the spin-j matrix is a sum of monomials
     # a^ea b^eb c^ec d^ed in the entries of g: column col expands
     # (a u + c v)^(2j-col) (b u + d v)^col, row counts the powers of v.
     # Returns the exponents of every monomial and the matrix that sums
     # them, with their coefficients, into the flattened entries.
-    hit = _WIGNER_TERMS.get(twoj)
-    if hit is not None:
-        return hit
     dim = twoj + 1
     norms = [math.sqrt(math.factorial(twoj - k) * math.factorial(k)) for k in range(dim)]
     terms = []
@@ -441,8 +437,7 @@ def _wigner_terms(twoj: int):
     ea, eb, ec, ed, pos, coef = (np.array(v) for v in zip(*terms))
     scatter = np.zeros((len(terms), dim * dim))
     scatter[np.arange(len(terms)), pos] = coef
-    _WIGNER_TERMS[twoj] = (ea, eb, ec, ed, scatter)
-    return _WIGNER_TERMS[twoj]
+    return ea, eb, ec, ed, scatter
 
 
 def wigner_matrix(j, g) -> np.ndarray:

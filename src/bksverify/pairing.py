@@ -11,12 +11,14 @@ is the character-Gaussian integral
              eta((t/2) Y) dY
 
 with contract value d_R (pi hbar0)^{n/2} e^{t hbar0 (c_R+|rho|^2)/2}.
-``char_gaussian_log`` is the one entry to G_R: it returns log G_R(t)
-by the backend the rule carries (Weyl-reduced quadrature on the weight
-table, full Gauss-Hermite on defining-matrix eigenvalues on SU(2), or
-importance-sampled Monte Carlo).  ``char_log_table`` is the one per-run
-source of those logs: it picks each rule, computes each (t, irrep) once
-and hands the stored pair to every identity assembled from it.
+Each route to G_R has one entry that returns log G_R(t):
+``char_gaussian_log`` integrates on the node rule it is handed
+(Weyl-reduced quadrature on the weight table, or full Gauss-Hermite on
+defining-matrix eigenvalues on SU(2)), and ``char_gaussian_log_mc``
+draws the Weyl-reduced Gaussian moment by importance-sampled Monte
+Carlo.  ``char_log_table`` is the one per-run source of those logs: it
+picks the route, computes each (t, irrep) once and hands the stored
+pair to every identity assembled from it.
 Exponents grow linearly in t c_R, so assemblies stay in log space
 wherever float range could overflow.  The BKS block factor
 has one closed exponent, ``bks_exponent``, and one numeric log,
@@ -27,7 +29,6 @@ unitarity check applies it and measures norms with ``quantum_norm_sq``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import zlib
 
@@ -196,24 +197,16 @@ def char_gaussian_log(
     group: GroupSpec, hbar0: float, t: float, irrep: Irrep,
     quad: quadrature.Quadrature,
 ):
-    """log G_R(t) with a relative error estimate, by the backend the rule
-    carries.
+    """log G_R(t) with a relative error estimate, on the rule handed in.
 
     Contract: log d_R (pi hbar0)^{n/2} + t hbar0 (c_R+|rho|^2)/2.  On
     SU(2) a full Gauss-Hermite rule takes the eigenvalue route, which
-    never reads the weight table; Monte Carlo rules take the Weyl-reduced
-    Gaussian moment.  The Cartan-reduced integrand is a positive weight
-    sum, so its log-space route is immune to e^{t hbar0 c_R} growth.
+    never reads the weight table.  The Cartan-reduced integrand is a
+    positive weight sum, so its log-space route is immune to
+    e^{t hbar0 c_R} growth.
     """
     if t <= 0.0:
         raise ValueError("the character-Gaussian integral needs t > 0")
-    if quad.backend == "monte-carlo":
-        if group.kind == "torus":
-            raise ValueError("use a deterministic backend on tori")
-        mean, stderr = _char_mc_moment(group, hbar0, t, irrep, quad.samples, quad.seed)
-        if mean <= 0.0:
-            raise ValueError("Monte Carlo moment estimate is not positive; add samples")
-        return _char_mc_prefactor_log(group, hbar0, t, irrep) + math.log(mean), stderr / mean
     if quad.backend == "cartan-reduced" or group.kind == "torus":
         return quadrature.integrate_algebra_log(
             _char_log_integrand(group, hbar0, t, irrep), quad
@@ -237,6 +230,19 @@ def _char_gaussian_hermite(group, hbar0, t, irrep, quad):
         )
 
     return quadrature.integrate_algebra(F, quad)
+
+
+def char_gaussian_log_mc(group: GroupSpec, hbar0: float, t: float, irrep: Irrep,
+                         samples: int, seed: int):
+    """log G_R(t) with a relative error estimate, by Monte Carlo: the
+    Weyl-reduced Gaussian moment from ``samples`` draws of generator
+    ``seed``, with its relative standard error."""
+    if t <= 0.0:
+        raise ValueError("the character-Gaussian integral needs t > 0")
+    mean, stderr = _char_mc_moment(group, hbar0, t, irrep, samples, seed)
+    if mean <= 0.0:
+        raise ValueError("Monte Carlo moment estimate is not positive; add samples")
+    return _char_mc_prefactor_log(group, hbar0, t, irrep) + math.log(mean), stderr / mean
 
 
 def _char_mc_moment(group, hbar0, t, irrep, samples, seed):
@@ -285,24 +291,26 @@ def char_log_table(group: GroupSpec, hbar0: float, backend: str = "cartan-reduce
                    samples: int = 200_000, seed: int = 0, points_per_panel: int = 14,
                    panels: int = 10, hermite_points: int = 64):
     """One run's character integrals, char_log(t, irrep) -> (log G_R(t),
-    relative error): ``char_gaussian_log`` on the first ask for an exact
-    (t, label), the stored pair after that.  Rules follow the backend: a
-    recentered Hermite rule of ``hermite_points`` on tori, the Cartan box
-    elsewhere, or one Monte Carlo child seed per (t, label), so values do
-    not depend on the order of asks.  Build one table per run.
+    relative error): computed on the first ask for an exact (t, label),
+    the stored pair after that.  The backend picks the route:
+    ``char_gaussian_log`` on a recentered Hermite rule of
+    ``hermite_points`` on tori and on the Cartan box elsewhere, or
+    ``char_gaussian_log_mc`` with one child seed per (t, label), so values
+    do not depend on the order of asks.  Build one table per run.
     """
     if backend == "monte-carlo":
         if group.kind == "torus":
             raise ValueError("use a deterministic backend on tori")
 
-        def rule(t, irrep):
+        def compute(t, irrep):
             child = zlib.crc32(repr((round(t, 12), irrep.label)).encode()) ^ seed
-            return quadrature.algebra_montecarlo(group, samples, child)
+            return char_gaussian_log_mc(group, hbar0, t, irrep, samples, child)
     elif backend == "cartan-reduced":
-        rule = functools.partial(
-            char_gaussian_quadrature, group, hbar0,
-            points_per_panel=points_per_panel, panels=panels, points=hermite_points,
-        )
+
+        def compute(t, irrep):
+            quad = char_gaussian_quadrature(group, hbar0, t, irrep, points_per_panel,
+                                            panels, hermite_points)
+            return char_gaussian_log(group, hbar0, t, irrep, quad)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     table = {}
@@ -310,7 +318,7 @@ def char_log_table(group: GroupSpec, hbar0: float, backend: str = "cartan-reduce
     def char_log(t, irrep):
         key = (t, irrep.label)
         if key not in table:
-            table[key] = char_gaussian_log(group, hbar0, t, irrep, rule(t, irrep))
+            table[key] = compute(t, irrep)
         return table[key]
 
     return char_log
@@ -590,8 +598,9 @@ def _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points):
     # built separately so the deformation parameter stays live in the
     # numerics instead of cancelling analytically.  The integral runs on
     # the spherical-radial rule with ``points`` radial nodes and sphere
-    # degree 2j (quadrature.spherical_radial says why that is exact).
-    # Nodes are summed in fixed-size batches, in node order.
+    # degree 2j (quadrature.spherical_radial says why that is exact), one
+    # (d, d) value per node.  Returns the matrix with its error estimate,
+    # the largest entrywise gap to the companion rule, both normalized.
     hbar_pp = 0.5 * (s + s_prime) * hbar0
     s_pp = 0.5 * (s + s_prime)
     j = irrep.label[0] / 2.0
@@ -599,16 +608,18 @@ def _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points):
     C = _su2_conjugation_intertwiner(d)
     Wx2_inv = wigner_matrix(j, np.linalg.inv(x2))
     quad = quadrature.spherical_radial(group, points, math.sqrt(hbar_pp), irrep.label[0])
-    total = np.zeros((d, d), dtype=complex)
-    for part in quadrature.batches(len(quad.nodes)):
-        Y, w = quad.nodes[part], quad.weights[part]
+
+    def integrand(Y):
         Wp = wigner_matrix(j, group_exp(group, Y, 1j * (1.0 + t)))
         Wm = wigner_matrix(j, group_exp(group, Y, 1j * (1.0 - t)))
         S = C.T @ (np.swapaxes(Wm @ Wx2_inv, -1, -2) @ np.conj(Wp)) @ C
-        coef = w * eta(group, Y) * np.exp(-np.einsum("ij,ij->i", Y, Y) / hbar_pp)
-        total += np.einsum("n,nij->ij", coef, S)
+        coef = eta(group, Y) * np.exp(-np.einsum("ij,ij->i", Y, Y) / hbar_pp)
+        return coef[:, None, None] * S
+
+    total, err = quadrature.integrate_algebra(integrand, quad, shape=(d, d))
     norm = a_s(group, hbar0, s_pp) * s_pp ** (group.dim / 2.0)
-    return math.exp(-hbar_pp * irrep.casimir) * total / norm
+    factor = math.exp(-hbar_pp * irrep.casimir)
+    return factor * total / norm, factor * err / norm
 
 
 def _torus_theta_kmax(lam, hbar, beta_max):
@@ -707,21 +718,23 @@ def verify_delta_two(
         target = complex(np.exp(1j * k * theta2))
         residual = abs(val - target)
         t_dep = abs(val - alt)
+        error = 0.0
     else:
         x2 = random_element(group, rng)
-        E = _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points)
-        E_alt = _delta_two_su2(group, hbar0, s, s_prime, t_alt, irrep, x2, points)
+        E, err = _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points)
+        E_alt, err_alt = _delta_two_su2(group, hbar0, s, s_prime, t_alt, irrep, x2, points)
         target_m = wigner_matrix(irrep.label[0] / 2.0, x2)
         residual = float(np.max(np.abs(E - target_m)))
         t_dep = float(np.max(np.abs(E - E_alt)))
         val, target = complex(E[0, 0]), complex(target_m[0, 0])
+        error = max(err, err_alt)
     return _report(
         "delta-two", group,
         {
             "hbar0": hbar0, "s": s, "s_prime": s_prime, "t": t, "t_alt": t_alt,
             "irrep": str(irrep.label), "t_dependence": float(t_dep),
         },
-        val, target, max(residual, t_dep), 0.0, tolerance,
+        val, target, max(residual, t_dep), error, tolerance,
     )
 
 

@@ -14,19 +14,16 @@ regimes that occur:
   sphere times a radial Gauss-Hermite rule, for integrands that are a
   radial function times a polynomial of known degree in Y/|Y|.
 
-A fourth rule, ``monte-carlo``, holds no nodes: it carries a sample
-count and a seed to the Monte Carlo character backend, which draws its
-own Gaussian moment (``pairing.char_gaussian_log``).
-
-Every rule is one ``Quadrature`` and every integrand is batched: it
-takes a stack of N algebra vectors ``(N, dim)`` and returns an ``(N,)``
-array of values, so a rule costs one array call per block of at most
-``BATCH`` nodes instead of one Python call per node.
-
-Deterministic rules carry a coarser companion rule; the reported error
-estimate is the difference between the two resolutions.  Accumulation
-is compensated (exact sums of the weighted values), so identical
-(backend, resolution, seed) reproduce bit-identical reports.
+Every rule is one ``Quadrature``: nodes with positive weights plus a
+coarser companion rule, and the reported error estimate is the
+difference between the two resolutions.  Every integrand is batched: it
+takes a stack of N algebra vectors ``(N, dim)`` and returns an
+``(N, *shape)`` array, one value of the shape its caller declares per
+node (a scalar unless stated), so a rule costs one array call per block
+of at most ``BATCH`` nodes instead of one Python call per node.
+Accumulation is compensated (exact sums of the weighted values, entry
+by entry), so identical (backend, resolution) reproduce bit-identical
+reports.
 """
 
 from __future__ import annotations
@@ -45,20 +42,16 @@ from .groups import GroupSpec
 class Quadrature:
     """One configured integration rule over the algebra.
 
-    Deterministic backends store their nodes (algebra vectors) with
-    positive weights (Jacobian and c_K included for the reduced rule),
-    plus a coarser companion used for the error estimate.  The Monte
-    Carlo backend stores only (samples, seed).
+    Nodes (algebra vectors) with positive weights (Jacobian and c_K
+    included for the reduced rule), plus a coarser companion used for
+    the error estimate.
     """
 
     backend: str
-    group: GroupSpec
-    nodes: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    coarse_nodes: np.ndarray | None = None
-    coarse_weights: np.ndarray | None = None
-    samples: int = 0
-    seed: int = 0
+    nodes: np.ndarray
+    weights: np.ndarray
+    coarse_nodes: np.ndarray
+    coarse_weights: np.ndarray
 
 
 # nodes per integrand call: bounds the memory a batched integrand holds
@@ -76,7 +69,7 @@ MAX_RULE_POINTS = 350
 _WEYL_CACHE: dict = {}
 
 
-def batches(n: int):
+def _batches(n: int):
     """Slices covering range(n) in order, BATCH entries at most each."""
     return (slice(start, min(start + BATCH, n)) for start in range(0, n, BATCH))
 
@@ -133,10 +126,10 @@ def _composite_legendre(half_width: float, panels: int, points: int):
     return nodes, np.ascontiguousarray(weights)
 
 
-def _with_companion(backend: str, group: GroupSpec, rule, fine: int, coarse: int) -> Quadrature:
+def _with_companion(backend: str, rule, fine: int, coarse: int) -> Quadrature:
     # rule(resolution) -> (nodes, weights); the coarse resolution gives the
     # companion whose difference from the fine rule is the error estimate
-    return Quadrature(backend, group, *rule(fine), *rule(coarse))
+    return Quadrature(backend, *rule(fine), *rule(coarse))
 
 
 def _cartan_rule(group: GroupSpec, c_k: float, half_width: float, panels: int, points: int):
@@ -162,7 +155,7 @@ def cartan_quadrature(
         raise ValueError("use the Gauss-Hermite backend on tori")
     c_k = weyl_constant(group)
     return _with_companion(
-        "cartan-reduced", group,
+        "cartan-reduced",
         functools.partial(_cartan_rule, group, c_k, half_width, panels),
         points_per_panel, max(4, (3 * points_per_panel) // 4),
     )
@@ -183,7 +176,7 @@ def hermite_quadrature(
         raise ValueError("tensor rule too large; use cartan-reduced")
     _require_rule_length(points)
     return _with_companion(
-        "gauss-hermite-full", group,
+        "gauss-hermite-full",
         lambda n: _hermite_rule(group.dim, n, scale, center),
         points, max(4, (3 * points) // 4),
     )
@@ -250,7 +243,7 @@ def spherical_radial(group: GroupSpec, points: int, scale: float, degree: int) -
         nodes = (scale * r[:, None, None] * directions[None, :, :]).reshape(-1, 3)
         return nodes, np.outer(wr, direction_weights).ravel()
 
-    return _with_companion("spherical-radial", group, rule, points, max(4, (3 * points) // 4))
+    return _with_companion("spherical-radial", rule, points, max(4, (3 * points) // 4))
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,12 +314,12 @@ def _hermite_functions(n: int, x: np.ndarray):
     return cur, prev
 
 
-def algebra_montecarlo(group: GroupSpec, samples: int, seed: int) -> Quadrature:
-    """Sample count and seed for the Monte Carlo character backend."""
-    return Quadrature("monte-carlo", group, samples=samples, seed=seed)
-
-
 def _weighted_sum(weights: np.ndarray, values: np.ndarray):
+    # compensated sum over nodes, entry by entry for array values
+    if values.ndim > 1:
+        flat = values.reshape(len(values), -1)
+        sums = [_weighted_sum(weights, flat[:, k]) for k in range(flat.shape[1])]
+        return np.array(sums).reshape(values.shape[1:])
     if np.iscomplexobj(values):
         return complex(
             math.fsum(weights * values.real), math.fsum(weights * values.imag)
@@ -334,40 +327,37 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray):
     return math.fsum(weights * values)
 
 
-def _checked(F, nodes: np.ndarray) -> np.ndarray:
+def _checked(F, nodes: np.ndarray, shape: tuple) -> np.ndarray:
     values = np.asarray(F(nodes))
-    if values.shape != (len(nodes),):
+    if values.shape != (len(nodes), *shape):
         raise ValueError(
             f"integrand returned shape {values.shape} for {len(nodes)} nodes; "
-            "expected one value per node"
+            f"expected one value of shape {shape} per node"
         )
     _require_finite(values)
     return values
 
 
-def _values(F, nodes: np.ndarray) -> np.ndarray:
+def _values(F, nodes: np.ndarray, shape: tuple = ()) -> np.ndarray:
     # one integrand call per batch of nodes, in node order
-    return np.concatenate([_checked(F, nodes[part]) for part in batches(len(nodes))])
+    return np.concatenate([_checked(F, nodes[part], shape) for part in _batches(len(nodes))])
 
 
-def _require_nodes(quad: Quadrature) -> None:
-    if quad.nodes is None:
-        raise ValueError(f"the {quad.backend} rule holds no nodes to integrate on")
-
-
-def integrate_algebra(F, quad: Quadrature):
+def integrate_algebra(F, quad: Quadrature, shape: tuple = ()):
     """Integral of F over the algebra, as (value, error_estimate).
 
-    F maps an ``(N, dim)`` array of algebra vectors to an ``(N,)`` array
-    of real or complex values; it is called once per batch of at most
-    BATCH nodes.  For the cartan-reduced backend F must be Ad-invariant.
-    The error estimate is the difference against the companion
-    resolution.
+    F maps an ``(N, dim)`` array of algebra vectors to an ``(N, *shape)``
+    array of real or complex values; it is called once per batch of at
+    most BATCH nodes.  For the cartan-reduced backend F must be
+    Ad-invariant.  The value has the declared ``shape`` (a scalar by
+    default); the error estimate is its largest entrywise difference
+    against the companion resolution.
     """
-    _require_nodes(quad)
-    value = _weighted_sum(quad.weights, _values(F, quad.nodes))
-    coarse = _weighted_sum(quad.coarse_weights, _values(F, quad.coarse_nodes))
-    return value, abs(value - coarse)
+    value = _weighted_sum(quad.weights, _values(F, quad.nodes, shape))
+    coarse = _weighted_sum(quad.coarse_weights, _values(F, quad.coarse_nodes, shape))
+    if not shape:
+        return value, abs(value - coarse)
+    return value, float(np.max(np.abs(value - coarse)))
 
 
 def integrate_algebra_log(logF, quad: Quadrature):
@@ -377,7 +367,6 @@ def integrate_algebra_log(logF, quad: Quadrature):
     float range; logF follows the batched contract of integrate_algebra
     and must be real-valued.
     """
-    _require_nodes(quad)
     with np.errstate(divide="ignore"):
         logw = np.log(quad.weights)
         logw_c = np.log(quad.coarse_weights)

@@ -377,30 +377,33 @@ def _check_rule_sizes(cfg: RunConfig, group: GroupSpec) -> None:
     """ConfigError naming the first selected family whose Gauss-Hermite
     rule is over a quadrature cap: a 1-D length over MAX_RULE_POINTS, or a
     tensor rule, length ** dim nodes, over MAX_TENSOR_NODES.  On tori the
-    families that read the character table build one of ``hermite_points``;
-    SU(2)'s spherical-radial rules take their radial nodes from one
+    families that read the character table build one of ``hermite_points``,
+    and delta-two's fiber rule of ``delta_points_torus`` is 1-D at every
+    rank; SU(2)'s spherical-radial rules take their radial nodes from one
     2 * points rule and hold no tensor product."""
     table = ("pairing", "bks-factor", "unitarity", "vertical-limit", "continuity")
+    n = group.dim
     rules = {
-        "torus": {"cst-unitarity": cfg.hl2_points_torus, "delta": pairing.DELTA_ONE_POINTS,
-                  **dict.fromkeys(table, cfg.hermite_points)},
-        "su2": {"cst-unitarity": 2 * cfg.hl2_points_su2, "delta": 2 * cfg.delta_points_su2},
+        "torus": {"cst-unitarity": [(cfg.hl2_points_torus, n)],
+                  "delta": [(pairing.DELTA_ONE_POINTS, n), (cfg.delta_points_torus, 1)],
+                  **dict.fromkeys(table, [(cfg.hermite_points, n)])},
+        "su2": {"cst-unitarity": [(2 * cfg.hl2_points_su2, 1)],
+                "delta": [(2 * cfg.delta_points_su2, 1)]},
     }.get(group.kind, {})
-    dim = group.dim if group.kind == "torus" else 1
     cap = quadrature.MAX_TENSOR_NODES
     for family in cfg.identities:
-        length = rules.get(family, 0)
-        if length > quadrature.MAX_RULE_POINTS:
-            raise ConfigError(
-                f"{family} on {group.describe()} needs a {length}-point Gauss-Hermite "
-                f"rule, over the cap of {quadrature.MAX_RULE_POINTS} points"
-            )
-        nodes = length**dim
-        if nodes > cap:
-            raise ConfigError(
-                f"{family} on {group.describe()} needs a {length}^{dim} = "
-                f"{nodes:,}-node rule, over the cap of {cap:,} nodes"
-            )
+        for length, dim in rules.get(family, ()):
+            if length > quadrature.MAX_RULE_POINTS:
+                raise ConfigError(
+                    f"{family} on {group.describe()} needs a {length}-point Gauss-Hermite "
+                    f"rule, over the cap of {quadrature.MAX_RULE_POINTS} points"
+                )
+            nodes = length**dim
+            if nodes > cap:
+                raise ConfigError(
+                    f"{family} on {group.describe()} needs a {length}^{dim} = "
+                    f"{nodes:,}-node rule, over the cap of {cap:,} nodes"
+                )
 
 
 def build_jobs(cfg: RunConfig) -> list:

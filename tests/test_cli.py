@@ -143,16 +143,19 @@ def test_su2_rule_over_the_cap_exit_code(tmp_path, capsys):
 
 
 def test_torus_rule_over_the_length_cap_exit_code(tmp_path, capsys):
-    # 400 points stay under the node cap on U(1) but over the length cap
-    cfg = tmp_path / "torus.cfg"
-    cfg.write_text("[run]\ngroup = torus\nidentities = cst-unitarity\n"
-                   "[quadrature]\nhl2_points_torus = 400\n", encoding="utf-8")
-    code = cli.main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path / "r")])
-    err = capsys.readouterr().err
-    assert code == 2 and "Traceback" not in err
-    assert err.startswith("config error: cst-unitarity on U(1)^1")
-    assert "needs a 400-point Gauss-Hermite rule, over the cap of 350 points" in err
-    assert not (tmp_path / "r").exists()
+    # 400 points stay under the node cap on U(1) but over the length cap;
+    # the run exits before any job builds a rule
+    for family, key in (("cst-unitarity", "hl2_points_torus"),
+                        ("delta", "delta_points_torus")):
+        cfg = tmp_path / "torus.cfg"
+        cfg.write_text(f"[run]\ngroup = torus\nidentities = {family}\n"
+                       f"[quadrature]\n{key} = 400\n", encoding="utf-8")
+        code = cli.main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith(f"config error: {family} on U(1)^1")
+        assert "needs a 400-point Gauss-Hermite rule, over the cap of 350 points" in err
+        assert not (tmp_path / "r").exists()
 
 
 def test_build_jobs_and_the_hermite_rule_read_one_cap(monkeypatch):

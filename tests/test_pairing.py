@@ -32,6 +32,13 @@ def char_gaussian_integral(group, hbar0, t, irrep, quad):
     return value, value * logerr
 
 
+def char_gaussian_integral_mc(group, hbar0, t, irrep, samples, seed):
+    # the same from the Monte Carlo route
+    logv, logerr = pairing.char_gaussian_log_mc(group, hbar0, t, irrep, samples, seed)
+    value = math.exp(logv)
+    return value, value * logerr
+
+
 def test_char_gaussian_torus_against_scalar_gaussian():
     # one honest 1D integral: the weight value on the calibrated circle is
     # 2 pi k, so int e^{-2 pi k t y - t y^2 / 2 hbar} (t/2)^{1/2} dy
@@ -74,16 +81,14 @@ def test_char_gaussian_su2_montecarlo_is_exact():
     # backend reproduces the closed form to rounding even at tiny sample
     # counts
     ir = groups.make_irrep(SU2, (1,))
-    quad = quadrature.algebra_montecarlo(SU2, 100, seed=3)
-    val, est = char_gaussian_integral(SU2, 1.0, 1.0, ir, quad)
+    val, est = char_gaussian_integral_mc(SU2, 1.0, 1.0, ir, 100, 3)
     assert val == pytest.approx(closed_G(SU2, 1.0, 1.0, ir), rel=1e-12)
     assert est < 1e-10 * val
 
 
 def test_char_gaussian_su3_montecarlo_within_stderr():
     ir = groups.make_irrep(SU3, (1, 0))
-    quad = quadrature.algebra_montecarlo(SU3, 100_000, seed=11)
-    val, est = char_gaussian_integral(SU3, 1.0, 1.0, ir, quad)
+    val, est = char_gaussian_integral_mc(SU3, 1.0, 1.0, ir, 100_000, 11)
     want = closed_G(SU3, 1.0, 1.0, ir)
     assert abs(val - want) < 5 * est
     assert est < 0.01 * want

@@ -203,14 +203,43 @@ def test_integrate_algebra_rejects_wrong_shape(bad):
         quadrature.integrate_algebra_log(bad, quadrature.hermite_quadrature(SU2, 6))
 
 
-def test_integrate_rejects_a_rule_without_nodes():
-    # the Monte Carlo rule only carries (samples, seed) to the character
-    # backend; both integrators refuse it with one error
-    quad = quadrature.algebra_montecarlo(SU2, 100, seed=0)
-    with pytest.raises(ValueError, match="holds no nodes"):
-        quadrature.integrate_algebra(gauss, quad)
-    with pytest.raises(ValueError, match="holds no nodes"):
-        quadrature.integrate_algebra_log(gauss, quad)
+@pytest.mark.parametrize("build", [
+    lambda: quadrature.cartan_quadrature(SU2, 6.0, points_per_panel=8, panels=2),
+    lambda: quadrature.cartan_quadrature(SU3, 6.0, points_per_panel=8, panels=2),
+    lambda: quadrature.hermite_quadrature(TORUS, 12),
+    lambda: quadrature.hermite_quadrature(SU2, 8, scale=0.5, center=np.ones(3)),
+    lambda: quadrature.spherical_radial(SU2, 8, 1.0, 2),
+], ids=["cartan-su2", "cartan-su3", "hermite-torus", "hermite-su2", "spherical-radial"])
+def test_every_rule_holds_nodes_and_a_smaller_companion(build):
+    # every rule the builders return is integrable: algebra-vector nodes
+    # with positive weights, and a companion of strictly fewer nodes
+    quad = build()
+    for nodes, weights in ((quad.nodes, quad.weights),
+                           (quad.coarse_nodes, quad.coarse_weights)):
+        assert nodes.ndim == 2 and weights.shape == (len(nodes),)
+        assert np.all(np.isfinite(nodes)) and np.all(weights > 0.0)
+    assert quad.coarse_nodes.shape[1] == quad.nodes.shape[1]
+    assert len(quad.coarse_nodes) < len(quad.nodes)
+
+
+def test_array_valued_integral_is_its_entries_integrals_bit_for_bit():
+    # a declared (d, d) value shape sums each entry like a scalar integrand
+    quad = quadrature.spherical_radial(SU2, 12, 1.0, 4)
+    M = np.arange(1, 7).reshape(2, 3) * (1.0 + 0.5j)
+
+    def F(Y):
+        return (gauss(Y) * np.cos(Y[:, 0]))[:, None, None] * M + Y[:, 1, None, None] ** 2
+
+    value, err = quadrature.integrate_algebra(F, quad, shape=(2, 3))
+    assert value.shape == (2, 3)
+    errs = []
+    for i, k in np.ndindex(2, 3):
+        v, e = quadrature.integrate_algebra(lambda Y: F(Y)[:, i, k], quad)
+        assert value[i, k] == v
+        errs.append(e)
+    assert err == max(errs)
+    with pytest.raises(ValueError, match="shape"):
+        quadrature.integrate_algebra(F, quad, shape=(3, 2))
 
 
 def test_integrand_called_per_batch_in_node_order():

@@ -257,16 +257,15 @@ def test_phi_flatness_job_fails_on_a_negative_slope(kind, monkeypatch):
 
 
 def test_mc_samples_reach_the_monte_carlo_character_rule(monkeypatch):
-    # mc_samples sizes every rule the Monte Carlo character backend builds
-    from bksverify import quadrature
+    # mc_samples sizes every integral the Monte Carlo character route draws
     seen = []
-    montecarlo = quadrature.algebra_montecarlo
+    montecarlo = pairing_mod.char_gaussian_log_mc
 
-    def spy(group, samples, seed):
+    def spy(group, hbar0, t, irrep, samples, seed):
         seen.append(samples)
-        return montecarlo(group, samples, seed)
+        return montecarlo(group, hbar0, t, irrep, samples, seed)
 
-    monkeypatch.setattr(quadrature, "algebra_montecarlo", spy)
+    monkeypatch.setattr(pairing_mod, "char_gaussian_log_mc", spy)
     cfg = fast_cfg(group="su2", band_limit=None, identities=("bks-factor",),
                    char_backend="monte-carlo", mc_samples=2000)
     rep = suite.run_suite(cfg)
@@ -589,3 +588,21 @@ def test_su2_quadrature_rows_pass_at_hbar0_3():
     rep = suite.run_suite(cfg)
     assert rep.summary == {"total": 10, "passed": 10, "failed": 0, "errors": 0}
     assert max(r.abs_residual for _, r in rep.reports) < 1e-12
+
+
+def test_su2_delta_two_estimates_come_from_the_companion():
+    # every delta-two row reports the gap to its companion rule: nonzero,
+    # and inside the bar at the default radial length
+    def two_rows(**kw):
+        cfg = config.default_config(group="su2", identities=("delta",), **kw)
+        return {k: r for k, r in suite.run_suite(cfg).reports if k.startswith("delta/su2/two/")}
+
+    rows = two_rows()
+    assert len(rows) == 3
+    assert all(0.0 < r.error_estimate < r.tolerance for r in rows.values())
+    # on 16 radial nodes the estimate covers the residual of the failing
+    # (2,) row, and flags (1,) above its bar while its residual still passes
+    rows = two_rows(delta_points_su2=16)
+    r1, r2 = rows["delta/su2/two/(1,)"], rows["delta/su2/two/(2,)"]
+    assert not r2.passed and r2.error_estimate > r2.abs_residual > r2.tolerance
+    assert r1.passed and r1.abs_residual < 1e-5 and r1.error_estimate > r1.tolerance
