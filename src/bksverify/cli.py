@@ -21,6 +21,7 @@ from dataclasses import fields
 
 from . import pairing, quadrature
 from .config import (
+    FAMILIES,
     FORMATS,
     GROUP_KINDS,
     IDENTITY_FAMILIES,
@@ -110,8 +111,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(cfg)
     paths = emit_table(report, cfg.format, cfg.out_dir)
     for key, rep in report.reports:
-        print(f"{key:<58} {rep.abs_residual:10.3e}  tol {rep.tolerance:8.1e}  "
-              f"{'PASS' if rep.passed else 'FAIL'}")
+        # the field the family's bar bounds, and the comparison it must meet
+        field = FAMILIES[key.split("/", 1)[0]].field
+        value = rep.rel_residual if field == "rel_residual" else rep.abs_residual
+        print(f"{key:<58} {value:10.3e} {'>' if field == 'inverted' else '<=':>2} "
+              f"tol {rep.tolerance:8.1e}  {'PASS' if rep.passed else 'FAIL'}")
     s = report.summary
     print(f"{s['passed']}/{s['total']} passed, {s['failed']} failed "
           f"({s['errors']} errors) in {report.wall_clock:.1f}s")

@@ -3,8 +3,9 @@
 A config file has three optional sections, all keys shown with their
 defaults in RunConfig below.  Unknown sections or keys are rejected so a
 typo cannot silently fall back to a default.  Values in [tolerances]
-other than `scale` override the per-identity defaults resolved in the
-suite module; absent keys defer to those.
+other than `scale` override the default bar of one identity family in
+FAMILIES below; absent keys defer to those.  Every tolerance must be
+finite and positive.
 
 Example::
 
@@ -26,23 +27,42 @@ Example::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
-
-IDENTITY_FAMILIES = (
-    "wedge",
-    "phi-flatness",
-    "cst-unitarity",
-    "pairing",
-    "bks-factor",
-    "unitarity",
-    "factorization",
-    "vertical-limit",
-    "continuity",
-    "delta",
-    "prequantum",
-)
+from typing import NamedTuple
 
 GROUP_KINDS = ("torus", "su2", "su3")
+
+
+class Family(NamedTuple):
+    """What the suite knows of one identity family.
+
+    ``bar`` is the default tolerance: one number, or one per route or
+    group kind.  ``field`` names the report field the bar bounds;
+    "inverted" means ``abs_residual`` must exceed it.  ``groups`` are the
+    group kinds the family runs on.
+    """
+
+    bar: float | dict
+    field: str = "abs_residual"
+    groups: tuple = GROUP_KINDS
+
+
+FAMILIES = {
+    "wedge": Family(1e-8, "rel_residual"),
+    "phi-flatness": Family(1e-6),
+    "cst-unitarity": Family({"analytic": 1e-10, "quadrature": 1e-4}),
+    "pairing": Family({"random": 1e-6, "orthogonal": 1e-8}),
+    "bks-factor": Family({"torus": 1e-10, "su2": 1e-6, "su3": 1e-6}),
+    "unitarity": Family(1e-6),
+    "factorization": Family(1e-14),
+    "vertical-limit": Family(1e-6),
+    "continuity": Family(1e-10),
+    "delta": Family({"torus": 1e-8, "su2": 1e-3, "su3": 1e-3}),
+    # phi is identically 1 on tori: there is no contrast to show
+    "prequantum": Family(1e-3, "inverted", ("su2", "su3")),
+}
+IDENTITY_FAMILIES = tuple(FAMILIES)
 NORMALIZATIONS = ("unit_volume", "reference")
 CHAR_BACKENDS = ("cartan-reduced", "monte-carlo")
 FORMATS = ("json", "csv")
@@ -179,11 +199,14 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.points_per_panel < 2 or cfg.points_per_panel % 2:
         # an odd rule puts a node on a root hyperplane, with zero weight
         raise ConfigError("points_per_panel must be even and at least 2")
-    if cfg.tolerance_scale <= 0.0:
-        raise ConfigError("tolerance scale must be positive")
     for key in cfg.tolerance_overrides:
         if key not in IDENTITY_FAMILIES:
             raise ConfigError(f"unknown key {key!r} in section [tolerances]")
+    # an infinite bar passes every check, a nan bar fails every one, and a
+    # bar at or below 0 passes the inverted check whatever the contrast
+    for key, value in (("scale", cfg.tolerance_scale), *cfg.tolerance_overrides.items()):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"[tolerances] {key} must be finite and positive, got {value!r}")
     return cfg
 
 

@@ -35,6 +35,7 @@ import zlib
 import numpy as np
 
 from . import quadrature
+from .config import FAMILIES
 from .groups import (
     GroupSpec,
     Irrep,
@@ -114,24 +115,18 @@ class PairingReport:
 
 
 def _report(identity, group, params, lhs, rhs, residual, error, tolerance,
-            passed=None):
-    # ``passed`` overrides the residual <= tolerance verdict, for checks
-    # whose bar is not an upper bound on the residual
+            family=None):
+    # the verdict reads the field the bar of ``family`` (default: the
+    # identity) bounds, as config.FAMILIES declares it
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    if passed is None:
-        passed = residual <= tolerance
-    return PairingReport(
-        identity=identity,
-        group=group.describe(),
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=float(residual),
-        rel_residual=float(residual / scale),
-        error_estimate=float(error),
-        tolerance=float(tolerance),
-        passed=bool(passed),
-    )
+    rel = residual / scale
+    field = FAMILIES[family or identity].field
+    if field == "inverted":
+        passed = residual > tolerance
+    else:
+        passed = (rel if field == "rel_residual" else residual) <= tolerance
+    return PairingReport(identity, group.describe(), params, lhs, rhs, float(residual),
+                         float(rel), float(error), float(tolerance), bool(passed))
 
 
 # -- character-Gaussian integral -----------------------------------------
@@ -584,7 +579,7 @@ def verify_delta_identity(
     return _report(
         "delta-one", group,
         {"hbar0": hbar0, "s": s, "irrep": str(irrep.label)},
-        scalar, 1.0, residual, err, tolerance,
+        scalar, 1.0, residual, err, tolerance, family="delta",
     )
 
 
@@ -734,7 +729,7 @@ def verify_delta_two(
             "hbar0": hbar0, "s": s, "s_prime": s_prime, "t": t, "t_alt": t_alt,
             "irrep": str(irrep.label), "t_dependence": float(t_dep),
         },
-        val, target, max(residual, t_dep), error, tolerance,
+        val, target, max(residual, t_dep), error, tolerance, family="delta",
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import pairing, quadrature
-from .config import ConfigError, RunConfig
+from .config import FAMILIES, ConfigError, RunConfig
 from .groups import GroupSpec, casimir, enumerate_irreps, group_spec, make_irrep
 from .halfform import phi_flatness_residual, wedge_density, wedge_density_det
 from .heat import (
@@ -76,9 +76,13 @@ def _job_seed(seed: int, key: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _tol(cfg: RunConfig, family: str, default: float) -> float:
-    base = cfg.tolerance_overrides.get(family, default)
-    return base * cfg.tolerance_scale
+def _tol(cfg: RunConfig, family: str, route: str = "") -> float:
+    """The family's bar, its override or its default for ``route`` (a
+    route or group kind where the default is one per route or kind),
+    times the tolerance scale."""
+    bar = FAMILIES[family].bar
+    default = bar[route] if isinstance(bar, dict) else bar
+    return cfg.tolerance_overrides.get(family, default) * cfg.tolerance_scale
 
 
 def _grid_value_near(values, target):
@@ -140,7 +144,7 @@ def _job_wedge(group, tol, seed, samples=100):
         lhs, rhs = 1.0 + 0.0j, 1.0
     return _report(
         "wedge", group, {"samples": samples},
-        lhs, rhs, abs(lhs - rhs), 0.0, tol, passed=bool(rel[worst] <= tol),
+        lhs, rhs, abs(lhs - rhs), 0.0, tol,
     )
 
 
@@ -357,12 +361,13 @@ def _job_prequantum(group, tol):
     # inverted check: the prequantum map must FAIL to preserve the norm
     # while parallel transport preserves it exactly
     drift = abs(n2 / n0 - 1.0)
+    if drift > 1e-10:
+        raise ArithmeticError(f"parallel transport moved the norm by {drift:.3e}")
     return _report(
         "prequantum", group,
         {"s": s_to, "s_prime": s_from, "transport_drift": drift,
          "check": "norm ratio must differ from 1 beyond tolerance"},
         ratio, 1.0, contrast, (e0 + e1) / n0, tol,
-        passed=(contrast > tol and drift <= 1e-10),
     )
 
 
@@ -446,15 +451,17 @@ def build_jobs(cfg: RunConfig) -> list:
         return _job_seed(cfg.seed, key)
 
     for family in cfg.identities:
+        if kind not in FAMILIES[family].groups:
+            continue
         if family == "wedge":
             key = f"wedge/{kind}"
-            add(key, _job_wedge, group, _tol(cfg, family, 1e-8), seed(key))
+            add(key, _job_wedge, group, _tol(cfg, family), seed(key))
         elif family == "phi-flatness":
             key = f"phi-flatness/{kind}"
-            add(key, _job_phi_flatness, group, _tol(cfg, family, 1e-6), seed(key))
+            add(key, _job_phi_flatness, group, _tol(cfg, family), seed(key))
         elif family == "cst-unitarity":
-            tol_a = _tol(cfg, family, 1e-10)
-            tol_q = _tol(cfg, family, 1e-4)
+            tol_a = _tol(cfg, family, "analytic")
+            tol_q = _tol(cfg, family, "quadrature")
             for s in s_pos:
                 key = f"cst-unitarity/{kind}/analytic/s={_fmt(s)}"
                 add(key, _job_cst_analytic, group, hbar0, s, band, tol_a, seed(key))
@@ -467,8 +474,8 @@ def build_jobs(cfg: RunConfig) -> list:
                 add(key, _job_cst_quadrature, group, hbar0, s_q, band, pts, tol_q,
                     seed(key))
         elif family == "pairing":
-            tol = _tol(cfg, family, 1e-6)
-            tol_orth = _tol(cfg, family, 1e-8)
+            tol = _tol(cfg, family, "random")
+            tol_orth = _tol(cfg, family, "orthogonal")
             for s, sp in cells:
                 key = f"pairing/{kind}/random/s={_fmt(s)}:sp={_fmt(sp)}"
                 add(key, _job_pairing_random, group, hbar0, s, sp, band,
@@ -477,14 +484,14 @@ def build_jobs(cfg: RunConfig) -> list:
                 add(key, _job_pairing_orthogonal, group, hbar0, s, sp, band,
                     char_log, tol_orth, seed(key))
         elif family == "bks-factor":
-            tol = _tol(cfg, family, 1e-10 if kind == "torus" else 1e-6)
+            tol = _tol(cfg, family, kind)
             for irrep in band_irreps:
                 for s, sp in cells:
                     key = (f"bks-factor/{kind}/{irrep.label}/"
                            f"s={_fmt(s)}:sp={_fmt(sp)}")
                     add(key, _job_bks_factor, group, hbar0, s, sp, irrep, char_log, tol)
         elif family == "unitarity":
-            tol = _tol(cfg, family, 1e-6)
+            tol = _tol(cfg, family)
             for irrep in spec_irreps:
                 for s, sp in cells_with_zero:
                     key = (f"unitarity/{kind}/{irrep.label}/"
@@ -492,23 +499,23 @@ def build_jobs(cfg: RunConfig) -> list:
                     add(key, pairing.verify_unitarity, group, hbar0, s, sp, irrep,
                         char_log, tol)
         elif family == "factorization":
-            tol = _tol(cfg, family, 1e-14)
+            tol = _tol(cfg, family)
             for irrep in spec_irreps:
                 key = f"factorization/{kind}/{irrep.label}"
                 add(key, _job_factorization, group, hbar0, cells, triples, irrep, tol)
         elif family == "vertical-limit":
             key = f"vertical-limit/{kind}/direct"
             add(key, _job_vertical_direct, group, hbar0, s_mid, band, char_log,
-                _tol(cfg, family, 1e-6), seed(key))
+                _tol(cfg, family), seed(key))
             key = f"vertical-limit/{kind}/extrapolation"
             add(key, _job_vertical_extrapolation, group, hbar0, s_mid, band, char_log,
                 seed(key))
         elif family == "continuity":
             key = f"continuity/{kind}"
             add(key, _job_continuity, group, hbar0, band, char_log,
-                _tol(cfg, family, 1e-10), seed(key))
+                _tol(cfg, family), seed(key))
         elif family == "delta":
-            tol = _tol(cfg, family, 1e-8 if kind == "torus" else 1e-3)
+            tol = _tol(cfg, family, kind)
             for irrep in spec_irreps[:3]:
                 key = f"delta/{kind}/one/{irrep.label}"
                 add(key, pairing.verify_delta_identity, group, hbar0, 1.0, irrep, tol)
@@ -522,10 +529,14 @@ def build_jobs(cfg: RunConfig) -> list:
                 add(key, pairing.verify_delta_two, group, hbar0, 1.0, 0.5, 0.3, irrep,
                     tolerance=tol, seed=seed(key), points=pts)
         elif family == "prequantum":
-            if kind == "torus":
-                # phi is identically 1 on tori: there is no contrast to show
-                continue
-            add(f"prequantum/{kind}", _job_prequantum, group, _tol(cfg, family, 1e-3))
+            add(f"prequantum/{kind}", _job_prequantum, group, _tol(cfg, family))
+    if cfg.identities and not jobs:
+        # a selection that checks nothing must not read as passed
+        why = [f"{f} runs on {', '.join(FAMILIES[f].groups)} only"
+               if kind not in FAMILIES[f].groups else f"{f} builds none at these settings"
+               for f in cfg.identities]
+        raise ConfigError(f"the selection builds no check on {group.describe()}: "
+                          + "; ".join(why))
     return jobs
 
 
@@ -533,20 +544,14 @@ def build_jobs(cfg: RunConfig) -> list:
 
 
 def _error_report(key: str, cfg: RunConfig, exc: Exception) -> PairingReport:
+    # built directly, not through _report: under the inverted prequantum
+    # bar its infinite residual would pass
     frame = traceback.extract_tb(exc.__traceback__)[-1]
     where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
-    return PairingReport(
-        identity=key.split("/", 1)[0],
-        group=_group(cfg).describe(),
-        params={"error": f"{type(exc).__name__}: {exc} at {where}"},
-        lhs=float("nan"),
-        rhs=float("nan"),
-        abs_residual=float("inf"),
-        rel_residual=float("inf"),
-        error_estimate=float("inf"),
-        tolerance=0.0,
-        passed=False,
-    )
+    nan, inf = float("nan"), float("inf")
+    return PairingReport(key.split("/", 1)[0], _group(cfg).describe(),
+                         {"error": f"{type(exc).__name__}: {exc} at {where}"},
+                         nan, nan, inf, inf, inf, 0.0, False)
 
 
 def _run(job: Job, cfg: RunConfig) -> PairingReport:

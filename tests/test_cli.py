@@ -81,6 +81,28 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    (["verify", "unitarity", "--group", "su2", "--tolerance-scale", "inf"], None),
+    (["verify", "unitarity"], "[run]\ngroup = su2\n[tolerances]\nunitarity = inf\n"),
+    (["verify", "prequantum"], "[run]\ngroup = su2\n[tolerances]\nprequantum = 0\n"),
+    (["verify", "prequantum", "--group", "torus"], None),
+    (["verify", "all"], "[run]\ngroup = su2\nidentities = bks-factor\nband_limit = 0.5\n"),
+    (["table", "pairing-factors"], "[run]\ngroup = su2\nband_limit = 0.5\n"),
+])
+def test_a_run_that_tests_nothing_exit_code(tmp_path, capsys, command, text):
+    # an infinite or non-positive bar, or a selection that builds no check,
+    # would read as passed; each is a config error before any job runs
+    if text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        command = command + ["--config", str(cfg)]
+    code = cli.main(command + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rejected_backend_exit_code(tmp_path, capsys):
     # the full Hermite rule is not a character backend of its own
     bad = tmp_path / "bad.cfg"
@@ -284,14 +306,18 @@ def test_factor_table_fails_when_the_character_integral_is_off(tmp_path, capsys,
     assert cli.main(argv) == 1
 
 
-def test_empty_pairing_factor_table_writes_header_only(tmp_path, capsys):
-    # below the first nontrivial Casimir no irrep enters the table
-    empty = tmp_path / "empty.cfg"
-    empty.write_text("[run]\ngroup = torus\nband_limit = 1.0\n", encoding="utf-8")
+def test_empty_pairing_factor_table_writes_header_only(tmp_path, capsys, monkeypatch):
+    # errored cells have no factors to show, so no row enters the table;
+    # a band below the first nontrivial Casimir builds no cell at all and
+    # is a config error (test_a_run_that_tests_nothing_exit_code)
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(pairing, "bks_factor_log", boom)
     for fmt in ("csv", "json"):
-        code = cli.main(["table", "pairing-factors", "--config", str(empty),
+        code = cli.main(["table", "pairing-factors", "--config", GOLDEN_CFG,
                          "--out", str(tmp_path), "--format", fmt])
-        assert code == 0
+        assert code == 1
     with open(tmp_path / "pairing-factors.csv", encoding="utf-8") as fh:
         assert fh.read() == "irrep,s,s_prime,numeric_factor,closed_factor,residual\n"
     with open(tmp_path / "pairing-factors.json", encoding="utf-8") as fh:

@@ -87,6 +87,15 @@ def test_rejections(text):
         config.parse_config(text)
 
 
+@pytest.mark.parametrize("key", ["scale", "unitarity", "prequantum"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+def test_rejects_tolerances_that_test_nothing(key, value):
+    # an infinite bar passes every check, nan fails every one, and a bar at
+    # or below 0 passes the inverted prequantum check whatever the contrast
+    with pytest.raises(config.ConfigError, match=f"\\[tolerances\\] {key} must be finite"):
+        config.parse_config(f"[tolerances]\n{key} = {value}\n")
+
+
 def test_monte_carlo_backend_only_off_tori():
     cfg = config.parse_config("[run]\ngroup = su2\n[quadrature]\nchar_backend = monte-carlo\n")
     assert cfg.char_backend == "monte-carlo"

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -37,9 +38,11 @@ def test_build_jobs_keys_and_selection():
     assert "bks-factor/torus/(2,)/s=1:sp=1" in keys
     assert "factorization/torus/(0,)" in keys
     assert not any(k.startswith("delta") for k in keys)
-    # prequantum has no torus job: phi is constant there
+    # prequantum has no torus job: phi is constant there, and a selection
+    # that builds no check is a config error naming the groups it runs on
     cfg2 = fast_cfg(identities=("prequantum",))
-    assert suite.build_jobs(cfg2) == []
+    with pytest.raises(config.ConfigError, match="prequantum runs on su2, su3 only"):
+        suite.build_jobs(cfg2)
 
 
 def test_default_band_limit_values():
@@ -88,21 +91,29 @@ def test_errors_are_recorded_not_raised(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected failure")
 
-    cfg = fast_cfg(identities=("unitarity",), s_grid=(1.0,), s_prime_grid=(0.5,))
-    # an errored row names its group the way every other row does
-    group = suite.run_suite(cfg).reports[0][1].group
-    assert group.startswith("U(1)^1")
-    monkeypatch.setattr(pairing_mod, "verify_unitarity", boom)
-    rep = suite.run_suite(cfg)
-    assert rep.summary["total"] > 0
-    assert rep.summary["errors"] == rep.summary["total"]
     raising_line = boom.__code__.co_firstlineno + 1
-    for _, r in rep.reports:
-        assert not r.passed
-        assert r.group == group
-        assert r.params["error"] == (
-            f"RuntimeError: injected failure at test_suite.py:{raising_line}")
-        assert r.abs_residual == float("inf")
+    # the prequantum row: under its inverted bar an infinite residual
+    # would pass
+    for kind, family, raising, prefix in [
+        ("torus", "unitarity", "verify_unitarity", "U(1)^1"),
+        ("su2", "prequantum", "preq_norm_sq", "SU(2)"),
+    ]:
+        cfg = fast_cfg(group=kind, identities=(family,), s_grid=(1.0,),
+                       s_prime_grid=(0.5,))
+        # an errored row names its group the way every other row does
+        group = suite.run_suite(cfg).reports[0][1].group
+        assert group.startswith(prefix)
+        with monkeypatch.context() as mp:
+            mp.setattr(pairing_mod, raising, boom)
+            rep = suite.run_suite(cfg)
+        assert rep.summary["total"] > 0
+        assert rep.summary["errors"] == rep.summary["total"]
+        for _, r in rep.reports:
+            assert not r.passed
+            assert r.group == group
+            assert r.params["error"] == (
+                f"RuntimeError: injected failure at test_suite.py:{raising_line}")
+            assert r.abs_residual == float("inf")
 
 
 def test_empty_selection_yields_header_only_csv():
@@ -316,6 +327,8 @@ def test_each_family_alone_gives_its_rows_from_verify_all(kind):
     together = _rows(suite.run_suite(cfg))
     alone = {}
     for family in config.IDENTITY_FAMILIES:
+        if kind not in config.FAMILIES[family].groups:
+            continue
         alone.update(_rows(suite.run_suite(fast_cfg(group=kind, identities=(family,),
                                                     **band))))
     assert len(together) > 0
@@ -332,6 +345,19 @@ def _bar_holds(key, rep):
     if family == "prequantum":
         return rep.abs_residual > rep.tolerance
     return rep.abs_residual <= rep.tolerance
+
+
+def test_families_agree_with_the_readme_table():
+    # the README's "Report fields" table, read as an independent statement:
+    # the same families, and the same field under each bar
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text[text.index("| family | bar bounds |"):].split("\n\n", 1)[0].splitlines()
+    rows = [line.split("|")[1:3] for line in lines[2:]]
+    table = {name.strip(" `"): "inverted" if "inverted" in field else field.strip(" `")
+             for name, field in rows}
+    assert table == {name: fam.field for name, fam in config.FAMILIES.items()}
 
 
 def test_each_bar_bounds_the_field_named_for_its_family(default_run):
@@ -559,6 +585,24 @@ def test_prequantum_job_fails_when_the_map_is_parallel_transport(kind, monkeypat
         mp.setattr(pairing_mod, "preq_map_apply", pairing_mod.preq_parallel_transport)
 
     _assert_every_job_fails(cfg, mutate, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["su2", "su3"])
+def test_prequantum_job_errors_when_parallel_transport_drifts(kind, monkeypatch):
+    # transport must keep the norm; a drifting one is an errored row, which
+    # the inverted bar must not pass
+    cfg = fast_cfg(group=kind, identities=("prequantum",))
+    transport = pairing_mod.preq_parallel_transport
+
+    def drifting(s, s_prime, secp):
+        moved = transport(s, s_prime, secp)
+        return pairing_mod.PrequantumSection(
+            group=moved.group, s=moved.s, amplitude=lambda Y: 1.001 * moved.amplitude(Y))
+
+    monkeypatch.setattr(pairing_mod, "preq_parallel_transport", drifting)
+    ((_, rep),) = suite.run_suite(cfg).reports
+    assert not rep.passed
+    assert rep.params["error"].startswith("ArithmeticError: parallel transport moved")
 
 
 def test_su2_quadrature_rows_fail_one_sphere_degree_below_the_labels(monkeypatch):
