@@ -207,6 +207,15 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for key, value in (("scale", cfg.tolerance_scale), *cfg.tolerance_overrides.items()):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"[tolerances] {key} must be finite and positive, got {value!r}")
+    # two finite factors can still overflow to an infinite bar, or
+    # underflow to 0
+    for key, family in FAMILIES.items():
+        bars = family.bar.values() if isinstance(family.bar, dict) else (family.bar,)
+        for bar in bars:
+            bar = cfg.tolerance_overrides.get(key, bar) * cfg.tolerance_scale
+            if not (math.isfinite(bar) and bar > 0.0):
+                raise ConfigError(
+                    f"[tolerances] {key} times scale must be finite and positive, got {bar!r}")
     return cfg
 
 

@@ -8,12 +8,17 @@ trivializations produces the wedge density, which this module computes
 two independent ways: the closed form |Omega_{(s+s')/2}|^2 from the root
 values, and the determinant of exponentials of ad_Y that defines it.
 Because the blocks of that 2n x 2n determinant commute, it reduces to
-the n x n determinant of N_{s+s'} = (1 - e^{-i(s+s')ad_Y}) ad_Y^{-1},
-which is evaluated in complex fixed point on Python integers with an
-exact Bareiss determinant: the result is many orders of magnitude below
-the entries, so double precision cancels to noise.  Its series run at
-1-norm at most 1 with as many terms as keep the omitted tail below a
-quarter of one fixed-point unit.  The ratio
+the n x n determinant of N_t = (1 - e^{-it ad_Y}) ad_Y^{-1}, t = s + s',
+and, with the factor e^{W} of determinant 1 split off, to
+(t/2)^n det sinh(W)/W with W = -i(t/2) ad_Y.  W^2 is real, symmetric and
+positive semidefinite, so sinh(W)/W is a real series in W^2.  It is
+evaluated in real fixed point on Python integers, at 1-norm at most 1
+with as many terms as keep the omitted tail below a quarter of one
+fixed-point unit, then doubled back with cosh W alongside, and its
+determinant is taken exactly by Bareiss elimination: the result is many
+orders of magnitude below the entries, so double precision cancels to
+noise.  The eigenvalues of sinh(W)/W are at least 1, which sizes the
+precision: 80 bits plus (t/2) sum |alpha(Y)| / ln 2.  The ratio
 phi(s, s', Y) of the wedge density to the geometric mean of the two
 endpoint densities is the factor by which the prequantum BKS map fails
 to be parallel transport; its criticality at s = s' is checked by finite
@@ -22,12 +27,14 @@ differences.
 eta, |Omega_s|^2, the wedge density and phi take one algebra vector of
 shape ``(dim,)`` and return a float, or a batch of shape ``(N, dim)``
 and return an ``(N,)`` array; the determinant route returns a complex
-number or an ``(N,)`` complex array.  |Omega_s|^2, both wedge routes,
-phi and the phi-flatness residual also take s and s' per row of a batch.
+number or an ``(N,)`` complex array, with imaginary part exactly 0.
+|Omega_s|^2, both wedge routes, phi and the phi-flatness residual also
+take s and s' per row of a batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -102,6 +109,13 @@ def eta(group: GroupSpec, Y):
     return eta_from_roots(root_values(group, Y))
 
 
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x^n by Python's power element by element: numpy's vectorized power
+    can differ from it in the last bit, and a sample's density should not
+    depend on the batch it comes in."""
+    return np.vectorize(lambda v: v**n, otypes=[float])(x)
+
+
 def omega_norm_sq(group: GroupSpec, s, Y):
     """Half-form density |Omega_s|^2 = s^n eta(sY)^2.
 
@@ -111,11 +125,7 @@ def omega_norm_sq(group: GroupSpec, s, Y):
     if np.any(s <= 0.0):
         raise ValueError("polarization parameter s must be positive")
     Y = np.asarray(Y, dtype=float)
-    # Python's power element by element: numpy's vectorized power can
-    # differ from it in the last bit, and a sample's density should not
-    # depend on the batch it comes in
-    s_n = np.vectorize(lambda v: v**group.dim, otypes=[float])(s)
-    return _scalar_or_array(s_n * eta(group, s[..., None] * Y) ** 2)
+    return _scalar_or_array(_power(s, group.dim) * eta(group, s[..., None] * Y) ** 2)
 
 
 def wedge_density(group: GroupSpec, s, s_prime, Y):
@@ -131,19 +141,18 @@ def wedge_density(group: GroupSpec, s, s_prime, Y):
     return omega_norm_sq(group, 0.5 * (s + s_prime), Y)
 
 
-# the series for e^z and phi1(z) run at 1-norm at most _SERIES_RADIUS, and
-# their omitted tails stay below 2^-_SERIES_GUARD fixed-point units
+# the series for cosh and sinh(w)/w run at 1-norm at most _SERIES_RADIUS,
+# and their omitted tails stay below 2^-_SERIES_GUARD fixed-point units
 _SERIES_RADIUS = 1.0
 _SERIES_GUARD = 2
 
 
+@functools.lru_cache(maxsize=None)
 def _series_terms(bits: int) -> int:
     """Smallest m with r^(m+1)/(m+1)! e^r <= 2^-(bits + guard), r the radius.
 
-    For |z|_1 <= r the tail of e^z past z^m/m! is at most
-    sum_{j>m} r^j/j! <= r^(m+1)/(m+1)! e^r, and the tail of phi1(z) past
-    z^(m-1)/m! is at most r^m/(m+1)! e^r, which r >= 1 keeps under the
-    same bound.
+    For |w|_1 <= r the terms of cosh w and sinh(w)/w past degree m in w
+    sum to at most sum_{j>m} r^j/j! <= r^(m+1)/(m+1)! e^r.
     """
     r = _SERIES_RADIUS
     log_bound = -(bits + _SERIES_GUARD) * math.log(2.0)
@@ -151,41 +160,6 @@ def _series_terms(bits: int) -> int:
     while (m + 1) * math.log(r) - math.lgamma(m + 2) + r > log_bound:
         m += 1
     return m
-
-
-def _cmul(x, y, shift):
-    """Product of two stacks of complex fixed-point matrices, shifted right.
-
-    Three real products instead of four: xr yi + xi yr is taken as
-    (xr + xi)(yr + yi) - xr yr - xi yi, exact on integers.
-    """
-    (xr, xi), (yr, yi) = x, y
-    rr, ii = xr @ yr, xi @ yi
-    return (rr - ii) >> shift, ((xr + xi) @ (yr + yi) - rr - ii) >> shift
-
-
-def _series(B, eye, shift, nterms):
-    """e^{iB} and phi1(iB) as pairs (re, im) of fixed-point stacks.
-
-    Matrix i of the stack takes the terms up to B^m/m! of e^{iB} and up to
-    B^(m-1)/m! of phi1(iB), m = nterms[i]; nterms must not increase along
-    the stack, so the matrices still taking terms are a leading slice.
-    """
-    # the series term B^m/m! carries the unit i^m: sort the terms by
-    # m mod 4 and assemble re and im at the end
-    exp_parts = [0 * eye for _ in range(4)]
-    phi_parts = [0 * eye for _ in range(4)]
-    term = eye.copy()
-    live = len(nterms)
-    for j in range(1, nterms[0] + 1):
-        exp_parts[(j - 1) % 4][:live] += term[:live]
-        live = np.count_nonzero(nterms >= j)
-        phi_parts[(j - 1) % 4][:live] += term[:live] // j
-        term[:live] = ((term[:live] @ B[:live]) >> shift[:live]) // j
-    exp_parts[nterms[0] % 4][:live] += term[:live]
-    E = (exp_parts[0] - exp_parts[2], exp_parts[1] - exp_parts[3])
-    F = (phi_parts[0] - phi_parts[2], phi_parts[1] - phi_parts[3])
-    return E, F
 
 
 def _to_fixed(v: float, bits: int) -> int:
@@ -196,23 +170,20 @@ def _to_fixed(v: float, bits: int) -> int:
     return m if p >= 0 else -m
 
 
-def _n_matrix(
-    A: np.ndarray, t: np.ndarray, bits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """N_t = (1 - e^{-itA}) A^{-1} = it*phi1(-itA) in complex fixed point.
+def _sinhc_matrix(A: np.ndarray, t: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """S = sinh(W)/W with W = -i(t/2)A, in real fixed point.
 
-    A is a stack ``(N, n, n)``, t and bits one value per matrix.
-    phi1(z) = (e^z - 1)/z is entire, so the kernel directions of A are
-    handled exactly.  z = -itA is scaled by 2^-k to 1-norm at most
-    r = _SERIES_RADIUS, with one k for the whole stack, where e^z and
-    phi1(z) are truncated series of m = _series_terms(bits) terms, m of
-    each matrix's own: the omitted tail is at most r^(m+1)/(m+1)! e^r <=
-    2^-(bits+2), a quarter of one fixed-point unit, below the rounding of
-    each product.  k doublings phi1(2z) = phi1(z)(e^z + 1)/2 and
-    e^{2z} = (e^z)^2 undo the scaling.  Returns the pair (re, im) of
-    integer stacks, each matrix scaled by 2^bits of its own.
+    A is a stack ``(N, n, n)`` of antisymmetric matrices, t and bits one
+    value per matrix.  S is a series in W^2 = -(t/2)^2 A^2, which is real,
+    so every step is.  W is scaled by 2^-k to 1-norm at most
+    r = _SERIES_RADIUS, with one k for the whole stack, where S and
+    C = cosh W take their terms up to degree m = _series_terms(bits) in W,
+    m of each matrix's own, one product with W^2/4^k per two degrees: the
+    omitted tail is at most 2^-(bits+2), a quarter of one fixed-point unit.
+    k doublings S <- S C and C <- 2C^2 - 1 undo the scaling.  Returns an
+    integer stack, each matrix scaled by 2^bits of its own.
     """
-    norm = float(np.max(t * np.abs(A).sum(axis=-2).max(axis=-1)))
+    norm = 0.5 * float(np.max(t * np.abs(A).sum(axis=-2).max(axis=-1)))
     k = 0
     while norm > _SERIES_RADIUS:
         norm *= 0.5
@@ -221,63 +192,63 @@ def _n_matrix(
     # terms are a leading slice of the stack
     order = np.argsort(-bits, kind="stable")
     A, t, bits = A[order], t[order], bits[order]
-    nterms = np.array([_series_terms(b) for b in bits.tolist()])
+    pairs = np.array([_series_terms(b) // 2 for b in bits.tolist()])
     shift = bits.astype(object)[:, None, None]
     to_fixed = np.frompyfunc(_to_fixed, 2, 1)
-    t_fixed = to_fixed(t[:, None, None], shift)
+    # V = (t / 2^(k+1)) A, so that (W / 2^k)^2 = -V^2
+    V = (to_fixed(A, shift) * to_fixed(t[:, None, None], shift)) >> (shift + k + 1)
+    B = -(V @ V) >> shift
     eye = np.zeros(A.shape, dtype=object)
     diag = np.arange(A.shape[-1])
     eye[:, diag, diag] = np.left_shift(1, shift[:, :, 0])
-    # z / 2^k = iB with B real; B is not kept past the series
-    E, F = _series((to_fixed(A, shift) * -t_fixed) >> (shift + k), eye, shift, nterms)
+    # term j is B^j / (2j)!, the degree-2j term of C; that of S is it / (2j+1)
+    S, C, term = 0 * eye, 0 * eye, eye.copy()
+    for j in range(pairs[0] + 1):
+        live = np.count_nonzero(pairs >= j)
+        if j:
+            term[:live] = ((term[:live] @ B[:live]) >> shift[:live]) // ((2 * j - 1) * 2 * j)
+        C[:live] += term[:live]
+        S[:live] += term[:live] // (2 * j + 1)
     for i in range(k):
-        F = _cmul(F, (E[0] + eye, E[1]), shift + 1)
+        S = (S @ C) >> shift
         if i + 1 < k:
-            E = _cmul(E, E, shift)
-    back = np.argsort(order)
-    return ((-F[1] * t_fixed) >> shift)[back], ((F[0] * t_fixed) >> shift)[back]
+            C = ((C @ C) >> (shift - 1)) - eye
+    return S[np.argsort(order)]
 
 
-def _gaussian_det(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact determinants of a stack of Gaussian-integer matrices re + i im.
+def _bareiss_det(M: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of integer matrices.
 
     Bareiss fraction-free elimination (Math. Comp. 22, 1968): every
-    division by the previous pivot is exact in the Gaussian integers, so
-    no rounding enters after the matrices are formed.  A matrix whose
-    pivot is zero swaps rows on its own; one with no nonzero entry left in
-    the pivot column is singular, takes pivot 1 to keep the stack going,
-    and gets determinant 0.  Returns (re, im) object arrays of shape (N,).
+    division by the previous pivot is exact, so no rounding enters after
+    the matrices are formed.  A matrix whose pivot is zero swaps rows on
+    its own; one with no nonzero entry left in the pivot column is
+    singular, takes pivot 1 to keep the stack going, and gets determinant
+    0.  Returns an object array of shape (N,).
     """
-    re, im = re.copy(), im.copy()
-    N, n = re.shape[0], re.shape[-1]
+    M = M.copy()
+    N, n = M.shape[0], M.shape[-1]
     sign = np.ones(N, dtype=object)
     singular = np.zeros(N, dtype=bool)
-    qr, qi = 1, 0
+    prev = 1
     for k in range(n - 1):
-        nonzero = (re[:, k:, k] != 0) | (im[:, k:, k] != 0)
+        nonzero = M[:, k:, k] != 0
         for i in np.flatnonzero(~nonzero[:, 0]):
             rows = np.flatnonzero(nonzero[i])
             if rows.size == 0:
                 singular[i] = True
-                re[i, k, k] = 1
+                M[i, k, k] = 1
                 continue
             r = k + rows[0]
-            re[i, [k, r]] = re[i, [r, k]]
-            im[i, [k, r]] = im[i, [r, k]]
+            M[i, [k, r]] = M[i, [r, k]]
             sign[i] = -sign[i]
-        pr, pi = re[:, k:k + 1, k:k + 1], im[:, k:k + 1, k:k + 1]
-        cr, ci = re[:, k + 1:, k:k + 1], im[:, k + 1:, k:k + 1]
-        rr, ri = re[:, k:k + 1, k + 1:], im[:, k:k + 1, k + 1:]
-        ar, ai = re[:, k + 1:, k + 1:], im[:, k + 1:, k + 1:]
-        nr = pr * ar - pi * ai - (cr * rr - ci * ri)
-        ni = pr * ai + pi * ar - (cr * ri + ci * rr)
-        # divide by the previous pivot q: multiply by conj(q), divide by |q|^2
-        q2 = qr * qr + qi * qi
-        re[:, k + 1:, k + 1:] = (nr * qr + ni * qi) // q2
-        im[:, k + 1:, k + 1:] = (ni * qr - nr * qi) // q2
-        qr, qi = pr, pi
+        pivot = M[:, k:k + 1, k:k + 1]
+        M[:, k + 1:, k + 1:] = (
+            pivot * M[:, k + 1:, k + 1:] - M[:, k + 1:, k:k + 1] * M[:, k:k + 1, k + 1:]
+        ) // prev
+        prev = pivot
     sign[singular] = 0
-    return sign * re[:, n - 1, n - 1], sign * im[:, n - 1, n - 1]
+    return sign * M[:, n - 1, n - 1]
 
 
 def wedge_density_det(group: GroupSpec, s, s_prime, Y):
@@ -289,23 +260,35 @@ def wedge_density_det(group: GroupSpec, s, s_prime, Y):
     are functions of A and commute; the 2n x 2n determinant is then
     det(conj(M_s) N_{s'} - conj(N_s) M_{s'}) = det(e^{isA} N_{s+s'}),
     and det e^{isA} = e^{is tr A} = 1 because A is traceless.  The two
-    signs cancel, so the result is det N_{s+s'} / (2i)^n.  The imaginary
-    part vanishes up to roundoff and the real part reproduces
-    wedge_density.  ad_Y is never diagonalised; the root values only size
-    the precision.
+    signs cancel, so the result is det N_t / (2i)^n with t = s + s'.
+    N_t = it phi1(Z) with Z = -itA and phi1(z) = (e^z - 1)/z, and
+    phi1(Z) = e^{Z/2} sinh(W)/W with W = Z/2; det e^{Z/2} = 1 for the
+    same reason, so the result is (t/2)^n det S with S = sinh(W)/W.  In
+    the orthonormal basis A is antisymmetric, so W^2 = -(t/2)^2 A^2 is
+    real, symmetric and positive semidefinite, and S, a series in W^2, is
+    real: the imaginary part of the result is exactly 0 and the real part
+    reproduces wedge_density.  ad_Y is never diagonalised; the root values
+    only size the precision.
 
-    det N_t cancels heavily: each root pair contributes a 2 x 2 block
-    whose entries grow like e^{t alpha(Y)} while its determinant is only
-    about e^{t alpha(Y)} / alpha(Y)^2.  In double precision (expm of an
-    augmented matrix, then an LU determinant) the relative error on SU(2)
-    is about 1e-8 at t*alpha(Y) = 20 and 0.7 at 37, while the suite samples
-    t*alpha(Y) up to about 100.  N_t is therefore formed in complex fixed
-    point, pairs of Python-integer matrices scaled by 2^bits with bits
-    sized per sample from the exponent budget (s+s')*sum |alpha(Y)|, and
-    its determinant is taken exactly by Bareiss elimination; the only
-    roundings are those of the fixed-point products and the final
-    int/int division.  On tori A = 0 and, for t >= 2^-28, N_t is exactly
-    it, so the result equals wedge_density bit for bit.
+    det S cancels heavily: with x = t alpha(Y)/2, the entries of S grow
+    like e^x / x, and the products of n entries the determinant sums are
+    far larger than det S itself, sinh(x)^2/x^2 per root pair.  The same
+    series and doublings in double precision, then an LU determinant, err
+    on SU(2) by about 2e-13 relative at t*alpha(Y) = 20, 1e-5 at 60 and
+    more than 100% at 100, while the suite samples t*alpha(Y) up to about
+    100.  S is therefore formed in
+    real fixed point, Python-integer matrices scaled by 2^bits, and its
+    determinant is taken exactly by Bareiss elimination; the only
+    roundings are those of the fixed-point products, the final int/int
+    division and the product with (t/2)^n.  The bits follow from S being
+    symmetric with eigenvalues >= 1: every entry of S^-1 is at most 1 in
+    absolute value, so an absolute error e in the entries of S moves
+    det S by a relative n^2 e at most.  The k doublings grow the error of
+    the scaled series by at most about e^{t max alpha(Y) / 2}, so
+    80 + (t/2) sum |alpha(Y)| / ln 2 bits, sized per sample, leave the
+    result at double precision.  On tori A = 0, S is exactly 1, and
+    (t/2)^n is Python's power as in omega_norm_sq, so the result equals
+    wedge_density bit for bit.
 
     Y of shape ``(dim,)`` gives a complex number, ``(N, dim)`` an ``(N,)``
     complex array; s and s' are one value each or one per row.  The whole
@@ -317,15 +300,11 @@ def wedge_density_det(group: GroupSpec, s, s_prime, Y):
     Ys = np.atleast_2d(Y)
     t = np.broadcast_to(np.asarray(s, dtype=float) + s_prime, Ys.shape[:1])
     n = group.dim
-    # the determinant cancels at most e^{budget} of its entries' size; 80
-    # guard bits on top of that leave the result at double precision
-    exponent_budget = t * np.sum(np.abs(root_values(group, Ys)), axis=-1)
+    exponent_budget = 0.5 * t * np.sum(np.abs(root_values(group, Ys)), axis=-1)
     bits = np.array([80 + math.ceil(b / math.log(2)) for b in exponent_budget])
-    dr, di = _gaussian_det(*_n_matrix(ad_matrix(group, Ys), t, bits))
-    # divide by (2i)^n: rotate by (-i)^n, then scale by 2^-n with the 2^-bits*n
-    dr, di = ((dr, di), (di, -dr), (-dr, -di), (-di, dr))[n % 4]
-    scales = [1 << ((b + 1) * n) for b in bits.tolist()]
-    out = np.array([complex(r / q, i / q) for r, i, q in zip(dr, di, scales)])
+    dets = _bareiss_det(_sinhc_matrix(ad_matrix(group, Ys), t, bits))
+    out = (_power(0.5 * t, n) * np.array(
+        [d / (1 << (b * n)) for d, b in zip(dets, bits.tolist())])).astype(complex)
     return complex(out[0]) if Y.ndim == 1 else out
 
 

@@ -624,7 +624,7 @@ def _torus_theta_kmax(lam, hbar, beta_max):
     return int(disc * lam / hbar) + 4
 
 
-def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
+def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, gh_points):
     # Fully direct route: truncated theta kernels, trapezoid sums in
     # both compact angles, Hermite in the fiber coordinate.  Only the
     # first circle carries the label; with rho = 0 the other circles
@@ -667,15 +667,16 @@ def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
     u, ws = np.polynomial.hermite.hermgauss(gh_points)
     x0 = k * sigma / math.sqrt(lam)
     xs = u + x0
-    theta = 2.0 * math.pi * np.arange(m_grid) / m_grid
     beta_max = sigma * float(np.max(np.abs(xs))) / math.sqrt(lam) * (1.0 + abs(t))
     kmax = max(
         _torus_theta_kmax(lam, hbar, beta_max),
         _torus_theta_kmax(lam, hbar_p, beta_max),
         abs(k) + 2,
     )
-    if 2 * kmax + 1 > m_grid:
-        raise ValueError(f"angle grid aliases the kernel; need >= {2 * kmax + 2}")
+    # 2 kmax + 1 kept frequencies need 2 kmax + 2 angle points to stay
+    # unaliased; 64 already covers the band at hbar0 >= 0.25
+    m_grid = max(64, 2 * kmax + 2)
+    theta = 2.0 * math.pi * np.arange(m_grid) / m_grid
     ks = np.arange(-kmax, kmax + 1, dtype=float)
     E = np.exp(1j * np.outer(theta, ks))
     # the e^{-y^2/hbar''} measure factor cancels the Hermite weight
@@ -708,8 +709,8 @@ def verify_delta_two(
     if group.kind == "torus":
         k = int(irrep.label[0])
         theta2 = float(rng.uniform(0.0, 2.0 * math.pi))
-        val = _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, 64, points)
-        alt = _delta_two_torus(group, hbar0, s, s_prime, t_alt, k, theta2, 64, points)
+        val = _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, points)
+        alt = _delta_two_torus(group, hbar0, s, s_prime, t_alt, k, theta2, points)
         target = complex(np.exp(1j * k * theta2))
         residual = abs(val - target)
         t_dep = abs(val - alt)

@@ -88,6 +88,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
     (["verify", "prequantum", "--group", "torus"], None),
     (["verify", "all"], "[run]\ngroup = su2\nidentities = bks-factor\nband_limit = 0.5\n"),
     (["table", "pairing-factors"], "[run]\ngroup = su2\nband_limit = 0.5\n"),
+    (["verify", "unitarity"],
+     "[run]\ngroup = su2\n[tolerances]\nscale = 1e300\nunitarity = 1e10\n"),
 ])
 def test_a_run_that_tests_nothing_exit_code(tmp_path, capsys, command, text):
     # an infinite or non-positive bar, or a selection that builds no check,

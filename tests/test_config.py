@@ -96,6 +96,18 @@ def test_rejects_tolerances_that_test_nothing(key, value):
         config.parse_config(f"[tolerances]\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("text, family", [
+    ("[tolerances]\nscale = 1e300\nunitarity = 1e10\n", "unitarity"),
+    ("[tolerances]\nscale = 1e-310\n", "factorization"),
+    ("[tolerances]\nscale = 1e-300\ndelta = 1e-30\n", "delta"),
+])
+def test_rejects_finite_factors_whose_bar_is_not(text, family):
+    # scale times an override overflows to inf, which passes every check,
+    # or scale times an override or a default underflows to 0
+    with pytest.raises(config.ConfigError, match=f"\\[tolerances\\] {family} times scale"):
+        config.parse_config(text)
+
+
 def test_monte_carlo_backend_only_off_tori():
     cfg = config.parse_config("[run]\ngroup = su2\n[quadrature]\nchar_backend = monte-carlo\n")
     assert cfg.char_backend == "monte-carlo"

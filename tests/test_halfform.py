@@ -173,7 +173,7 @@ def _wedge_det_2n_reference(group, s, s_prime, Y):
 
 @pytest.mark.parametrize("group,samples", [(SU2, 5), (SU3, 3)], ids=["su2", "su3"])
 def test_wedge_det_matches_the_2n_determinant(group, samples):
-    # det N_{s+s'} in fixed point against the unreduced block determinant
+    # (t/2)^n det sinh(W)/W in fixed point against the unreduced block determinant
     rng = np.random.default_rng(16)
     for _ in range(samples):
         Y = rng.standard_normal(group.dim)
@@ -218,7 +218,7 @@ def test_fixed_point_conversion_truncates_like_int():
 
 
 def test_wedge_det_is_exact_on_the_torus():
-    # ad_Y = 0, so N_t = it exactly; the golden wedge/torus row needs rel 0
+    # ad_Y = 0, so sinh(W)/W = 1 exactly; the golden wedge/torus row needs rel 0
     rng = np.random.default_rng(18)
     for _ in range(50):
         s, sp = (float(v) for v in rng.uniform(0.05, 5.0, size=2))
@@ -263,7 +263,8 @@ def _job_draws(kind):
 @pytest.mark.parametrize("kind", ["su2", "su3"])
 def test_batched_wedge_det_matches_the_per_sample_route(kind):
     # the wedge job's default draws, then the largest budget s = s' = 3,
-    # against one matrix at a time at 1-norm 1e-3
+    # against the phi1 route one matrix at a time at 1-norm 1e-3: the
+    # sinh(W)/W factorization checked numerically
     group, Y, s, sp = _job_draws(kind)
     cases = [(s, sp, Y), (np.full(25, 3.0), np.full(25, 3.0), Y[:25])]
     for s, sp, Y in cases:
@@ -271,21 +272,21 @@ def test_batched_wedge_det_matches_the_per_sample_route(kind):
         ref = np.array([oracles.wedge_density_det_per_sample(group, a, b, y)
                         for a, b, y in zip(s, sp, Y)])
         np.testing.assert_allclose(det.real, ref.real, rtol=1e-15, atol=0.0)
-        assert np.all(np.abs(det.imag) <= 1e-18 * det.real)
+        assert np.all(det.imag == 0.0)
 
 
 @pytest.mark.parametrize("group", [SU2, SU3], ids=lambda g: g.kind)
 def test_mixed_budget_batch_gives_each_sample_its_own_value(group, monkeypatch):
-    # 80 bits next to several hundred: each row keeps the precision its
+    # 80 bits next to about two hundred: each row keeps the precision its
     # own budget needs, whatever else is in the batch
     bits_seen = []
 
     def recorded(A, t, bits):
         bits_seen.append(bits.tolist())
-        return n_matrix(A, t, bits)
+        return sinhc_matrix(A, t, bits)
 
-    n_matrix = halfform._n_matrix
-    monkeypatch.setattr(halfform, "_n_matrix", recorded)
+    sinhc_matrix = halfform._sinhc_matrix
+    monkeypatch.setattr(halfform, "_sinhc_matrix", recorded)
     rng = np.random.default_rng(22)
     Y = rng.standard_normal((6, group.dim))
     Y *= np.array([0.05, 5.0, 0.5, 5.0, 0.05, 2.0])[:, None] / np.linalg.norm(
@@ -296,7 +297,9 @@ def test_mixed_budget_batch_gives_each_sample_its_own_value(group, monkeypatch):
     alone = [halfform.wedge_density_det(group, a, b, y) for a, b, y in zip(s, sp, Y)]
     np.testing.assert_allclose(det.real, np.real(alone), rtol=1e-15, atol=0.0)
     assert bits_seen[0] == [b for (b,) in bits_seen[1:]]
-    assert min(bits_seen[0]) < 90 < 300 < max(bits_seen[0])
+    # 80 + (t/2) sum |alpha(Y)| / ln 2 bits: 81 at |Y| = 0.05, 188 or more
+    # at |Y| = 5 with s + s' >= 5.5
+    assert min(bits_seen[0]) < 90 < 150 < max(bits_seen[0])
     closed = halfform.wedge_density(group, s, sp, Y)
     np.testing.assert_allclose(det.real, closed, rtol=1e-12, atol=0.0)
 
@@ -308,12 +311,11 @@ def test_series_terms_meet_the_stated_tail_bound():
     from fractions import Fraction
 
     group, Y, s, sp = _job_draws("su3")
-    budget = (s + sp) * np.sum(np.abs(groups.root_values(group, Y)), axis=-1)
+    budget = 0.5 * (s + sp) * np.sum(np.abs(groups.root_values(group, Y)), axis=-1)
     top = max(80 + math.ceil(b / math.log(2)) for b in budget)
     assert top > 200
     r = Fraction(halfform._SERIES_RADIUS)
-    # the phi1 tail, r^m/(m+1)! e^r, is covered only for r >= 1
-    assert 1 <= r <= 40
+    assert 0 < r <= 40
     exp_low = sum(r**j / math.factorial(j) for j in range(81))
     exp_high = exp_low + 2 * r**81 / math.factorial(81)
     for bits in range(80, top + 1):
@@ -323,58 +325,47 @@ def test_series_terms_meet_the_stated_tail_bound():
         assert r**m / math.factorial(m) * exp_low > unit, bits
 
 
-def test_gaussian_det_bareiss():
+def test_bareiss_det_row_swap_and_singular():
     # a zero leading pivot forces a row swap; a singular matrix gives 0
-    def one(re, im):
-        dr, di = halfform._gaussian_det(re[None], im[None])
-        return dr[0], di[0]
+    def one(m):
+        return halfform._bareiss_det(np.array(m, dtype=object)[None])[0]
 
-    swap = np.array([[0, 1, 2], [3, 0, 1], [1, 1, 0]], dtype=object)
-    assert one(swap, 0 * swap) == (7, 0)
+    assert one([[0, 1, 2], [3, 0, 1], [1, 1, 0]]) == 7
     rng = np.random.default_rng(19)
-    re = rng.integers(-9, 10, size=(5, 5))
-    im = rng.integers(-9, 10, size=(5, 5))
-    want = np.linalg.det(re + 1j * im)
-    assert one(re.astype(object), im.astype(object)) == (round(want.real), round(want.imag))
-    singular = np.array([[1, 2], [2, 4]], dtype=object)
-    assert one(singular, singular) == (0, 0)
+    m = rng.integers(-9, 10, size=(5, 5))
+    assert one(m) == round(np.linalg.det(m))
+    assert one([[1, 2], [2, 4]]) == 0
+    assert one([[5]]) == 5
 
 
 def _cofactor_det(m):
-    """Exact determinant of a square list of Gaussian integers (re, im)."""
+    """Exact determinant of a square list of integers."""
     if len(m) == 1:
         return m[0][0]
-    total_r, total_i = 0, 0
-    for j, (a, b) in enumerate(m[0]):
-        c, d = _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
-        sign = -1 if j % 2 else 1
-        total_r += sign * (a * c - b * d)
-        total_i += sign * (a * d + b * c)
-    return total_r, total_i
+    return sum((-1) ** j * a * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]))
 
 
-def test_gaussian_det_pivots_each_matrix_of_a_stack_on_its_own():
+def test_bareiss_det_pivots_each_matrix_of_a_stack_on_its_own():
     # matrix 0 has a zero (0,0) entry and swaps rows 0 and 2; matrix 1 is
     # singular, its column 1 running out after the first step; matrix 2
     # has a zero (2,0) entry, so swapping the whole stack, or no matrix,
-    # puts a zero pivot in front of Bareiss
-    re = np.array([
+    # puts a zero pivot in front of Bareiss; matrix 3 has entries past
+    # 2^200, the sizes the fixed-point route takes
+    rng = np.random.default_rng(23)
+    big = [[int(v) << 200 for v in row] for row in rng.integers(-99, 100, size=(4, 4))]
+    big[0][0] += 1
+    M = np.array([
         [[0, 0, 0, 3], [0, 1, 0, 2], [2, 1, 1, 0], [1, 0, 3, 1]],
         [[1, 2, 0, 1], [2, 4, 1, 0], [3, 6, 2, 2], [1, 2, 5, 3]],
         [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 4, 1], [1, 0, 1, 2]],
+        big,
     ], dtype=object)
-    im = np.array([
-        [[0, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 1], [0, 1, 1, 0]],
-        [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]],
-    ], dtype=object)
-    dr, di = halfform._gaussian_det(re, im)
-    for i in range(3):
-        want = _cofactor_det([[(int(a), int(b)) for a, b in zip(ra, ia)]
-                              for ra, ia in zip(re[i], im[i])])
-        assert (dr[i], di[i]) == want, i
-    assert (dr[1], di[1]) == (0, 0)
-    assert (dr[0], di[0]) != (0, 0) and (dr[2], di[2]) != (0, 0)
+    dets = halfform._bareiss_det(M)
+    for i in range(len(M)):
+        assert dets[i] == _cofactor_det([[int(a) for a in row] for row in M[i]]), i
+    assert dets[1] == 0
+    assert dets[0] != 0 and dets[2] != 0 and dets[3] != 0
 
 
 def test_phi_trivial_values():

@@ -459,7 +459,7 @@ def test_delta_two_deterministic_given_seed():
     assert reps[0].abs_residual == reps[1].abs_residual
 
 
-def _brute_delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_points):
+def _brute_delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, gh_points):
     # node by node, with the kernel as a fused-exponent theta sum over
     # full (theta_g, theta_1) grids of complex phases, on Hermite nodes
     # recentered at the surviving Gaussian's peak k sigma / sqrt(lam)
@@ -469,10 +469,11 @@ def _brute_delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_po
     u, ws = np.polynomial.hermite.hermgauss(gh_points)
     x0 = k * sigma / math.sqrt(lam)
     xs, ws = u + x0, ws * np.exp(-2.0 * x0 * u - x0 * x0)
-    theta = 2.0 * math.pi * np.arange(m_grid) / m_grid
     beta_max = sigma * float(np.max(np.abs(xs))) / math.sqrt(lam) * (1.0 + abs(t))
     kmax = max(pairing._torus_theta_kmax(lam, hbar, beta_max),
                pairing._torus_theta_kmax(lam, hbar_p, beta_max), abs(k) + 2)
+    m_grid = max(64, 2 * kmax + 2)
+    theta = 2.0 * math.pi * np.arange(m_grid) / m_grid
     ks = np.arange(-kmax, kmax + 1, dtype=float)
 
     def theta_sum(h, phases):
@@ -492,17 +493,20 @@ def _brute_delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, m_grid, gh_po
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("points", [8, 48])
 def test_separable_torus_kernel_matches_brute_force(hbar0, k, points):
-    args = (TORUS, hbar0, 1.0, 0.5, 0.3, k, 2.1, 64, points)
+    args = (TORUS, hbar0, 1.0, 0.5, 0.3, k, 2.1, points)
     val = pairing._delta_two_torus(*args)
     ref = _brute_delta_two_torus(*args)
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
 # ids: the label at hbar0 = 0.25, else hbar0-label; at hbar0 = 3 and at
-# label 2 the surviving Gaussian lies past unshifted Hermite nodes
+# label 2 the surviving Gaussian lies past unshifted Hermite nodes; at
+# hbar0 = 0.05 the kept band needs an angle grid finer than 64 points
 @pytest.mark.parametrize("hbar0, label", [
     pytest.param(0.25, 0, id="0"),
     pytest.param(0.25, 1, id="1"),
+    pytest.param(0.05, 0, id="0.05-0"),
+    pytest.param(0.05, 1, id="0.05-1"),
     pytest.param(3.0, 0, id="3-0"),
     pytest.param(3.0, 1, id="3-1"),
     pytest.param(1.0, 2, id="1-2"),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bksverify import config, suite
+from bksverify import config, halfform, suite
 from bksverify import pairing as pairing_mod
 
 FAST_TORUS = dict(
@@ -572,6 +572,19 @@ def test_delta_jobs_fail_when_the_kernels_are_off(kind, monkeypatch):
                    _scaled(pairing_mod, "_delta_two_torus", 1.0 + 1e-3))
         mp.setattr(pairing_mod, "_delta_two_su2",
                    _scaled(pairing_mod, "_delta_two_su2", 1.0 + 1e-2))
+
+    _assert_every_job_fails(cfg, mutate, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["su2", "su3"])
+def test_wedge_job_fails_when_the_determinant_route_is_off(kind, monkeypatch):
+    # ad_Y scaled by 1 + 1e-6 on the determinant route alone: the closed
+    # form keeps its root values, while det sinh(W)/W moves by about
+    # (t alpha(Y)/2 - 1) * 2e-6 relative, far past the 1e-8 bar
+    cfg = fast_cfg(group=kind, identities=("wedge",))
+
+    def mutate(mp):
+        mp.setattr(halfform, "ad_matrix", _scaled(halfform, "ad_matrix", 1.0 + 1e-6))
 
     _assert_every_job_fails(cfg, mutate, monkeypatch)
 
