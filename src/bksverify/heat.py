@@ -147,6 +147,39 @@ def hl2_inner(
     return complex(total)
 
 
+def measure_integral(
+    group: GroupSpec, hbar0: float, s: float, F, points: int, degree: int, shape: tuple = ()
+):
+    """Integral of F against the averaged measure, as (value, error).
+
+    The measure is nu_s = eta(Y) e^{-|Y|^2/(s hbar0)} dY / (a_s s^{n/2});
+    F follows the batched contract of ``quadrature.integrate_algebra``,
+    one value of ``shape`` per node.  The rule is matched to the
+    Gaussian of the measure: the tensor Gauss-Hermite rule of ``points``
+    per coordinate at scale sqrt(s hbar0) on tori, and on SU(2) the
+    spherical-radial rule with ``points`` radial nodes on (0, inf) and
+    sphere degree ``degree``.  Available where matrix elements are
+    realized (tori and SU(2)).
+    """
+    if group.kind == "su3":
+        raise ValueError("the averaged-measure integral is built on tori and SU(2) only")
+    if s <= 0.0:
+        raise ValueError("the averaged measure needs s > 0")
+    hbar = hbar0 * s
+    if group.kind == "su2":
+        quad = quadrature.spherical_radial(group, points, math.sqrt(hbar), degree)
+    else:
+        quad = quadrature.hermite_quadrature(group, points, scale=math.sqrt(hbar))
+
+    def weighted(Y):
+        weight = eta(group, Y) * np.exp(-np.sum(Y * Y, axis=1) / hbar)
+        return F(Y) * weight.reshape((-1,) + (1,) * len(shape))
+
+    value, err = quadrature.integrate_algebra(weighted, quad, shape)
+    norm = a_s(group, hbar0, s) * s ** (group.dim / 2.0)
+    return value / norm, err / norm
+
+
 def hl2_inner_quadrature(
     group: GroupSpec,
     hbar0: float,
@@ -158,18 +191,10 @@ def hl2_inner_quadrature(
     """Quadrature route for the holomorphic inner product, as (value, error).
 
     Integrates over the polar slice: the compact direction is summed by
-    Schur orthogonality, the algebra direction by a rule matched to the
-    Gaussian of the measure.  That rule is the tensor Gauss-Hermite rule
-    of ``points`` per coordinate on tori, and on SU(2) the
-    spherical-radial rule with ``points`` radial nodes on (0, inf) and
-    sphere degree the largest label in F and F'.  Available where matrix
-    elements are realized (tori and SU(2)).
+    Schur orthogonality, the algebra direction by ``measure_integral``
+    with ``points`` per rule and, on SU(2), sphere degree the largest
+    label in F and F'.
     """
-    if group.kind == "su3":
-        raise ValueError("quadrature route is available on tori and SU(2) only")
-    if s <= 0.0:
-        raise ValueError("the averaged measure needs s > 0")
-    hbar = hbar0 * s
     labels = sorted(set(F.blocks) & set(Fp.blocks))
     dims = {label: dim_irrep(group, label) for label in labels}
 
@@ -181,13 +206,7 @@ def hl2_inner_quadrature(
             A = F.blocks[label] @ Mt
             B = Fp.blocks[label] @ Mt
             total += np.einsum("nij,nij->n", A.conj(), B) / d
-        return total * eta(group, Y) * np.exp(-np.sum(Y * Y, axis=1) / hbar)
+        return total
 
-    if group.kind == "su2":
-        degree = max((label[0] for label in labels), default=0)
-        quad = quadrature.spherical_radial(group, points, math.sqrt(hbar), degree)
-    else:
-        quad = quadrature.hermite_quadrature(group, points, scale=math.sqrt(hbar))
-    value, err = quadrature.integrate_algebra(integrand, quad)
-    norm = a_s(group, hbar0, s) * s ** (group.dim / 2.0)
-    return value / norm, err / norm
+    degree = max((label[0] for label in labels), default=0)
+    return measure_integral(group, hbar0, s, integrand, points, degree)

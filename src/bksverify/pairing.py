@@ -44,16 +44,19 @@ from .groups import (
     highest_weight,
     make_irrep,
     random_element,
+    torus_group,
     weights_with_multiplicities,
     wigner_matrix,
 )
 from .halfform import eta, log_sinhc, phi
 from .heat import (
     BandLimitedFunction,
+    _irrep_matrices,
     _su2_conjugation_intertwiner,
     a_s,
     l2_inner,
     matrix_element_function,
+    measure_integral,
 )
 
 
@@ -587,34 +590,30 @@ def _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points):
     # After the two exact compact-direction integrals (dual-pairing
     # orthogonality in the smeared variable, conjugate orthogonality in
     # the compact part of g) the double integral becomes
-    #   e^{-hbar'' c} (a'' s''^{n/2})^{-1} *
-    #   int C^T [(W_- Wx2^{-1})^T conj(W_+)] C  eta(Y) e^{-|Y|^2/hbar''} dY
-    # with W_pm the irrep lifts of exp(i(1 pm t)Y).  The two lifts are
-    # built separately so the deformation parameter stays live in the
-    # numerics instead of cancelling analytically.  The integral runs on
-    # the spherical-radial rule with ``points`` radial nodes and sphere
-    # degree 2j (quadrature.spherical_radial says why that is exact), one
-    # (d, d) value per node.  Returns the matrix with its error estimate,
-    # the largest entrywise gap to the companion rule, both normalized.
-    hbar_pp = 0.5 * (s + s_prime) * hbar0
+    #   e^{-hbar'' c} int C^T [(W_- Wx2^{-1})^T conj(W_+)] C  d nu_{s''}
+    # with W_pm the irrep lifts of exp(i(1 pm t)Y) and nu the averaged
+    # measure.  The two lifts are built separately so the deformation
+    # parameter stays live in the numerics instead of cancelling
+    # analytically.  The integral runs on the spherical-radial rule with
+    # ``points`` radial nodes and sphere degree 2j (quadrature.spherical_radial
+    # says why that is exact), one (d, d) value per node.  Returns the
+    # matrix with its error estimate, the largest entrywise gap to the
+    # companion rule.
     s_pp = 0.5 * (s + s_prime)
     j = irrep.label[0] / 2.0
     d = irrep.dim
     C = _su2_conjugation_intertwiner(d)
     Wx2_inv = wigner_matrix(j, np.linalg.inv(x2))
-    quad = quadrature.spherical_radial(group, points, math.sqrt(hbar_pp), irrep.label[0])
 
     def integrand(Y):
         Wp = wigner_matrix(j, group_exp(group, Y, 1j * (1.0 + t)))
         Wm = wigner_matrix(j, group_exp(group, Y, 1j * (1.0 - t)))
-        S = C.T @ (np.swapaxes(Wm @ Wx2_inv, -1, -2) @ np.conj(Wp)) @ C
-        coef = eta(group, Y) * np.exp(-np.einsum("ij,ij->i", Y, Y) / hbar_pp)
-        return coef[:, None, None] * S
+        return C.T @ (np.swapaxes(Wm @ Wx2_inv, -1, -2) @ np.conj(Wp)) @ C
 
-    total, err = quadrature.integrate_algebra(integrand, quad, shape=(d, d))
-    norm = a_s(group, hbar0, s_pp) * s_pp ** (group.dim / 2.0)
-    factor = math.exp(-hbar_pp * irrep.casimir)
-    return factor * total / norm, factor * err / norm
+    total, err = measure_integral(group, hbar0, s_pp, integrand, points, irrep.label[0],
+                                  shape=(d, d))
+    factor = math.exp(-hbar0 * s_pp * irrep.casimir)
+    return factor * total, factor * err
 
 
 def _torus_theta_kmax(lam, hbar, beta_max):
@@ -624,50 +623,52 @@ def _torus_theta_kmax(lam, hbar, beta_max):
     return int(disc * lam / hbar) + 4
 
 
-def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, gh_points):
+def _delta_two_torus(group, hbar0, s, s_prime, t, irrep, x2, points):
     # Fully direct route: truncated theta kernels, trapezoid sums in
-    # both compact angles, Hermite in the fiber coordinate.  Only the
-    # first circle carries the label; with rho = 0 the other circles
-    # integrate to exactly 1, so the normalization is the one-circle
-    # sqrt(pi hbar0 s'') at every rank.
+    # both compact angles, a Hermite rule in the fiber coordinate y.
+    # Only the first circle carries the label; with rho = 0 the other
+    # circles integrate to exactly 1, so the normalization is the
+    # one-circle sqrt(pi hbar0 s'') at every rank.  Returns a 1 x 1
+    # matrix with its error estimate, the gap to the companion rule.
     #
     # The truncated kernel is separable in the angles,
     #   Theta(theta_g - theta_1 + i c beta)
     #     = sum_k a_k(beta) e^{i k theta_g} e^{-i k theta_1},
-    #   a_k(beta) = e^{-hbar k^2/(2 lam) - k c beta},
+    #   a_k(beta) = e^{-hbar k^2/(2 lam) - k c beta},   beta = y / sqrt(lam),
     # with c = 1 + t (hbar) in the first kernel and c = 1 - t (hbar')
     # in the second.  The kernel is thus the unit-modulus angle table
     # E = e^{i theta k}, built once, times a real weight per (node, k).
-    # Each weight is one fused real exponent: at large |beta| the
-    # Gaussian factor underflows and the growth factor overflows while
-    # their product does not.  The trapezoid sum over theta_1, the
-    # kernel on the theta_g grid and the Hermite sum are then matrix
-    # products with E.  They stay direct sums over the grid, not the
-    # orthogonality their exact values follow from, so the route keeps
-    # testing that cancellation numerically.
+    # The measure factor e^{-y^2/hbar''} joins the first weight's
+    # exponent: at large |y| the Gaussian underflows and the growth
+    # factor overflows while their product does not, which is why this
+    # integral does not go through heat.measure_integral's separate
+    # weight.  The trapezoid sum over theta_1, the kernel on the theta_g
+    # grid and the fiber sum are then matrix products with E.  They stay
+    # direct sums over the grid, not the orthogonality their exact
+    # values follow from, so the route keeps testing that cancellation
+    # numerically.
     #
     # Cancellation bound: individual kernel terms grow like
-    # e^{g(t) x^2} against the e^{-x^2} weight, with
+    # e^{g(t) y^2/hbar''} against the e^{-y^2/hbar''} weight, with
     #   g(t) = hbar'' [(1+t)^2/(2 hbar) + (1-t)^2/(2 hbar')],
     # minimized to exactly 1 at t = (s - s')/(s + s').  The angle sums
     # cancel the growth analytically but leave rounding garbage of
-    # relative size eps * e^{(g-1) x_max^2}, so both deformation values
-    # must stay near the minimizer or accuracy collapses with no
+    # relative size eps * e^{(g-1) y_max^2/hbar''}, so both deformation
+    # values must stay near the minimizer or accuracy collapses with no
     # warning from the quadrature itself.
     lam = group.scale
+    k = int(irrep.label[0])
     hbar = s * hbar0
     hbar_p = s_prime * hbar0
     hbar_pp = 0.5 * (hbar + hbar_p)
     s_pp = 0.5 * (s + s_prime)
-    sigma = math.sqrt(hbar_pp)
-    # The surviving term a_{-k} b_{-k} = e^{2 x0 x - x0^2} puts the
-    # Gaussian at x0 = k sigma / sqrt(lam), out of the nodes' reach at
-    # large hbar0 or k, so the nodes are recentered there, x = u + x0,
-    # and the weight factor e^{-2 x0 u - x0^2} joins the fused exponent.
-    u, ws = np.polynomial.hermite.hermgauss(gh_points)
-    x0 = k * sigma / math.sqrt(lam)
-    xs = u + x0
-    beta_max = sigma * float(np.max(np.abs(xs))) / math.sqrt(lam) * (1.0 + abs(t))
+    # The surviving term a_{-k} b_{-k} puts the Gaussian at
+    # y = k hbar'' / sqrt(lam), out of the nodes' reach at large hbar0
+    # or k, so the rule is centered there.
+    quad = quadrature.hermite_quadrature(
+        torus_group(1), points, scale=math.sqrt(hbar_pp), center=[k * hbar_pp / math.sqrt(lam)]
+    )
+    beta_max = float(np.max(np.abs(quad.nodes))) / math.sqrt(lam) * (1.0 + abs(t))
     kmax = max(
         _torus_theta_kmax(lam, hbar, beta_max),
         _torus_theta_kmax(lam, hbar_p, beta_max),
@@ -679,16 +680,22 @@ def _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, gh_points):
     theta = 2.0 * math.pi * np.arange(m_grid) / m_grid
     ks = np.arange(-kmax, kmax + 1, dtype=float)
     E = np.exp(1j * np.outer(theta, ks))
-    # the e^{-y^2/hbar''} measure factor cancels the Hermite weight
-    beta_k = np.outer(sigma * xs / math.sqrt(lam), ks)
-    a = np.exp(-hbar * ks**2 / (2.0 * lam) - (1.0 + t) * beta_k
-               - (2.0 * x0 * u + x0 * x0)[:, None])
-    b = np.exp(-hbar_p * ks**2 / (2.0 * lam) - (1.0 - t) * beta_k)
     c = E.T @ np.exp(1j * k * theta) / m_grid
-    inner = (a * c) @ E.conj().T
-    ker_b = (b * np.exp(-1j * ks * theta2)) @ E.T
-    total = sigma * (ws @ np.mean(inner * ker_b, axis=1))
-    return complex(total) / math.sqrt(math.pi * hbar0 * s_pp)
+    phase_b = np.exp(-1j * ks * float(x2[0]))
+
+    def integrand(Y):
+        y = Y[:, 0]
+        beta_k = np.outer(y / math.sqrt(lam), ks)
+        a = np.exp(-hbar * ks**2 / (2.0 * lam) - (1.0 + t) * beta_k
+                   - (y * y / hbar_pp)[:, None])
+        b = np.exp(-hbar_p * ks**2 / (2.0 * lam) - (1.0 - t) * beta_k)
+        inner = (a * c) @ E.conj().T
+        ker_b = (b * phase_b) @ E.T
+        return np.mean(inner * ker_b, axis=1)[:, None, None]
+
+    total, err = quadrature.integrate_algebra(integrand, quad, shape=(1, 1))
+    norm = math.sqrt(math.pi * hbar0 * s_pp)
+    return total / norm, err / norm
 
 
 def verify_delta_two(
@@ -698,39 +705,28 @@ def verify_delta_two(
 ) -> PairingReport:
     """Two-kernel reproducing identity with a free deformation parameter.
 
-    Evaluates the double integral on a matrix element at a sampled base
-    point and compares against the matrix element there; a second
-    parameter value must give the same number, since the dependence
+    Evaluates the double integral on the irrep's matrices at a sampled
+    base point and compares against those matrices there; a second
+    parameter value must give the same numbers, since the dependence
     cancels identically under the exact compact integrals.
     """
     if group.kind == "su3":
         raise ValueError("delta-two is verified on tori and SU(2)")
-    rng = np.random.default_rng(seed)
-    if group.kind == "torus":
-        k = int(irrep.label[0])
-        theta2 = float(rng.uniform(0.0, 2.0 * math.pi))
-        val = _delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, points)
-        alt = _delta_two_torus(group, hbar0, s, s_prime, t_alt, k, theta2, points)
-        target = complex(np.exp(1j * k * theta2))
-        residual = abs(val - target)
-        t_dep = abs(val - alt)
-        error = 0.0
-    else:
-        x2 = random_element(group, rng)
-        E, err = _delta_two_su2(group, hbar0, s, s_prime, t, irrep, x2, points)
-        E_alt, err_alt = _delta_two_su2(group, hbar0, s, s_prime, t_alt, irrep, x2, points)
-        target_m = wigner_matrix(irrep.label[0] / 2.0, x2)
-        residual = float(np.max(np.abs(E - target_m)))
-        t_dep = float(np.max(np.abs(E - E_alt)))
-        val, target = complex(E[0, 0]), complex(target_m[0, 0])
-        error = max(err, err_alt)
+    kernel = _delta_two_torus if group.kind == "torus" else _delta_two_su2
+    x2 = random_element(group, np.random.default_rng(seed))
+    E, err = kernel(group, hbar0, s, s_prime, t, irrep, x2, points)
+    E_alt, err_alt = kernel(group, hbar0, s, s_prime, t_alt, irrep, x2, points)
+    target = _irrep_matrices(group, irrep.label, x2)
+    t_dep = float(np.max(np.abs(E - E_alt)))
+    residual = max(float(np.max(np.abs(E - target))), t_dep)
     return _report(
         "delta-two", group,
         {
             "hbar0": hbar0, "s": s, "s_prime": s_prime, "t": t, "t_alt": t_alt,
-            "irrep": str(irrep.label), "t_dependence": float(t_dep),
+            "irrep": str(irrep.label), "t_dependence": t_dep,
         },
-        val, target, max(residual, t_dep), error, tolerance, family="delta",
+        complex(E[0, 0]), complex(target[0, 0]), residual, max(err, err_alt), tolerance,
+        family="delta",
     )
 
 

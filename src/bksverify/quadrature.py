@@ -58,7 +58,8 @@ class Quadrature:
 # at once (a few kB per node for SU(2) Wigner or SU(3) eigen-solves)
 BATCH = 512
 
-# node cap of a tensor Gauss-Hermite rule, points ** dim
+# node cap of a tensor rule: points ** dim for Gauss-Hermite, and
+# (points_per_panel * panels) ** rank for the Cartan-reduced rule
 MAX_TENSOR_NODES = 2_000_000
 
 # length cap of one 1-D Gauss-Hermite rule.  A size bound, not a stability
@@ -126,10 +127,11 @@ def _composite_legendre(half_width: float, panels: int, points: int):
     return nodes, np.ascontiguousarray(weights)
 
 
-def _with_companion(backend: str, rule, fine: int, coarse: int) -> Quadrature:
-    # rule(resolution) -> (nodes, weights); the coarse resolution gives the
-    # companion whose difference from the fine rule is the error estimate
-    return Quadrature(backend, *rule(fine), *rule(coarse))
+def _with_companion(backend: str, rule, fine: int) -> Quadrature:
+    # rule(resolution) -> (nodes, weights); the coarse resolution, three
+    # quarters of the fine one and at least 4, gives the companion whose
+    # difference from the fine rule is the error estimate
+    return Quadrature(backend, *rule(fine), *rule(max(4, (3 * fine) // 4)))
 
 
 def _cartan_rule(group: GroupSpec, c_k: float, half_width: float, panels: int, points: int):
@@ -153,11 +155,13 @@ def cartan_quadrature(
     """
     if group.kind == "torus":
         raise ValueError("use the Gauss-Hermite backend on tori")
+    if (points_per_panel * panels) ** group.rank > MAX_TENSOR_NODES:
+        raise ValueError("Cartan rule too large; use fewer panels or points per panel")
     c_k = weyl_constant(group)
     return _with_companion(
         "cartan-reduced",
         functools.partial(_cartan_rule, group, c_k, half_width, panels),
-        points_per_panel, max(4, (3 * points_per_panel) // 4),
+        points_per_panel,
     )
 
 
@@ -178,7 +182,7 @@ def hermite_quadrature(
     return _with_companion(
         "gauss-hermite-full",
         lambda n: _hermite_rule(group.dim, n, scale, center),
-        points, max(4, (3 * points) // 4),
+        points,
     )
 
 
@@ -243,7 +247,7 @@ def spherical_radial(group: GroupSpec, points: int, scale: float, degree: int) -
         nodes = (scale * r[:, None, None] * directions[None, :, :]).reshape(-1, 3)
         return nodes, np.outer(wr, direction_weights).ravel()
 
-    return _with_companion("spherical-radial", rule, points, max(4, (3 * points) // 4))
+    return _with_companion("spherical-radial", rule, points)
 
 
 @functools.lru_cache(maxsize=None)

@@ -379,26 +379,34 @@ def _group(cfg: RunConfig) -> GroupSpec:
 
 
 def _check_rule_sizes(cfg: RunConfig, group: GroupSpec) -> None:
-    """ConfigError naming the first selected family whose Gauss-Hermite
-    rule is over a quadrature cap: a 1-D length over MAX_RULE_POINTS, or a
+    """ConfigError naming the first selected family whose rule is over a
+    quadrature cap: a 1-D Gauss-Hermite length over MAX_RULE_POINTS, or a
     tensor rule, length ** dim nodes, over MAX_TENSOR_NODES.  On tori the
-    families that read the character table build one of ``hermite_points``,
-    and delta-two's fiber rule of ``delta_points_torus`` is 1-D at every
-    rank; SU(2)'s spherical-radial rules take their radial nodes from one
-    2 * points rule and hold no tensor product."""
+    families that read the character table build a Gauss-Hermite rule of
+    ``hermite_points``, and delta-two's fiber rule of ``delta_points_torus``
+    is 1-D at every rank; SU(2)'s spherical-radial rules take their radial
+    nodes from one 2 * points rule and hold no tensor product.  On SU(2)
+    and SU(3) the table families build the Cartan-reduced rule of
+    ``points_per_panel * panels`` nodes per Cartan coordinate, which only
+    the node cap bounds."""
     table = ("pairing", "bks-factor", "unitarity", "vertical-limit", "continuity")
     n = group.dim
+    # (nodes per coordinate, coordinates, whether the 1-D length cap holds)
+    cartan = [(cfg.points_per_panel * cfg.panels, group.rank, False)]
     rules = {
-        "torus": {"cst-unitarity": [(cfg.hl2_points_torus, n)],
-                  "delta": [(pairing.DELTA_ONE_POINTS, n), (cfg.delta_points_torus, 1)],
-                  **dict.fromkeys(table, [(cfg.hermite_points, n)])},
-        "su2": {"cst-unitarity": [(2 * cfg.hl2_points_su2, 1)],
-                "delta": [(2 * cfg.delta_points_su2, 1)]},
-    }.get(group.kind, {})
+        "torus": {"cst-unitarity": [(cfg.hl2_points_torus, n, True)],
+                  "delta": [(pairing.DELTA_ONE_POINTS, n, True),
+                            (cfg.delta_points_torus, 1, True)],
+                  **dict.fromkeys(table, [(cfg.hermite_points, n, True)])},
+        "su2": {"cst-unitarity": [(2 * cfg.hl2_points_su2, 1, True)],
+                "delta": [(2 * cfg.delta_points_su2, 1, True)],
+                **dict.fromkeys(table, cartan)},
+        "su3": dict.fromkeys(table, cartan),
+    }[group.kind]
     cap = quadrature.MAX_TENSOR_NODES
     for family in cfg.identities:
-        for length, dim in rules.get(family, ()):
-            if length > quadrature.MAX_RULE_POINTS:
+        for length, dim, hermite in rules.get(family, ()):
+            if hermite and length > quadrature.MAX_RULE_POINTS:
                 raise ConfigError(
                     f"{family} on {group.describe()} needs a {length}-point Gauss-Hermite "
                     f"rule, over the cap of {quadrature.MAX_RULE_POINTS} points"

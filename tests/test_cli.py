@@ -126,6 +126,19 @@ def test_monte_carlo_on_torus_exit_code(tmp_path, capsys, command):
     assert "monte-carlo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "delta"], ["table", "pairing-factors"]])
+def test_monte_carlo_on_su3_exit_code(tmp_path, capsys, command):
+    # at 1e6 draws the SU(3) moment's sampling error fails the table families
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[run]\ngroup = su3\n[quadrature]\nchar_backend = monte-carlo\n",
+                   encoding="utf-8")
+    code = cli.main(command + ["--config", str(bad), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("config error: char_backend monte-carlo is available on su2 only")
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("rank, identities, family, rule", [
     (3, "all", "cst-unitarity", "300^3 = 27,000,000"),
     (4, "cst-unitarity, bks-factor, wedge", "cst-unitarity", "300^4 = 8,100,000,000"),
@@ -166,6 +179,26 @@ def test_su2_rule_over_the_cap_exit_code(tmp_path, capsys):
     assert "352-point Gauss-Hermite rule, over the cap of 350 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, name, key, value, rule", [
+    ("su3", "SU(3)", "panels", 100_000, "1400000^2 = 1,960,000,000,000"),
+    ("su2", "SU(2)", "points_per_panel", 2_000_000, "20000000^1 = 20,000,000"),
+])
+def test_cartan_rule_over_the_node_cap_exit_code(tmp_path, capsys, kind, name, key, value,
+                                                 rule):
+    # the families that read the character table build the Cartan-reduced
+    # rule of points_per_panel * panels nodes per Cartan coordinate; the
+    # run exits before any job builds one
+    cfg = tmp_path / "cartan.cfg"
+    cfg.write_text(f"[run]\ngroup = {kind}\n[quadrature]\n{key} = {value}\n",
+                   encoding="utf-8")
+    code = cli.main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith(f"config error: pairing on {name}")
+    assert f"{rule}-node rule, over the cap of 2,000,000 nodes" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_torus_rule_over_the_length_cap_exit_code(tmp_path, capsys):
     # 400 points stay under the node cap on U(1) but over the length cap;
     # the run exits before any job builds a rule
@@ -192,6 +225,19 @@ def test_build_jobs_and_the_hermite_rule_read_one_cap(monkeypatch):
     with pytest.raises(ValueError, match="tensor rule too large"):
         quadrature.hermite_quadrature(groups.group_spec("torus", n=1), 64)
     quadrature.hermite_quadrature(groups.group_spec("torus", n=1), 63)
+
+
+def test_build_jobs_and_the_cartan_rule_read_one_cap(monkeypatch):
+    from bksverify import groups, quadrature
+    su2 = groups.group_spec("su2")
+    cfg = config.default_config(group="su2", identities=("bks-factor",))
+    assert suite.build_jobs(cfg)
+    monkeypatch.setattr(quadrature, "MAX_TENSOR_NODES", 139)
+    with pytest.raises(config.ConfigError, match="140\\^1 = 140-node rule"):
+        suite.build_jobs(cfg)
+    with pytest.raises(ValueError, match="Cartan rule too large"):
+        quadrature.cartan_quadrature(su2, 9.0, points_per_panel=14, panels=10)
+    quadrature.cartan_quadrature(su2, 9.0, points_per_panel=12, panels=10)
 
 
 def test_build_jobs_and_both_hermite_rules_read_one_length_cap(monkeypatch):

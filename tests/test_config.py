@@ -115,6 +115,13 @@ def test_monte_carlo_backend_only_off_tori():
         config.default_config(group="torus", char_backend="monte-carlo")
 
 
+def test_monte_carlo_backend_refused_on_su3():
+    # the SU(3) moment's relative standard error at the default 1e6 draws,
+    # about 2e-4, is over the 1e-6 bars of the table families
+    with pytest.raises(config.ConfigError, match="available on su2 only: .* on su3 the sampling error"):
+        config.default_config(group="su3", char_backend="monte-carlo")
+
+
 def test_rejects_zero_pairs_per_cell():
     # no pairs would leave the random pairing checks passing on nothing
     with pytest.raises(config.ConfigError, match="pairs_per_cell"):

@@ -493,10 +493,11 @@ def _brute_delta_two_torus(group, hbar0, s, s_prime, t, k, theta2, gh_points):
 @pytest.mark.parametrize("k", [0, 1])
 @pytest.mark.parametrize("points", [8, 48])
 def test_separable_torus_kernel_matches_brute_force(hbar0, k, points):
-    args = (TORUS, hbar0, 1.0, 0.5, 0.3, k, 2.1, points)
-    val = pairing._delta_two_torus(*args)
-    ref = _brute_delta_two_torus(*args)
-    assert abs(val - ref) <= 1e-12 * abs(ref)
+    val, _ = pairing._delta_two_torus(TORUS, hbar0, 1.0, 0.5, 0.3,
+                                      groups.make_irrep(TORUS, (k,)), np.array([2.1]), points)
+    ref = _brute_delta_two_torus(TORUS, hbar0, 1.0, 0.5, 0.3, k, 2.1, points)
+    assert val.shape == (1, 1)
+    assert abs(val[0, 0] - ref) <= 1e-12 * abs(ref)
 
 
 # ids: the label at hbar0 = 0.25, else hbar0-label; at hbar0 = 3 and at

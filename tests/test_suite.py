@@ -663,3 +663,13 @@ def test_su2_delta_two_estimates_come_from_the_companion():
     r1, r2 = rows["delta/su2/two/(1,)"], rows["delta/su2/two/(2,)"]
     assert not r2.passed and r2.error_estimate > r2.abs_residual > r2.tolerance
     assert r1.passed and r1.abs_residual < 1e-5 and r1.error_estimate > r1.tolerance
+
+
+@pytest.mark.parametrize("hbar0", [0.05, 1.0, 3.0])
+def test_torus_delta_two_estimates_come_from_the_companion(hbar0):
+    # the fiber integral runs on a Hermite rule with a companion, so every
+    # delta-two row reports a nonzero gap to it, inside the bar
+    cfg = config.default_config(group="torus", hbar0=hbar0, identities=("delta",))
+    rows = [r for k, r in suite.run_suite(cfg).reports if k.startswith("delta/torus/two/")]
+    assert len(rows) == 2
+    assert all(r.passed and 0.0 < r.error_estimate < r.tolerance for r in rows)
