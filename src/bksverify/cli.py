@@ -36,6 +36,7 @@ from .suite import (
     FACTOR_COLUMNS,
     _group,
     _label,
+    check_rule_size,
     emit_table,
     pairing_factor_rows,
     run_suite,
@@ -169,6 +170,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _convergence_rows(cfg: RunConfig) -> list:
     group = _group(cfg)
+    # the sweep's largest rule: 32 Hermite points on tori, 10 panels elsewhere
+    if group.kind == "torus":
+        check_rule_size("convergence", group, 32, group.dim, hermite=True)
+    else:
+        check_rule_size("convergence", group, cfg.points_per_panel * 10, group.rank)
     irrep = make_irrep(group, _label(group, 1))
     t = 1.0
     closed_log = (
@@ -188,16 +194,16 @@ def _convergence_rows(cfg: RunConfig) -> list:
         })
 
     def on(quad):
-        return pairing.char_gaussian_log(group, cfg.hbar0, t, irrep, quad)
+        return pairing.char_gaussian_log(group, cfg.hbar0, t, [irrep], quad)[0]
 
     if group.kind == "torus":
         for pts in (8, 12, 16, 24, 32):
             record("gauss-hermite", pts, on(pairing.char_gaussian_quadrature(
-                group, cfg.hbar0, t, irrep, points=pts)))
+                group, cfg.hbar0, t, [irrep], points=pts)))
     else:
         for panels in (2, 4, 6, 8, 10):
             record("cartan-reduced", panels, on(pairing.char_gaussian_quadrature(
-                group, cfg.hbar0, t, irrep,
+                group, cfg.hbar0, t, [irrep],
                 points_per_panel=cfg.points_per_panel, panels=panels)))
         if group.kind == "su2":
             sigma = math.sqrt(cfg.hbar0 / t)

@@ -310,14 +310,22 @@ def casimir(group: GroupSpec, label) -> float:
     return raw / group.scale
 
 
+_IRREP_CACHE: dict = {}
+
+
 def make_irrep(group: GroupSpec, label) -> Irrep:
+    """The irrep of ``label``, built once per (kind, scale, label): Irrep
+    is frozen, so every ask shares it."""
     label = _check_label(group, label)
-    return Irrep(
-        label=label,
-        weight=tuple(highest_weight(group, label)),
-        dim=dim_irrep(group, label),
-        casimir=casimir(group, label),
-    )
+    key = (group.kind, group.scale, label)
+    if key not in _IRREP_CACHE:
+        _IRREP_CACHE[key] = Irrep(
+            label=label,
+            weight=tuple(highest_weight(group, label)),
+            dim=dim_irrep(group, label),
+            casimir=casimir(group, label),
+        )
+    return _IRREP_CACHE[key]
 
 
 def enumerate_irreps(group: GroupSpec, casimir_cutoff: float) -> list[Irrep]:

@@ -12,13 +12,17 @@ is the character-Gaussian integral
 
 with contract value d_R (pi hbar0)^{n/2} e^{t hbar0 (c_R+|rho|^2)/2}.
 Each route to G_R has one entry that returns log G_R(t):
-``char_gaussian_log`` integrates on the node rule it is handed
-(Weyl-reduced quadrature on the weight table, or full Gauss-Hermite on
-defining-matrix eigenvalues on SU(2)), and ``char_gaussian_log_mc``
-draws the Weyl-reduced Gaussian moment by importance-sampled Monte
-Carlo.  ``char_log_table`` is the one per-run source of those logs: it
-picks the route, computes each (t, irrep) once and hands the stored
-pair to every identity assembled from it.
+``char_gaussian_log`` integrates a list of irreps at one t on the stack
+of node rules it is handed, one rule per irrep (Weyl-reduced quadrature
+on the weight tables, or full Gauss-Hermite on defining-matrix
+eigenvalues for one irrep on SU(2)), and ``char_gaussian_log_mc`` draws
+the Weyl-reduced Gaussian moment by importance-sampled Monte Carlo.
+``char_log_table`` is the one per-run source of those logs: it picks
+the route, computes each (t, irrep) once and hands the stored pair to
+every identity assembled from it.  A miss at t computes the asked
+irreps and every band irrep not yet stored at t in as few stacked calls
+as the node cap allows (one, at the defaults), and each value has the
+same bits whichever stack computed it.
 Exponents grow linearly in t c_R, so assemblies stay in log space
 wherever float range could overflow.  The BKS block factor
 has one closed exponent, ``bks_exponent``, and one numeric log,
@@ -139,51 +143,61 @@ def char_gaussian_quadrature(
     group: GroupSpec,
     hbar0: float,
     t: float,
-    irrep: Irrep,
+    irreps,
     points_per_panel: int = 14,
     panels: int = 10,
     points: int = 64,
 ) -> quadrature.Quadrature:
-    """Deterministic rule matched to the tilted Gaussian of G_R(t).
+    """Deterministic rules matched to the tilted Gaussians of G_R(t), a
+    stack of one rule per irrep of ``irreps``.
 
     The integrand peaks at distance hbar0 |lambda+rho| from the origin
     with width sqrt(hbar0/t), so the Cartan box (or the Hermite reach,
     on tori) must cover the peak plus nine widths.
     """
-    tilt = highest_weight(group, irrep.label) + group.rho
-    shift = hbar0 * float(np.linalg.norm(tilt))
+    tilts = [highest_weight(group, irrep.label) + group.rho for irrep in irreps]
     sigma = math.sqrt(hbar0 / t)
     if group.kind == "torus":
         # the tilt is exactly linear, so recentering at the true peak
         # -hbar0 mu keeps the rule short at any band limit
         return quadrature.hermite_quadrature(
-            group, points, scale=sigma, center=-hbar0 * tilt
+            group, points, scale=sigma, center=[-hbar0 * tilt for tilt in tilts]
         )
-    half_width = shift + 9.0 * sigma
+    half_widths = [hbar0 * float(np.linalg.norm(tilt)) + 9.0 * sigma for tilt in tilts]
     return quadrature.cartan_quadrature(
-        group, half_width, points_per_panel=points_per_panel, panels=panels
+        group, half_widths, points_per_panel=points_per_panel, panels=panels
     )
 
 
-def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
-    # Batched Cartan-reduced log integrand of G_R(t).  For nodes Y in the
-    # Cartan subalgebra (all of the algebra on tori) log chi_R(e^{i t Y})
-    # comes from the weight table and log eta(t Y / 2) from the root
-    # values H.alpha (no eigen-solve), summed per root in log space so it
-    # stays finite where eta itself overflows.  Tori have no roots, so
-    # log eta is exactly 0 there.
-    mu, mult = weights_with_multiplicities(group, irrep)
-    logmult = np.log(mult.astype(float))
+def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irreps):
+    # Batched Cartan-reduced log integrand of G_R(t), row i of an (L, b,
+    # dim) slice on irrep i's rule.  For nodes Y in the Cartan subalgebra
+    # (all of the algebra on tori) log chi_R(e^{i t Y}) comes from the
+    # weight table and log eta(t Y / 2) from the root values H.alpha (no
+    # eigen-solve), summed per root in log space so it stays finite where
+    # eta itself overflows; tori have no roots, so log eta is 0 there.
+    # Tables of one length share an array pass; none is padded, since a
+    # padded row would sum in another order.
+    by_length = {}
+    for i, irrep in enumerate(irreps):
+        mu, mult = weights_with_multiplicities(group, irrep)
+        by_length.setdefault(len(mu), []).append((i, mu, np.log(mult.astype(float))[None]))
+    tables = [(list(rows), np.stack(mus), np.stack(logmults))
+              for rows, mus, logmults in (zip(*same) for same in by_length.values())]
     idx = list(group.cartan_indices)
     n = group.dim
 
     def logF(Y):
-        H = Y[:, idx]
-        logchi = quadrature.logsumexp(-t * (H @ mu.T) + logmult, axis=1)
-        log_eta = np.sum(log_sinhc((0.5 * t * H) @ group.positive_roots.T), axis=1)
+        H = Y[..., idx]
+        logchi = np.empty(H.shape[:-1])
+        for rows, mu, logmult in tables:
+            logchi[rows] = quadrature.logsumexp(
+                -t * (H[rows] @ np.swapaxes(mu, 1, 2)) + logmult, axis=-1
+            )
+        log_eta = np.sum(log_sinhc((0.5 * t * H) @ group.positive_roots.T), axis=-1)
         return (
             logchi
-            - t * np.einsum("ij,ij->i", Y, Y) / (2.0 * hbar0)
+            - t * np.einsum("...j,...j->...", Y, Y) / (2.0 * hbar0)
             + (n / 2.0) * math.log(t / 2.0)
             + log_eta
         )
@@ -192,25 +206,27 @@ def _char_log_integrand(group: GroupSpec, hbar0: float, t: float, irrep: Irrep):
 
 
 def char_gaussian_log(
-    group: GroupSpec, hbar0: float, t: float, irrep: Irrep,
+    group: GroupSpec, hbar0: float, t: float, irreps,
     quad: quadrature.Quadrature,
-):
-    """log G_R(t) with a relative error estimate, on the rule handed in.
+) -> list:
+    """log G_R(t) with a relative error estimate for each irrep of
+    ``irreps``, on the stack of rules handed in (one rule per irrep).
 
     Contract: log d_R (pi hbar0)^{n/2} + t hbar0 (c_R+|rho|^2)/2.  On
-    SU(2) a full Gauss-Hermite rule takes the eigenvalue route, which
-    never reads the weight table.  The Cartan-reduced integrand is a
-    positive weight sum, so its log-space route is immune to
-    e^{t hbar0 c_R} growth.
+    SU(2) a full Gauss-Hermite rule takes the eigenvalue route for one
+    irrep, which never reads the weight table.  The Cartan-reduced
+    integrand is a positive weight sum, so its log-space route is immune
+    to e^{t hbar0 c_R} growth.
     """
     if t <= 0.0:
         raise ValueError("the character-Gaussian integral needs t > 0")
     if quad.backend == "cartan-reduced" or group.kind == "torus":
         return quadrature.integrate_algebra_log(
-            _char_log_integrand(group, hbar0, t, irrep), quad
+            _char_log_integrand(group, hbar0, t, irreps), quad
         )
+    (irrep,) = irreps
     value, err = _char_gaussian_hermite(group, hbar0, t, irrep, quad)
-    return math.log(value), err / value
+    return [(math.log(value), err / value)]
 
 
 def _char_gaussian_hermite(group, hbar0, t, irrep, quad):
@@ -287,37 +303,55 @@ def _char_mc_prefactor_log(group, hbar0, t, irrep):
 
 def char_log_table(group: GroupSpec, hbar0: float, backend: str = "cartan-reduced",
                    samples: int = 200_000, seed: int = 0, points_per_panel: int = 14,
-                   panels: int = 10, hermite_points: int = 64):
-    """One run's character integrals, char_log(t, irrep) -> (log G_R(t),
-    relative error): computed on the first ask for an exact (t, label),
-    the stored pair after that.  The backend picks the route:
-    ``char_gaussian_log`` on a recentered Hermite rule of
-    ``hermite_points`` on tori and on the Cartan box elsewhere, or
-    ``char_gaussian_log_mc`` with one child seed per (t, label), so values
-    do not depend on the order of asks.  Build one table per run.
+                   panels: int = 10, hermite_points: int = 64, band_irreps=()):
+    """One run's character integrals, char_log(t, irreps) -> one
+    (log G_R(t), relative error) pair per irrep: computed once per exact
+    (t, label), the stored pair after that.  A miss at t computes the
+    asked irreps and every one of ``band_irreps`` not yet stored at t in
+    one pass: ``char_gaussian_log`` on stacks of recentered Hermite rules
+    of ``hermite_points`` on tori and of Cartan boxes elsewhere, as few
+    stacks as the node cap allows, or ``char_gaussian_log_mc`` with one
+    child seed per (t, label).  So no value depends on the order of asks.
+    Build one table per run.
     """
     if backend == "monte-carlo":
         if group.kind == "torus":
             raise ValueError("use a deterministic backend on tori")
 
-        def compute(t, irrep):
-            child = zlib.crc32(repr((round(t, 12), irrep.label)).encode()) ^ seed
-            return char_gaussian_log_mc(group, hbar0, t, irrep, samples, child)
+        def compute(t, irreps):
+            pairs = []
+            for irrep in irreps:
+                child = zlib.crc32(repr((round(t, 12), irrep.label)).encode()) ^ seed
+                pairs.append(char_gaussian_log_mc(group, hbar0, t, irrep, samples, child))
+            return pairs
     elif backend == "cartan-reduced":
 
-        def compute(t, irrep):
-            quad = char_gaussian_quadrature(group, hbar0, t, irrep, points_per_panel,
-                                            panels, hermite_points)
-            return char_gaussian_log(group, hbar0, t, irrep, quad)
+        if group.kind == "torus":
+            rule_nodes = hermite_points**group.dim
+        else:
+            rule_nodes = (points_per_panel * panels) ** group.rank
+
+        def compute(t, irreps):
+            # the node cap bounds a whole stack, so a long miss takes several
+            per_stack = max(1, quadrature.MAX_TENSOR_NODES // rule_nodes)
+            pairs = []
+            for start in range(0, len(irreps), per_stack):
+                part = irreps[start:start + per_stack]
+                quad = char_gaussian_quadrature(group, hbar0, t, part, points_per_panel,
+                                                panels, hermite_points)
+                pairs += char_gaussian_log(group, hbar0, t, part, quad)
+            return pairs
     else:
         raise ValueError(f"unknown backend {backend!r}")
     table = {}
 
-    def char_log(t, irrep):
-        key = (t, irrep.label)
-        if key not in table:
-            table[key] = compute(t, irrep)
-        return table[key]
+    def char_log(t, irreps):
+        if any((t, irrep.label) not in table for irrep in irreps):
+            missing = {irrep.label: irrep for irrep in (*irreps, *band_irreps)
+                       if (t, irrep.label) not in table}
+            pairs = compute(t, list(missing.values()))
+            table.update(((t, label), pair) for label, pair in zip(missing, pairs))
+        return [table[t, irrep.label] for irrep in irreps]
 
     return char_log
 
@@ -336,28 +370,18 @@ def _assemble_pair(group, hbar0, t, f, fp, char_log):
     # multiplying the float extremes directly would underflow first.
     if char_log is None:
         char_log = char_log_table(group, hbar0)
-    phases = []
-    logmags = []
-    logerrs = []
-    for label in _common_labels(f, fp):
-        raw = np.vdot(f.blocks[label], fp.blocks[label])
-        if raw == 0.0:
-            continue
-        irrep = make_irrep(group, label)
-        log_g, log_err = char_log(t, irrep)
-        logmags.append(
-            math.log(abs(raw))
-            - 0.5 * t * hbar0 * irrep.casimir
-            + log_g
-            - 2.0 * math.log(irrep.dim)
-        )
-        phases.append(raw / abs(raw))
-        logerrs.append(log_err)
-    if not logmags:
+    raws = {label: np.vdot(f.blocks[label], fp.blocks[label])
+            for label in _common_labels(f, fp)}
+    irreps = [make_irrep(group, label) for label, raw in raws.items() if raw != 0.0]
+    if not irreps:
         return 0.0 + 0.0j, 0.0
+    logs = char_log(t, irreps)
+    phases = [raws[irrep.label] / abs(raws[irrep.label]) for irrep in irreps]
+    logmags = [math.log(abs(raws[irrep.label])) - 0.5 * t * hbar0 * irrep.casimir + log_g
+               - 2.0 * math.log(irrep.dim) for irrep, (log_g, _) in zip(irreps, logs)]
     top = max(logmags)
     value = sum(p * math.exp(m - top) for p, m in zip(phases, logmags))
-    error = sum(e * math.exp(m - top) for e, m in zip(logerrs, logmags))
+    error = sum(e * math.exp(m - top) for (_, e), m in zip(logs, logmags))
     return complex(value * math.exp(top)), float(error * math.exp(top))
 
 
@@ -436,8 +460,8 @@ def bks_factor_log(
         raise ValueError("the factor ratio needs s, s' > 0")
     if char_log is None:
         char_log = char_log_table(group, hbar0)
-    log_cross, err_cross = char_log(s + s_prime, irrep)
-    log_norm, err_norm = char_log(2.0 * s, irrep)
+    [(log_cross, err_cross)] = char_log(s + s_prime, [irrep])
+    [(log_norm, err_norm)] = char_log(2.0 * s, [irrep])
     return log_cross - log_norm, err_cross + err_norm
 
 
@@ -553,9 +577,9 @@ def _delta_one_scalar(group, hbar0, s, irrep):
     # The integral is G_R(2) at base constant hbar = s hbar0.
     hbar = s * hbar0
     quad = char_gaussian_quadrature(
-        group, hbar, 2.0, irrep, points_per_panel=16, panels=10, points=DELTA_ONE_POINTS
+        group, hbar, 2.0, [irrep], points_per_panel=16, panels=10, points=DELTA_ONE_POINTS
     )
-    logv, logerr = char_gaussian_log(group, hbar, 2.0, irrep, quad)
+    [(logv, logerr)] = char_gaussian_log(group, hbar, 2.0, [irrep], quad)
     lognorm = (
         math.log(a_s(group, hbar0, s))
         + (group.dim / 2.0) * math.log(s)

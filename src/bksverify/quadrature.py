@@ -20,10 +20,13 @@ difference between the two resolutions.  Every integrand is batched: it
 takes a stack of N algebra vectors ``(N, dim)`` and returns an
 ``(N, *shape)`` array, one value of the shape its caller declares per
 node (a scalar unless stated), so a rule costs one array call per block
-of at most ``BATCH`` nodes instead of one Python call per node.
-Accumulation is compensated (exact sums of the weighted values, entry
-by entry), so identical (backend, resolution) reproduce bit-identical
-reports.
+of at most ``BATCH`` nodes instead of one Python call per node.  A
+``Quadrature`` may stack L rules of equal length (one Hermite rule per
+center, one Cartan box per half-width); ``integrate_algebra_log`` hands
+its integrand slices of all L at once and sums each rule on its own row,
+so a rule gives the same bits alone or in any stack.  Accumulation is
+compensated (exact sums of the weighted values, entry by entry), so
+identical (backend, resolution) reproduce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from .groups import GroupSpec
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Quadrature:
-    """One configured integration rule over the algebra.
+    """One configured integration rule over the algebra, or a stack of
+    ``rules`` rules of equal length, flat and rule-major.
 
     Nodes (algebra vectors) with positive weights (Jacobian and c_K
     included for the reduced rule), plus a coarser companion used for
@@ -52,6 +56,7 @@ class Quadrature:
     weights: np.ndarray
     coarse_nodes: np.ndarray
     coarse_weights: np.ndarray
+    rules: int = 1
 
 
 # nodes per integrand call: bounds the memory a batched integrand holds
@@ -59,7 +64,8 @@ class Quadrature:
 BATCH = 512
 
 # node cap of a tensor rule: points ** dim for Gauss-Hermite, and
-# (points_per_panel * panels) ** rank for the Cartan-reduced rule
+# (points_per_panel * panels) ** rank for the Cartan-reduced rule, times
+# the number of rules in a stack
 MAX_TENSOR_NODES = 2_000_000
 
 # length cap of one 1-D Gauss-Hermite rule.  A size bound, not a stability
@@ -70,9 +76,9 @@ MAX_RULE_POINTS = 350
 _WEYL_CACHE: dict = {}
 
 
-def _batches(n: int):
-    """Slices covering range(n) in order, BATCH entries at most each."""
-    return (slice(start, min(start + BATCH, n)) for start in range(0, n, BATCH))
+def _batches(n: int, step: int = BATCH):
+    """Slices covering range(n) in order, ``step`` entries at most each."""
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 def weyl_constant(group: GroupSpec) -> float:
@@ -127,17 +133,17 @@ def _composite_legendre(half_width: float, panels: int, points: int):
     return nodes, np.ascontiguousarray(weights)
 
 
-def _with_companion(backend: str, rule, fine: int) -> Quadrature:
+def _with_companion(backend: str, rule, fine: int, rules: int = 1) -> Quadrature:
     # rule(resolution) -> (nodes, weights); the coarse resolution, three
     # quarters of the fine one and at least 4, gives the companion whose
     # difference from the fine rule is the error estimate
-    return Quadrature(backend, *rule(fine), *rule(max(4, (3 * fine) // 4)))
+    return Quadrature(backend, *rule(fine), *rule(max(4, (3 * fine) // 4)), rules)
 
 
-def _cartan_rule(group: GroupSpec, c_k: float, half_width: float, panels: int, points: int):
-    x, w = _composite_legendre(half_width, panels, points)
-    H = _tensor_nodes(x, group.rank)
-    W = _tensor_weights(w, group.rank)
+def _cartan_rule(group: GroupSpec, c_k: float, half_widths, panels: int, points: int):
+    boxes = [_composite_legendre(half_width, panels, points) for half_width in half_widths]
+    H = np.concatenate([_tensor_nodes(x, group.rank) for x, _ in boxes])
+    W = np.concatenate([_tensor_weights(w, group.rank) for _, w in boxes])
     jac = np.prod((H @ group.positive_roots.T) ** 2, axis=1)
     nodes = np.zeros((H.shape[0], group.dim))
     nodes[:, list(group.cartan_indices)] = H
@@ -145,9 +151,11 @@ def _cartan_rule(group: GroupSpec, c_k: float, half_width: float, panels: int, p
 
 
 def cartan_quadrature(
-    group: GroupSpec, half_width: float, points_per_panel: int = 12, panels: int = 8
+    group: GroupSpec, half_width, points_per_panel: int = 12, panels: int = 8
 ) -> Quadrature:
-    """Weyl-reduced rule on the Cartan box [-half_width, half_width]^rank.
+    """Weyl-reduced rule on the Cartan box [-half_width, half_width]^rank,
+    or a stack of such rules, one per entry of a sequence ``half_width``
+    (the node cap bounds the whole stack).
 
     Only valid for Ad-invariant integrands (the caller asserts this).
     Keep ``points_per_panel`` even so no node lands on a root
@@ -155,13 +163,15 @@ def cartan_quadrature(
     """
     if group.kind == "torus":
         raise ValueError("use the Gauss-Hermite backend on tori")
-    if (points_per_panel * panels) ** group.rank > MAX_TENSOR_NODES:
+    half_widths = np.atleast_1d(half_width)
+    if len(half_widths) * (points_per_panel * panels) ** group.rank > MAX_TENSOR_NODES:
         raise ValueError("Cartan rule too large; use fewer panels or points per panel")
     c_k = weyl_constant(group)
     return _with_companion(
         "cartan-reduced",
-        functools.partial(_cartan_rule, group, c_k, half_width, panels),
+        functools.partial(_cartan_rule, group, c_k, half_widths, panels),
         points_per_panel,
+        len(half_widths),
     )
 
 
@@ -174,27 +184,33 @@ def hermite_quadrature(
     times e^{-|(Y-center)/scale|^2} up to per-coordinate degree
     2*points - 1; accurate whenever F decays at least like that
     Gaussian.  Shifting the center is how linearly tilted Gaussians are
-    handled without inflating the point count.
+    handled without inflating the point count.  ``(L, dim)`` centers
+    give a stack of L rules, the one rule shifted to each center; the
+    node cap bounds the whole stack.
     """
-    if points**group.dim > MAX_TENSOR_NODES:
+    centers = None if center is None else np.atleast_2d(np.asarray(center, dtype=float))
+    rules = 1 if centers is None else len(centers)
+    if rules * points**group.dim > MAX_TENSOR_NODES:
         raise ValueError("tensor rule too large; use cartan-reduced")
     _require_rule_length(points)
     return _with_companion(
         "gauss-hermite-full",
-        lambda n: _hermite_rule(group.dim, n, scale, center),
+        lambda n: _hermite_rule(group.dim, n, scale, centers),
         points,
+        rules,
     )
 
 
-def _hermite_rule(dim: int, points: int, scale: float, center=None):
+def _hermite_rule(dim: int, points: int, scale: float, centers=None):
     # detached weights w e^{x^2}: up to 150 points exp(log w + x^2), beyond
     # that the Gaussian is divided out analytically
     x, detached = _gauss_hermite(points)
     nodes = scale * _tensor_nodes(x, dim)
-    if center is not None:
-        nodes = nodes + np.asarray(center, dtype=float)[None, :]
     weights = scale**dim * _tensor_weights(detached, dim)
-    return nodes, weights
+    if centers is None:
+        return nodes, weights
+    shifted = nodes[None, :, :] + centers[:, None, :]
+    return shifted.reshape(-1, dim), np.tile(weights, len(centers))
 
 
 def _require_rule_length(points: int) -> None:
@@ -333,9 +349,9 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray):
 
 def _checked(F, nodes: np.ndarray, shape: tuple) -> np.ndarray:
     values = np.asarray(F(nodes))
-    if values.shape != (len(nodes), *shape):
+    if values.shape != (*nodes.shape[:-1], *shape):
         raise ValueError(
-            f"integrand returned shape {values.shape} for {len(nodes)} nodes; "
+            f"integrand returned shape {values.shape} for nodes of shape {nodes.shape}; "
             f"expected one value of shape {shape} per node"
         )
     _require_finite(values)
@@ -343,8 +359,14 @@ def _checked(F, nodes: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _values(F, nodes: np.ndarray, shape: tuple = ()) -> np.ndarray:
-    # one integrand call per batch of nodes, in node order
-    return np.concatenate([_checked(F, nodes[part], shape) for part in _batches(len(nodes))])
+    # one integrand call per batch along the node axis, in node order; an
+    # (L, N, dim) stack of rules gives F BATCH // L nodes of each rule
+    axis = nodes.ndim - 2
+    step = max(1, BATCH // math.prod(nodes.shape[:axis]))
+    return np.concatenate(
+        [_checked(F, nodes[..., part, :], shape) for part in _batches(nodes.shape[axis], step)],
+        axis=axis,
+    )
 
 
 def integrate_algebra(F, quad: Quadrature, shape: tuple = ()):
@@ -357,6 +379,8 @@ def integrate_algebra(F, quad: Quadrature, shape: tuple = ()):
     default); the error estimate is its largest entrywise difference
     against the companion resolution.
     """
+    if quad.rules != 1:
+        raise ValueError("integrate_algebra takes one rule, not a stack")
     value = _weighted_sum(quad.weights, _values(F, quad.nodes, shape))
     coarse = _weighted_sum(quad.coarse_weights, _values(F, quad.coarse_nodes, shape))
     if not shape:
@@ -364,19 +388,21 @@ def integrate_algebra(F, quad: Quadrature, shape: tuple = ()):
     return value, float(np.max(np.abs(value - coarse)))
 
 
-def integrate_algebra_log(logF, quad: Quadrature):
-    """log of the integral of e^{logF} >= 0, as (log_value, log_error).
+def integrate_algebra_log(logF, quad: Quadrature) -> list:
+    """log of the integral of e^{logF} >= 0 on each rule of the stack, as
+    one (log_value, log_error) pair per rule.
 
     Overflow-safe route for positive integrands whose scale exceeds
-    float range; logF follows the batched contract of integrate_algebra
-    and must be real-valued.
+    float range.  logF maps an ``(L, b, dim)`` slice, b nodes of each of
+    the L rules, to ``(L, b)`` real values, at most BATCH nodes per call.
     """
-    with np.errstate(divide="ignore"):
-        logw = np.log(quad.weights)
-        logw_c = np.log(quad.coarse_weights)
-    value = float(logsumexp(_values(logF, quad.nodes) + logw))
-    coarse = float(logsumexp(_values(logF, quad.coarse_nodes) + logw_c))
-    return value, abs(value - coarse)
+    sums = []
+    for nodes, weights in ((quad.nodes, quad.weights), (quad.coarse_nodes, quad.coarse_weights)):
+        with np.errstate(divide="ignore"):
+            logw = np.log(weights).reshape(quad.rules, -1)
+        values = _values(logF, nodes.reshape(quad.rules, -1, nodes.shape[-1]))
+        sums.append(logsumexp(values + logw, axis=-1))  # each rule along its row
+    return [(float(v), abs(float(v) - float(c))) for v, c in zip(*sums)]
 
 
 def logsumexp(a, axis=None):

@@ -378,17 +378,32 @@ def _group(cfg: RunConfig) -> GroupSpec:
     return group_spec(cfg.group, n=cfg.torus_rank, normalization=cfg.normalization)
 
 
+def check_rule_size(what: str, group: GroupSpec, length: int, dim: int,
+                    hermite: bool = False) -> None:
+    """ConfigError when ``what`` on ``group`` needs a rule over a quadrature
+    cap: ``length`` ** ``dim`` nodes over MAX_TENSOR_NODES, or, for a 1-D
+    Gauss-Hermite ``length`` (``hermite``), one over MAX_RULE_POINTS."""
+    if hermite and length > quadrature.MAX_RULE_POINTS:
+        raise ConfigError(
+            f"{what} on {group.describe()} needs a {length}-point Gauss-Hermite "
+            f"rule, over the cap of {quadrature.MAX_RULE_POINTS} points"
+        )
+    nodes, cap = length**dim, quadrature.MAX_TENSOR_NODES
+    if nodes > cap:
+        raise ConfigError(
+            f"{what} on {group.describe()} needs a {length}^{dim} = "
+            f"{nodes:,}-node rule, over the cap of {cap:,} nodes"
+        )
+
+
 def _check_rule_sizes(cfg: RunConfig, group: GroupSpec) -> None:
-    """ConfigError naming the first selected family whose rule is over a
-    quadrature cap: a 1-D Gauss-Hermite length over MAX_RULE_POINTS, or a
-    tensor rule, length ** dim nodes, over MAX_TENSOR_NODES.  On tori the
-    families that read the character table build a Gauss-Hermite rule of
-    ``hermite_points``, and delta-two's fiber rule of ``delta_points_torus``
-    is 1-D at every rank; SU(2)'s spherical-radial rules take their radial
-    nodes from one 2 * points rule and hold no tensor product.  On SU(2)
-    and SU(3) the table families build the Cartan-reduced rule of
-    ``points_per_panel * panels`` nodes per Cartan coordinate, which only
-    the node cap bounds."""
+    """check_rule_size on the rules of every selected family.  On tori the
+    families that read the character table build Gauss-Hermite rules of
+    ``hermite_points``, and delta-two's fiber rule is 1-D at every rank;
+    SU(2)'s spherical-radial rules take their radial nodes from one
+    2 * points rule.  On SU(2) and SU(3) the table families build
+    Cartan-reduced rules of ``points_per_panel * panels`` nodes per Cartan
+    coordinate, which only the node cap bounds."""
     table = ("pairing", "bks-factor", "unitarity", "vertical-limit", "continuity")
     n = group.dim
     # (nodes per coordinate, coordinates, whether the 1-D length cap holds)
@@ -403,20 +418,9 @@ def _check_rule_sizes(cfg: RunConfig, group: GroupSpec) -> None:
                 **dict.fromkeys(table, cartan)},
         "su3": dict.fromkeys(table, cartan),
     }[group.kind]
-    cap = quadrature.MAX_TENSOR_NODES
     for family in cfg.identities:
-        for length, dim, hermite in rules.get(family, ()):
-            if hermite and length > quadrature.MAX_RULE_POINTS:
-                raise ConfigError(
-                    f"{family} on {group.describe()} needs a {length}-point Gauss-Hermite "
-                    f"rule, over the cap of {quadrature.MAX_RULE_POINTS} points"
-                )
-            nodes = length**dim
-            if nodes > cap:
-                raise ConfigError(
-                    f"{family} on {group.describe()} needs a {length}^{dim} = "
-                    f"{nodes:,}-node rule, over the cap of {cap:,} nodes"
-                )
+        for rule in rules.get(family, ()):
+            check_rule_size(family, group, *rule)
 
 
 def build_jobs(cfg: RunConfig) -> list:
@@ -426,10 +430,15 @@ def build_jobs(cfg: RunConfig) -> list:
     _check_rule_sizes(cfg, group)
     kind = group.kind
     band = cfg.band_limit if cfg.band_limit is not None else default_band_limit(group)
+    band_irreps = [r for r in enumerate_irreps(group, band) if r.casimir > 0.0]
+    # a miss fills the band at its t only if a selected family reads the
+    # band there; otherwise it would compute integrals no job asks for
+    band_reads = {"pairing", "bks-factor", "vertical-limit", "continuity"}
     char_log = pairing.char_log_table(
         group, cfg.hbar0, backend=cfg.char_backend, samples=cfg.mc_samples,
         seed=cfg.seed, points_per_panel=cfg.points_per_panel, panels=cfg.panels,
         hermite_points=cfg.hermite_points,
+        band_irreps=band_irreps if band_reads & set(cfg.identities) else (),
     )
     s_pos = [s for s in cfg.s_grid if s > 0.0]
     sp_pos = [s for s in cfg.s_prime_grid if s > 0.0]
@@ -446,7 +455,6 @@ def build_jobs(cfg: RunConfig) -> list:
         cells_with_zero = [(s, sp) for s in s_pos for sp in cfg.s_prime_grid]
         spec_labels = [_label(group, m) for m in range(6)]
     triples = [(s_pos[0], s_mid, s_pos[-1])]
-    band_irreps = [r for r in enumerate_irreps(group, band) if r.casimir > 0.0]
     spec_irreps = [make_irrep(group, label) for label in spec_labels]
 
     hbar0 = cfg.hbar0

@@ -31,7 +31,7 @@ def rand_band(group, rng):
 
 def char_gaussian_integral(group, hbar0, t, irrep, quad):
     # value-space G_R(t) with its error estimate, from the log-space entry
-    logv, logerr = pairing.char_gaussian_log(group, hbar0, t, irrep, quad)
+    [(logv, logerr)] = pairing.char_gaussian_log(group, hbar0, t, [irrep], quad)
     value = math.exp(logv)
     return value, value * logerr
 
@@ -81,7 +81,7 @@ def test_criterion_03_character_gaussian_identity():
         for t in (0.5, 1.0, 2.0):
             want_t = ir.dim * math.pi ** 1.5 * math.exp(
                 t * (ir.casimir + SU2.rho_norm_sq) / 2.0)
-            quad = pairing.char_gaussian_quadrature(SU2, 1.0, t, ir)
+            quad = pairing.char_gaussian_quadrature(SU2, 1.0, t, [ir])
             val, _ = char_gaussian_integral(SU2, 1.0, t, ir, quad)
             worst = max(worst, abs(val - want_t) / want_t)
     assert worst <= 1e-6, worst
@@ -93,7 +93,7 @@ def test_criterion_03_character_gaussian_identity():
                                       samples=1_000_000, seed=10)
     for lab in ((1, 0), (1, 1)):
         ir = groups.make_irrep(SU3, lab)
-        logv, logerr = char_log(1.0, ir)
+        [(logv, logerr)] = char_log(1.0, [ir])
         val, est = math.exp(logv), math.exp(logv) * logerr
         want = ir.dim * math.pi ** 4 * math.exp(
             (ir.casimir + SU3.rho_norm_sq) / 2.0)

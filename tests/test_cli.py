@@ -199,6 +199,20 @@ def test_cartan_rule_over_the_node_cap_exit_code(tmp_path, capsys, kind, name, k
     assert not (tmp_path / "r").exists()
 
 
+def test_convergence_over_the_node_cap_exit_code(tmp_path, capsys):
+    # the sweep's largest Cartan rule has points_per_panel * 10 nodes per
+    # Cartan coordinate; it is checked before any rule is built
+    cfg = tmp_path / "su2.cfg"
+    cfg.write_text("[run]\ngroup = su2\n[quadrature]\npoints_per_panel = 2000000\n",
+                   encoding="utf-8")
+    code = cli.main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("config error: convergence on SU(2)")
+    assert "20000000^1 = 20,000,000-node rule, over the cap of 2,000,000 nodes" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_torus_rule_over_the_length_cap_exit_code(tmp_path, capsys):
     # 400 points stay under the node cap on U(1) but over the length cap;
     # the run exits before any job builds a rule
@@ -344,9 +358,8 @@ def test_factor_table_fails_when_the_character_integral_is_off(tmp_path, capsys,
     # a t-dependent error in log G_R moves every off-diagonal factor
     char_log = pairing.char_gaussian_log
 
-    def off(group, hbar0, t, irrep, quad):
-        logv, err = char_log(group, hbar0, t, irrep, quad)
-        return logv + 1e-3 * t, err
+    def off(group, hbar0, t, irreps, quad):
+        return [(logv + 1e-3 * t, err) for logv, err in char_log(group, hbar0, t, irreps, quad)]
 
     argv = ["table", "pairing-factors", "--config", GOLDEN_CFG, "--out", str(tmp_path)]
     assert cli.main(argv) == 0

@@ -100,6 +100,16 @@ def test_enumerate_irreps_sorted_and_complete():
     assert labels == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
+def test_make_irrep_builds_each_irrep_once_per_kind_scale_and_label():
+    # shared across GroupSpecs of one kind and scale, whatever the label's
+    # spelling; another normalization is another irrep
+    a, b = groups.group_spec("su3"), groups.group_spec("su3")
+    assert groups.make_irrep(a, (1, 1)) is groups.make_irrep(b, np.array([1, 1]))
+    ref = groups.group_spec("su3", normalization="reference")
+    assert groups.make_irrep(ref, (1, 1)).casimir != groups.make_irrep(a, (1, 1)).casimir
+    assert groups.make_irrep(ref, (1, 1)).casimir == groups.casimir(ref, (1, 1))
+
+
 def test_adjoint_weight_multiplicities():
     # 6 roots plus a two-dimensional zero weight space: 8 states
     su3 = groups.group_spec("su3")

@@ -27,7 +27,7 @@ def closed_G(group, hbar0, t, irrep):
 
 def char_gaussian_integral(group, hbar0, t, irrep, quad):
     # value-space G_R(t) with its error estimate, from the log-space entry
-    logv, logerr = pairing.char_gaussian_log(group, hbar0, t, irrep, quad)
+    [(logv, logerr)] = pairing.char_gaussian_log(group, hbar0, t, [irrep], quad)
     value = math.exp(logv)
     return value, value * logerr
 
@@ -48,7 +48,7 @@ def test_char_gaussian_torus_against_scalar_gaussian():
     b = 2 * math.pi * k * t
     scalar = math.sqrt(t / 2.0) * math.sqrt(math.pi / a) * math.exp(b * b / (4 * a))
     ir = groups.make_irrep(TORUS, (k,))
-    quad = pairing.char_gaussian_quadrature(TORUS, hbar0, t, ir)
+    quad = pairing.char_gaussian_quadrature(TORUS, hbar0, t, [ir])
     val, est = char_gaussian_integral(TORUS, hbar0, t, ir, quad)
     assert val == pytest.approx(scalar, rel=1e-10)
     assert val == pytest.approx(closed_G(TORUS, hbar0, t, ir), rel=1e-10)
@@ -57,7 +57,7 @@ def test_char_gaussian_torus_against_scalar_gaussian():
 def test_char_gaussian_trivial_rep_is_gaussian_mass():
     for group in (TORUS, SU2):
         ir = groups.make_irrep(group, (0,) * group.rank if group.kind == "torus" else (0,))
-        quad = pairing.char_gaussian_quadrature(group, 1.0, 0.9, ir)
+        quad = pairing.char_gaussian_quadrature(group, 1.0, 0.9, [ir])
         val, _ = char_gaussian_integral(group, 1.0, 0.9, ir, quad)
         want = closed_G(group, 1.0, 0.9, ir)
         assert val == pytest.approx(want, rel=1e-8)
@@ -67,7 +67,7 @@ def test_char_gaussian_su2_backends_agree():
     hbar0, t = 1.0, 1.0
     ir = groups.make_irrep(SU2, (1,))
     want = 2.0 * math.pi ** 1.5 * math.exp((ir.casimir + SU2.rho_norm_sq) / 2.0)
-    quad_c = pairing.char_gaussian_quadrature(SU2, hbar0, t, ir)
+    quad_c = pairing.char_gaussian_quadrature(SU2, hbar0, t, [ir])
     vc, _ = char_gaussian_integral(SU2, hbar0, t, ir, quad_c)
     quad_h = quadrature.hermite_quadrature(SU2, 56, scale=math.sqrt(hbar0 / t))
     vh, _ = char_gaussian_integral(SU2, hbar0, t, ir, quad_h)
@@ -104,50 +104,103 @@ def test_hermite_route_never_reads_the_weight_table(monkeypatch):
     monkeypatch.setattr(pairing, "weights_with_multiplicities", no_table)
     ir = groups.make_irrep(SU2, (1,))
     quad_h = quadrature.hermite_quadrature(SU2, 56, scale=1.0)
-    logv, _ = pairing.char_gaussian_log(SU2, 1.0, 1.0, ir, quad_h)
+    [(logv, _)] = pairing.char_gaussian_log(SU2, 1.0, 1.0, [ir], quad_h)
     assert math.exp(logv) == pytest.approx(closed_G(SU2, 1.0, 1.0, ir), rel=1e-6)
-    quad_c = pairing.char_gaussian_quadrature(SU2, 1.0, 1.0, ir)
+    quad_c = pairing.char_gaussian_quadrature(SU2, 1.0, 1.0, [ir])
     with pytest.raises(RuntimeError, match="weight table read"):
-        pairing.char_gaussian_log(SU2, 1.0, 1.0, ir, quad_c)
+        pairing.char_gaussian_log(SU2, 1.0, 1.0, [ir], quad_c)
 
 
 def test_char_log_table_computes_each_key_once(monkeypatch):
     ir = groups.make_irrep(SU2, (2,))
     # the stored pair is the one the Cartan rule of the same (t, irrep) gives
     char_gaussian_log = pairing.char_gaussian_log
-    want = char_gaussian_log(SU2, 1.0, 1.5, ir, pairing.char_gaussian_quadrature(SU2, 1.0, 1.5, ir))
+    want = char_gaussian_log(SU2, 1.0, 1.5, [ir],
+                             pairing.char_gaussian_quadrature(SU2, 1.0, 1.5, [ir]))
     calls = []
 
-    def spy(group, hbar0, t, irrep, quad):
-        calls.append((t, irrep.label))
-        return char_gaussian_log(group, hbar0, t, irrep, quad)
+    def spy(group, hbar0, t, irreps, quad):
+        calls.extend((t, irrep.label) for irrep in irreps)
+        return char_gaussian_log(group, hbar0, t, irreps, quad)
 
     monkeypatch.setattr(pairing, "char_gaussian_log", spy)
     char_log = pairing.char_log_table(SU2, 1.0)
-    assert char_log(1.5, ir) == want
-    assert char_log(1.5, groups.make_irrep(SU2, (2,))) == want
+    assert char_log(1.5, [ir]) == want
+    assert char_log(1.5, [groups.make_irrep(SU2, (2,))]) == want
     assert calls == [(1.5, (2,))]
-    char_log(0.5, ir)
-    char_log(1.5, groups.make_irrep(SU2, (1,)))
+    char_log(0.5, [ir])
+    char_log(1.5, [groups.make_irrep(SU2, (1,))])
     assert calls[1:] == [(0.5, (2,)), (1.5, (1,))]
     # a new table holds nothing of the old one
-    pairing.char_log_table(SU2, 1.0)(1.5, ir)
+    pairing.char_log_table(SU2, 1.0)(1.5, [ir])
     assert calls[-1] == (1.5, (2,)) and len(calls) == 4
+
+
+@pytest.mark.parametrize("group, labels", [
+    (TORUS, [(k,) for k in range(-5, 6)]),
+    (SU2, [(m,) for m in range(10)]),          # 1 to 10 weights: across 8
+    (SU3, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]),
+], ids=["torus", "su2", "su3"])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_char_integral_bits_do_not_depend_on_the_batch(group, labels, t):
+    # a (t, label) value is the same float alone, in the whole batch and in
+    # the batch reversed, so no row depends on which family asked first
+    irreps = [groups.make_irrep(group, lab) for lab in labels]
+
+    def run(batch):
+        quad = pairing.char_gaussian_quadrature(group, 1.0, t, batch)
+        return dict(zip(map(id, batch), pairing.char_gaussian_log(group, 1.0, t, batch, quad)))
+
+    alone = {k: v for ir in irreps for k, v in run([ir]).items()}
+    assert run(irreps) == alone
+    assert run(irreps[::-1]) == alone
+    # node by node too: a rounding change at a few nodes can vanish in the
+    # sum (padding each weight table to the longest moves 3 of 1,400 SU(2)
+    # node values at t = 0.5 and no integral)
+    Y = pairing.char_gaussian_quadrature(group, 1.0, t, irreps).nodes.reshape(len(irreps), -1,
+                                                                              group.dim)
+    stacked = pairing._char_log_integrand(group, 1.0, t, irreps)(Y)
+    for i, ir in enumerate(irreps):
+        single = pairing._char_log_integrand(group, 1.0, t, [ir])(Y[i:i + 1])
+        np.testing.assert_array_equal(single[0], stacked[i])
+
+
+def test_char_log_table_fills_the_band_at_a_missed_t(monkeypatch):
+    # one miss at t computes the asked labels and the band labels not yet
+    # stored at t, in one call; later asks at that t compute nothing
+    band = [groups.make_irrep(TORUS, (k,)) for k in (1, -1, 2)]
+    outside = groups.make_irrep(TORUS, (4,))
+    char_gaussian_log = pairing.char_gaussian_log
+    calls = []
+
+    def spy(group, hbar0, t, irreps, quad):
+        calls.append((t, [irrep.label for irrep in irreps]))
+        return char_gaussian_log(group, hbar0, t, irreps, quad)
+
+    monkeypatch.setattr(pairing, "char_gaussian_log", spy)
+    char_log = pairing.char_log_table(TORUS, 1.0, band_irreps=band)
+    first = char_log(0.5, [band[2]])
+    assert calls == [(0.5, [(2,), (1,), (-1,)])]
+    assert char_log(0.5, band[::-1]) == [char_log(0.5, [ir])[0] for ir in band[::-1]]
+    assert char_log(0.5, [band[2]]) == first and len(calls) == 1
+    char_log(0.5, [outside, band[0]])
+    assert calls[1:] == [(0.5, [(4,)])]
+    assert char_log(1.0, []) == [] and len(calls) == 2
 
 
 def test_char_log_table_rules_follow_the_backend():
     # tori take the recentered Hermite rule of hermite_points nodes
     ir = groups.make_irrep(TORUS, (3,))
     want = pairing.char_gaussian_log(
-        TORUS, 1.0, 0.7, ir, pairing.char_gaussian_quadrature(TORUS, 1.0, 0.7, ir, points=24))
-    assert pairing.char_log_table(TORUS, 1.0, hermite_points=24)(0.7, ir) == want
+        TORUS, 1.0, 0.7, [ir], pairing.char_gaussian_quadrature(TORUS, 1.0, 0.7, [ir], points=24))
+    assert pairing.char_log_table(TORUS, 1.0, hermite_points=24)(0.7, [ir]) == want
     # Monte Carlo seeds are per (t, label): the order of asks changes nothing
     irs = [groups.make_irrep(SU3, lab) for lab in ((1, 0), (1, 1))]
     a = pairing.char_log_table(SU3, 1.0, backend="monte-carlo", samples=2000, seed=3)
     b = pairing.char_log_table(SU3, 1.0, backend="monte-carlo", samples=2000, seed=3)
-    forward = [a(1.0, irs[0]), a(2.0, irs[1])]
-    assert [b(2.0, irs[1]), b(1.0, irs[0])] == forward[::-1]
-    assert a(1.0, irs[1]) != forward[0]
+    forward = [a(1.0, irs[:1]), a(2.0, irs[1:])]
+    assert [b(2.0, irs[1:]), b(1.0, irs[:1])] == forward[::-1]
+    assert a(1.0, irs[1:]) != forward[0]
     with pytest.raises(ValueError, match="deterministic"):
         pairing.char_log_table(TORUS, 1.0, backend="monte-carlo")
     with pytest.raises(ValueError, match="unknown backend"):
@@ -174,10 +227,10 @@ def test_char_log_integrand_finite_past_sinh_overflow(group, monkeypatch):
     H = np.outer(np.geomspace(0.1, 3000.0, 60) / (0.5 * t), direction)
     Y = np.zeros((len(H), group.dim))
     Y[:, list(group.cartan_indices)] = H
-    got = pairing._char_log_integrand(group, hbar0, t, irrep)(Y)
+    got = pairing._char_log_integrand(group, hbar0, t, [irrep])(Y[None])[0]
     assert np.all(np.isfinite(got))
     monkeypatch.setattr(pairing, "log_sinhc", np.zeros_like)
-    rest = pairing._char_log_integrand(group, hbar0, t, irrep)(Y)
+    rest = pairing._char_log_integrand(group, hbar0, t, [irrep])(Y[None])[0]
     with np.errstate(over="ignore"):
         eta = halfform.eta_from_roots((0.5 * t * H) @ group.positive_roots.T)
     finite = np.isfinite(eta)
@@ -187,8 +240,8 @@ def test_char_log_integrand_finite_past_sinh_overflow(group, monkeypatch):
 
 def test_char_gaussian_log_large_exponent():
     ir = groups.make_irrep(SU2, (5,))
-    quad = pairing.char_gaussian_quadrature(SU2, 1.0, 6.0, ir)
-    logv, est = pairing.char_gaussian_log(SU2, 1.0, 6.0, ir, quad)
+    quad = pairing.char_gaussian_quadrature(SU2, 1.0, 6.0, [ir])
+    [(logv, est)] = pairing.char_gaussian_log(SU2, 1.0, 6.0, [ir], quad)
     # absolute error on the log certifies relative error on a value the
     # size of e^{792}
     assert logv == pytest.approx(LOG_G_J52_T6, abs=1e-6)
@@ -218,7 +271,7 @@ def test_schur_reduction_direct_3d():
     assert abs(entries[(0, 1)]) <= 1e-8 * abs(entries[(0, 0)])
     assert entries[(1, 1)] == pytest.approx(entries[(0, 0)], rel=1e-8)
     ir = groups.make_irrep(SU2, (m,))
-    char_quad = pairing.char_gaussian_quadrature(SU2, hbar0, t, ir)
+    char_quad = pairing.char_gaussian_quadrature(SU2, hbar0, t, [ir])
     char_val, _ = char_gaussian_integral(SU2, hbar0, t, ir, char_quad)
     assert entries[(0, 0)] == pytest.approx(char_val / ir.dim, rel=1e-6)
 

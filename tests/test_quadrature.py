@@ -222,6 +222,70 @@ def test_every_rule_holds_nodes_and_a_smaller_companion(build):
     assert len(quad.coarse_nodes) < len(quad.nodes)
 
 
+def _log_gauss(Y):
+    # batched log integrand on a stack: (L, b, dim) nodes -> (L, b) values
+    return -np.sum(Y * Y, axis=-1) + np.sin(Y[..., 0])
+
+
+@pytest.mark.parametrize("stacked, alone", [
+    (lambda: quadrature.hermite_quadrature(SU2, 7, 0.8, center=[[0.0, 1.0, 0.5], [-2.0, 0.0, 1.0],
+                                                                 [0.3, 0.3, 0.3]]),
+     lambda i: quadrature.hermite_quadrature(
+         SU2, 7, 0.8, center=[[0.0, 1.0, 0.5], [-2.0, 0.0, 1.0], [0.3, 0.3, 0.3]][i])),
+    (lambda: quadrature.cartan_quadrature(SU3, [4.0, 6.5, 9.0], points_per_panel=4, panels=3),
+     lambda i: quadrature.cartan_quadrature(SU3, [4.0, 6.5, 9.0][i], points_per_panel=4,
+                                            panels=3)),
+], ids=["hermite-su2", "cartan-su3"])
+def test_a_stack_of_rules_is_its_rules_one_by_one(stacked, alone):
+    # nodes and weights stay flat and rule-major, so len(nodes) counts every
+    # node; each rule of a stack integrates to the bits it gives alone, and a
+    # stack of one is the single rule
+    quad = stacked()
+    singles = [alone(i) for i in range(3)]
+    assert quad.rules == 3 and all(q.rules == 1 for q in singles)
+    for field in ("nodes", "weights", "coarse_nodes", "coarse_weights"):
+        np.testing.assert_array_equal(getattr(quad, field),
+                                      np.concatenate([getattr(q, field) for q in singles]))
+    assert len(quad.nodes) == sum(len(q.nodes) for q in singles)
+    got = quadrature.integrate_algebra_log(_log_gauss, quad)
+    assert got == [quadrature.integrate_algebra_log(_log_gauss, q)[0] for q in singles]
+    # every slice holds nodes of all three rules, at most BATCH in all
+    seen = []
+    quadrature.integrate_algebra_log(lambda Y: seen.append(Y.shape) or _log_gauss(Y), quad)
+    assert all(shape[0] == 3 and 3 * shape[1] <= quadrature.BATCH for shape in seen)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda Y: np.zeros(Y.shape[1]),      # one row for the whole stack
+    lambda Y: np.zeros(Y.shape[:-1] + (1,)),
+    lambda Y: np.zeros((Y.shape[0] + 1, Y.shape[1])),
+])
+def test_integrate_algebra_log_rejects_a_wrong_stack_shape(bad):
+    quad = quadrature.hermite_quadrature(TORUS, 8, center=[[0.0], [1.0]])
+    with pytest.raises(ValueError, match="shape"):
+        quadrature.integrate_algebra_log(bad, quad)
+
+
+def test_integrate_algebra_log_rejects_nonfinite_and_stacks_go_nowhere_else():
+    quad = quadrature.hermite_quadrature(TORUS, 8, center=[[0.0], [1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        quadrature.integrate_algebra_log(lambda Y: np.where(Y[..., 0] > 0.5, np.nan, 0.0), quad)
+    with pytest.raises(ValueError, match="one rule"):
+        quadrature.integrate_algebra(lambda Y: np.ones(len(Y)), quad)
+
+
+def test_the_node_cap_bounds_a_whole_stack(monkeypatch):
+    # a stack of rules each under the cap is refused once its total is over
+    monkeypatch.setattr(quadrature, "MAX_TENSOR_NODES", 3 * 8**3)
+    assert len(quadrature.hermite_quadrature(SU2, 8, center=np.zeros((3, 3))).nodes) == 3 * 8**3
+    with pytest.raises(ValueError, match="too large"):
+        quadrature.hermite_quadrature(SU2, 8, center=np.zeros((4, 3)))
+    monkeypatch.setattr(quadrature, "MAX_TENSOR_NODES", 2 * 12**2)
+    assert quadrature.cartan_quadrature(SU3, [4.0, 5.0], 4, 3).rules == 2
+    with pytest.raises(ValueError, match="too large"):
+        quadrature.cartan_quadrature(SU3, [4.0, 5.0, 6.0], 4, 3)
+
+
 def test_array_valued_integral_is_its_entries_integrals_bit_for_bit():
     # a declared (d, d) value shape sums each entry like a scalar integrand
     quad = quadrature.spherical_radial(SU2, 12, 1.0, 4)

@@ -286,14 +286,15 @@ def test_mc_samples_reach_the_monte_carlo_character_rule(monkeypatch):
 
 @pytest.fixture(scope="module", params=["torus", "su2", "su3"])
 def default_run(request):
-    """One default run per group, with every char_gaussian_log call it made
-    keyed by the integral it computes: (hbar0, t, label, rule)."""
+    """One default run per group, with every integral its char_gaussian_log
+    calls computed, keyed (hbar0, t, label, rule backend, rule length)."""
     calls = []
     char_log = pairing_mod.char_gaussian_log
 
-    def spy(group, hbar0, t, irrep, quad):
-        calls.append((hbar0, t, irrep.label, quad.backend, len(quad.nodes)))
-        return char_log(group, hbar0, t, irrep, quad)
+    def spy(group, hbar0, t, irreps, quad):
+        calls.extend((hbar0, t, irrep.label, quad.backend, len(quad.nodes) // quad.rules)
+                     for irrep in irreps)
+        return char_log(group, hbar0, t, irreps, quad)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairing_mod, "char_gaussian_log", spy)
@@ -311,6 +312,75 @@ def test_a_run_computes_each_character_integral_once(default_run):
     assert rep.summary["total"] == rep.summary["passed"] > 0
     assert len(set(calls)) == DEFAULT_CHAR_INTEGRALS[kind]
     assert len(calls) == len(set(calls))
+
+
+def test_a_torus_run_stacks_its_character_integrals(monkeypatch):
+    # a miss at t computes the asked labels and the band's missing ones in
+    # one stacked call: one call per integral would make 157
+    from bksverify import quadrature
+
+    rules = []
+    integrate_log = quadrature.integrate_algebra_log
+
+    def count(logF, quad):
+        rules.append(quad.rules)
+        return integrate_log(logF, quad)
+
+    monkeypatch.setattr(quadrature, "integrate_algebra_log", count)
+    rep = suite.run_suite(config.default_config(group="torus"))
+    assert rep.summary["total"] == rep.summary["passed"] > 0
+    assert sum(rules) == DEFAULT_CHAR_INTEGRALS["torus"] and len(rules) <= 20
+
+
+@pytest.mark.parametrize("kind, family", [
+    ("torus", "unitarity"), ("torus", "bks-factor"), ("torus", "continuity"),
+    ("su2", "unitarity"), ("su3", "unitarity"),
+])
+def test_a_selection_computes_only_the_integrals_it_asks(monkeypatch, kind, family):
+    # the band is filled on a miss only when a selected family reads it:
+    # unitarity alone asks its spectral labels and computes no more
+    computed, asked = [], set()
+    char_log, table = pairing_mod.char_gaussian_log, pairing_mod.char_log_table
+
+    def spy(group, hbar0, t, irreps, quad):
+        computed.extend((t, irrep.label) for irrep in irreps)
+        return char_log(group, hbar0, t, irreps, quad)
+
+    def asking_table(*args, **kwargs):
+        inner = table(*args, **kwargs)
+
+        def ask(t, irreps):
+            asked.update((t, irrep.label) for irrep in irreps)
+            return inner(t, irreps)
+        return ask
+
+    monkeypatch.setattr(pairing_mod, "char_gaussian_log", spy)
+    monkeypatch.setattr(pairing_mod, "char_log_table", asking_table)
+    suite.run_suite(config.default_config(group=kind, identities=(family,)))
+    assert asked and sorted(computed) == sorted(asked)
+
+
+def test_character_stacks_stay_under_the_node_cap(monkeypatch):
+    # the node cap bounds a stack, not one rule: with room for three
+    # 64-node rules, each t's ten band integrals take four stacks, and
+    # every row keeps its bytes
+    from bksverify import quadrature
+
+    cfg = config.default_config(group="torus", identities=("bks-factor",))
+    uncapped = _rows(suite.run_suite(cfg))
+    cap = 3 * cfg.hermite_points
+    monkeypatch.setattr(quadrature, "MAX_TENSOR_NODES", cap)
+    stacks = []
+    integrate_log = quadrature.integrate_algebra_log
+
+    def spy(logF, quad):
+        stacks.append((len(quad.nodes), quad.rules))
+        return integrate_log(logF, quad)
+
+    monkeypatch.setattr(quadrature, "integrate_algebra_log", spy)
+    assert _rows(suite.run_suite(cfg)) == uncapped
+    assert all(nodes <= cap for nodes, _ in stacks)
+    assert sum(rules for _, rules in stacks) == 80 and len(stacks) == 8 * 4
 
 
 def _rows(rep):
@@ -520,10 +590,10 @@ def _shift_char_log(monkeypatch, eps=1e-3):
     # orthogonal pairing rows, which read 0 whatever the common factor
     char_log = pairing_mod.char_gaussian_log
 
-    def off(group, hbar0, t, irrep, quad):
-        logv, err = char_log(group, hbar0, t, irrep, quad)
-        c = irrep.casimir
-        return logv + math.log1p(eps) + math.log1p(eps * c / (1.0 + c)), err
+    def off(group, hbar0, t, irreps, quad):
+        return [(logv + math.log1p(eps) + math.log1p(eps * c / (1.0 + c)), err)
+                for (logv, err), c in zip(char_log(group, hbar0, t, irreps, quad),
+                                          (irrep.casimir for irrep in irreps))]
 
     monkeypatch.setattr(pairing_mod, "char_gaussian_log", off)
 
