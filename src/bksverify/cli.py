@@ -210,9 +210,6 @@ def _convergence_rows(cfg: RunConfig) -> list:
             for pts in (32, 44, 56, 64):
                 record("gauss-hermite-full", pts,
                        on(quadrature.hermite_quadrature(group, pts, scale=sigma)))
-        for samples in sorted({10_000, 100_000, cfg.mc_samples}):
-            record("monte-carlo", samples, pairing.char_gaussian_log_mc(
-                group, cfg.hbar0, t, irrep, samples, cfg.seed))
     return rows
 
 

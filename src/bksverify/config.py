@@ -17,7 +17,7 @@ Example::
 
     [quadrature]
     char_backend = cartan-reduced
-    mc_samples = 1000000
+    points_per_panel = 14
 
     [tolerances]
     scale = 1.0
@@ -64,7 +64,7 @@ FAMILIES = {
 }
 IDENTITY_FAMILIES = tuple(FAMILIES)
 NORMALIZATIONS = ("unit_volume", "reference")
-CHAR_BACKENDS = ("cartan-reduced", "monte-carlo")
+CHAR_BACKENDS = ("cartan-reduced",)
 FORMATS = ("json", "csv")
 
 
@@ -96,7 +96,7 @@ class RunConfig:
     points_per_panel: int = 14
     panels: int = 10
     hermite_points: int = 64
-    mc_samples: int = 1_000_000
+    mc_samples: int = 1_000_000  # this value only: reports echo it, nothing reads it
     hl2_points_torus: int = 300
     hl2_points_su2: int = 40
     delta_points_torus: int = 48
@@ -155,10 +155,10 @@ _SCHEMA = {
 }
 
 # counts that select nothing, or index an empty rule, at 0: every int
-# field but the seed and the two with bars of their own
+# field but the seed and the three with bars of their own
 _POSITIVE_COUNTS = tuple(
     f.name for f in fields(RunConfig)
-    if f.type == "int" and f.name not in ("seed", "threads", "points_per_panel")
+    if f.type == "int" and f.name not in ("seed", "threads", "mc_samples", "points_per_panel")
 )
 
 _CHOICE_FIELDS = {
@@ -174,12 +174,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         value = getattr(cfg, name)
         if value not in choices:
             raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
-    if cfg.char_backend == "monte-carlo" and cfg.group != "su2":
-        raise ConfigError(
-            "char_backend monte-carlo is available on su2 only: tori use the recentered "
-            "Hermite rule, and on su3 the sampling error, about 2e-4 relative at 1e6 "
-            "draws, is over the bars of the checks that read the character table"
-        )
     if not cfg.out_dir:
         raise ConfigError("out_dir must not be empty")
     if cfg.hbar0 <= 0.0:
@@ -187,6 +181,11 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.threads not in (0, 1):
         raise ConfigError(
             f"threads must be 0 or 1, got {cfg.threads}: the suite runs on one thread"
+        )
+    if cfg.mc_samples != 1_000_000:
+        raise ConfigError(
+            f"mc_samples must be 1000000, got {cfg.mc_samples}: the sampled character "
+            "backend it sized is gone"
         )
     if any(s < 0.0 for s in cfg.s_grid + cfg.s_prime_grid):
         raise ConfigError("grid values must be nonnegative")

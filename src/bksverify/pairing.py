@@ -15,14 +15,13 @@ Each route to G_R has one entry that returns log G_R(t):
 ``char_gaussian_log`` integrates a list of irreps at one t on the stack
 of node rules it is handed, one rule per irrep (Weyl-reduced quadrature
 on the weight tables, or full Gauss-Hermite on defining-matrix
-eigenvalues for one irrep on SU(2)), and ``char_gaussian_log_mc`` draws
-the Weyl-reduced Gaussian moment by importance-sampled Monte Carlo.
-``char_log_table`` is the one per-run source of those logs: it picks
-the route, computes each (t, irrep) once and hands the stored pair to
-every identity assembled from it.  A miss at t computes the asked
-irreps and every band irrep not yet stored at t in as few stacked calls
-as the node cap allows (one, at the defaults), and each value has the
-same bits whichever stack computed it.
+eigenvalues for one irrep on SU(2)).  ``char_log_table`` is the one
+per-run source of those logs: it takes the Weyl-reduced route, computes
+each (t, irrep) once and hands the stored pair to every identity
+assembled from it.  A miss at t computes the asked irreps and every
+band irrep not yet stored at t in as few stacked calls as the node cap
+allows (one, at the defaults), and each value has the same bits
+whichever stack computed it.
 Exponents grow linearly in t c_R, so assemblies stay in log space
 wherever float range could overflow.  The BKS block factor
 has one closed exponent, ``bks_exponent``, and one numeric log,
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import zlib
 
 import numpy as np
 
@@ -246,63 +244,7 @@ def _char_gaussian_hermite(group, hbar0, t, irrep, quad):
     return quadrature.integrate_algebra(F, quad)
 
 
-def char_gaussian_log_mc(group: GroupSpec, hbar0: float, t: float, irrep: Irrep,
-                         samples: int, seed: int):
-    """log G_R(t) with a relative error estimate, by Monte Carlo: the
-    Weyl-reduced Gaussian moment from ``samples`` draws of generator
-    ``seed``, with its relative standard error."""
-    if t <= 0.0:
-        raise ValueError("the character-Gaussian integral needs t > 0")
-    mean, stderr = _char_mc_moment(group, hbar0, t, irrep, samples, seed)
-    if mean <= 0.0:
-        raise ValueError("Monte Carlo moment estimate is not positive; add samples")
-    return _char_mc_prefactor_log(group, hbar0, t, irrep) + math.log(mean), stderr / mean
-
-
-def _char_mc_moment(group, hbar0, t, irrep, samples, seed):
-    # E[prod_{alpha>0} alpha(hbar0 (lambda+rho) - sqrt(hbar0/t) xi)] with
-    # xi standard normal on the Cartan; antithetic pairs kill the odd
-    # part of the polynomial for free.
-    rng = np.random.default_rng(seed)
-    m = hbar0 * (highest_weight(group, irrep.label) + group.rho)
-    sigma = math.sqrt(hbar0 / t)
-    roots = group.positive_roots.T
-    pairs = max(1, samples // 2)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < pairs:
-        chunk = min(pairs - done, 1 << 16)
-        xi = rng.standard_normal((chunk, group.rank))
-        lo = np.prod((m[None, :] - sigma * xi) @ roots, axis=1)
-        hi = np.prod((m[None, :] + sigma * xi) @ roots, axis=1)
-        vals = 0.5 * (lo + hi)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += chunk
-    mean = total / pairs
-    var = max(total_sq / pairs - mean * mean, 0.0) / max(pairs - 1, 1)
-    return mean, math.sqrt(var)
-
-
-def _char_mc_prefactor_log(group, hbar0, t, irrep):
-    # Weyl integration plus completing the square turns G_R(t) into a
-    # Gaussian moment: the Weyl denominator cancels eta exactly and the
-    # |W| chamber copies collapse onto one polynomial expectation.
-    n, r, p = group.dim, group.rank, group.n_positive_roots
-    v = highest_weight(group, irrep.label) + group.rho
-    return (
-        math.log(quadrature.weyl_constant(group))
-        + (n / 2.0) * math.log(t / 2.0)
-        - p * math.log(t)
-        + math.log(group.weyl_order)
-        + (r / 2.0) * math.log(2.0 * math.pi * hbar0 / t)
-        + t * hbar0 * float(v @ v) / 2.0
-    )
-
-
-def char_log_table(group: GroupSpec, hbar0: float, backend: str = "cartan-reduced",
-                   samples: int = 200_000, seed: int = 0, points_per_panel: int = 14,
+def char_log_table(group: GroupSpec, hbar0: float, points_per_panel: int = 14,
                    panels: int = 10, hermite_points: int = 64, band_irreps=()):
     """One run's character integrals, char_log(t, irreps) -> one
     (log G_R(t), relative error) pair per irrep: computed once per exact
@@ -310,39 +252,25 @@ def char_log_table(group: GroupSpec, hbar0: float, backend: str = "cartan-reduce
     asked irreps and every one of ``band_irreps`` not yet stored at t in
     one pass: ``char_gaussian_log`` on stacks of recentered Hermite rules
     of ``hermite_points`` on tori and of Cartan boxes elsewhere, as few
-    stacks as the node cap allows, or ``char_gaussian_log_mc`` with one
-    child seed per (t, label).  So no value depends on the order of asks.
-    Build one table per run.
+    stacks as the node cap allows.  So no value depends on the order of
+    asks.  Build one table per run.
     """
-    if backend == "monte-carlo":
-        if group.kind == "torus":
-            raise ValueError("use a deterministic backend on tori")
-
-        def compute(t, irreps):
-            pairs = []
-            for irrep in irreps:
-                child = zlib.crc32(repr((round(t, 12), irrep.label)).encode()) ^ seed
-                pairs.append(char_gaussian_log_mc(group, hbar0, t, irrep, samples, child))
-            return pairs
-    elif backend == "cartan-reduced":
-
-        if group.kind == "torus":
-            rule_nodes = hermite_points**group.dim
-        else:
-            rule_nodes = (points_per_panel * panels) ** group.rank
-
-        def compute(t, irreps):
-            # the node cap bounds a whole stack, so a long miss takes several
-            per_stack = max(1, quadrature.MAX_TENSOR_NODES // rule_nodes)
-            pairs = []
-            for start in range(0, len(irreps), per_stack):
-                part = irreps[start:start + per_stack]
-                quad = char_gaussian_quadrature(group, hbar0, t, part, points_per_panel,
-                                                panels, hermite_points)
-                pairs += char_gaussian_log(group, hbar0, t, part, quad)
-            return pairs
+    if group.kind == "torus":
+        rule_nodes = hermite_points**group.dim
     else:
-        raise ValueError(f"unknown backend {backend!r}")
+        rule_nodes = (points_per_panel * panels) ** group.rank
+
+    def compute(t, irreps):
+        # the node cap bounds a whole stack, so a long miss takes several
+        per_stack = max(1, quadrature.MAX_TENSOR_NODES // rule_nodes)
+        pairs = []
+        for start in range(0, len(irreps), per_stack):
+            part = irreps[start:start + per_stack]
+            quad = char_gaussian_quadrature(group, hbar0, t, part, points_per_panel,
+                                            panels, hermite_points)
+            pairs += char_gaussian_log(group, hbar0, t, part, quad)
+        return pairs
+
     table = {}
 
     def char_log(t, irreps):

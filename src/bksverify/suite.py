@@ -435,8 +435,7 @@ def build_jobs(cfg: RunConfig) -> list:
     # band there; otherwise it would compute integrals no job asks for
     band_reads = {"pairing", "bks-factor", "vertical-limit", "continuity"}
     char_log = pairing.char_log_table(
-        group, cfg.hbar0, backend=cfg.char_backend, samples=cfg.mc_samples,
-        seed=cfg.seed, points_per_panel=cfg.points_per_panel, panels=cfg.panels,
+        group, cfg.hbar0, points_per_panel=cfg.points_per_panel, panels=cfg.panels,
         hermite_points=cfg.hermite_points,
         band_irreps=band_irreps if band_reads & set(cfg.identities) else (),
     )

@@ -2,8 +2,7 @@
 
 Haar rules on the group (a product trapezoid grid on tori, an Euler-angle
 rule on SU(2)), the value of a band-limited function at group elements,
-the density of the averaged measure nu, the exact Gaussian moment of
-the Monte Carlo character backend, the eigen-solve routes to group
+the density of the averaged measure nu, the eigen-solve routes to group
 elements and root values, SU(3) characters by the Jacobi-Trudi
 determinant, the one-sample wedge determinant at 1-norm 1e-3 and the
 one-sample phi-flatness loop.  The verifier runs none of them; the tests
@@ -21,7 +20,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from bksverify import groups, halfform, heat, quadrature
+from bksverify import groups, halfform, heat
 
 
 def torus_rule(group, resolution):
@@ -85,25 +84,6 @@ def nu_density(group, hbar0, s, Y):
     norm = heat.a_s(group, hbar0, s) * s ** (group.dim / 2.0) * halfform.eta(group, Y)
     value = np.exp(-np.sum(Y * Y, axis=-1) / (hbar0 * s)) / norm
     return float(value) if value.ndim == 0 else value
-
-
-def char_moment(group, hbar0, t, irrep):
-    """Exact value of the Monte Carlo character backend's Gaussian moment.
-
-    Dividing the contract value of G_R(t) by the estimator prefactor
-    leaves d_R (pi hbar0)^{n/2} (t/2)^{-n/2} t^p (t/(2 pi hbar0))^{r/2}
-    / (c_K |W|); the exponential factors cancel because
-    |lambda+rho|^2 = c_R + |rho|^2.
-    """
-    n, r, p = group.dim, group.rank, group.n_positive_roots
-    return (
-        irrep.dim
-        * (math.pi * hbar0) ** (n / 2.0)
-        * (t / 2.0) ** (-n / 2.0)
-        * t**p
-        * (t / (2.0 * math.pi * hbar0)) ** (r / 2.0)
-        / (quadrature.weyl_constant(group) * group.weyl_order)
-    )
 
 
 def group_exp_eigh(group, Y, factor=1.0):

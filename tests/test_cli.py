@@ -116,26 +116,28 @@ def test_rejected_backend_exit_code(tmp_path, capsys):
     assert "char_backend" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["verify", "delta"], ["table", "pairing-factors"]])
-def test_monte_carlo_on_torus_exit_code(tmp_path, capsys, command):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("[run]\ngroup = torus\n[quadrature]\nchar_backend = monte-carlo\n",
-                   encoding="utf-8")
-    code = cli.main(command + ["--config", str(bad), "--out", str(tmp_path)])
-    assert code == 2
-    assert "monte-carlo" in capsys.readouterr().err
+_MONTE_CARLO = "[run]\ngroup = {}\n[quadrature]\nchar_backend = monte-carlo\n"
+_NO_BACKEND = "char_backend must be one of cartan-reduced"
 
 
-@pytest.mark.parametrize("command", [["verify", "delta"], ["table", "pairing-factors"]])
-def test_monte_carlo_on_su3_exit_code(tmp_path, capsys, command):
-    # at 1e6 draws the SU(3) moment's sampling error fails the table families
+@pytest.mark.parametrize("text, error", [
+    (_MONTE_CARLO.format("torus"), _NO_BACKEND),
+    (_MONTE_CARLO.format("su2"), _NO_BACKEND),
+    (_MONTE_CARLO.format("su3"), _NO_BACKEND),
+    ("[run]\ngroup = su2\n[quadrature]\nmc_samples = 2000\n",
+     "mc_samples must be 1000000, got 2000"),
+], ids=["torus", "su2", "su3", "mc_samples"])
+@pytest.mark.parametrize("command", [["verify", "delta"], ["table", "pairing-factors"]],
+                         ids=["verify", "table"])
+def test_monte_carlo_backend_exit_code(tmp_path, capsys, command, text, error):
+    # the sampled route returned the closed contract plus noise, so it is
+    # gone on every group (su2 used to run it) and nothing reads mc_samples
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[run]\ngroup = su3\n[quadrature]\nchar_backend = monte-carlo\n",
-                   encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
     code = cli.main(command + ["--config", str(bad), "--out", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
-    assert err.startswith("config error: char_backend monte-carlo is available on su2 only")
+    assert err.startswith(f"config error: {error}")
     assert not (tmp_path / "r").exists()
 
 
@@ -426,17 +428,6 @@ def test_convergence_torus(tmp_path, capsys):
     assert {r["backend"] for r in rows} == {"gauss-hermite"}
     finest = [r for r in rows if r["resolution"] == 32]
     assert finest and finest[0]["rel_error"] <= 1e-12
-
-
-def test_convergence_sweeps_the_configured_mc_samples(tmp_path):
-    cfg = tmp_path / "su2.cfg"
-    cfg.write_text("[run]\ngroup = su2\n[quadrature]\nmc_samples = 2000\n", encoding="utf-8")
-    code = cli.main(["convergence", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 0
-    with open(tmp_path / "convergence.json", encoding="utf-8") as fh:
-        rows = json.load(fh)
-    mc = [r["resolution"] for r in rows if r["backend"] == "monte-carlo"]
-    assert mc == [2000, 10_000, 100_000]
 
 
 def test_parser_help_mentions_subcommands():

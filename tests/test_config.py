@@ -24,7 +24,7 @@ threads = 1
 
 [quadrature]
 char_backend = cartan-reduced
-mc_samples = 2000
+mc_samples = 1000000
 delta_points_torus = 32
 
 [tolerances]
@@ -41,7 +41,7 @@ def test_parse_full_config():
     assert cfg.s_grid == (0.5, 1.0) and cfg.s_prime_grid == (0.0, 1.0)
     assert cfg.identities == ("pairing", "bks-factor")
     assert cfg.format == "csv" and cfg.threads == 1
-    assert cfg.char_backend == "cartan-reduced" and cfg.mc_samples == 2000
+    assert cfg.char_backend == "cartan-reduced" and cfg.mc_samples == 1_000_000
     assert cfg.delta_points_torus == 32
     assert cfg.tolerance_scale == 10.0
     assert cfg.tolerance_overrides == {"unitarity": 1e-4}
@@ -69,6 +69,7 @@ def test_identities_all_keyword():
     "[quadrature]\nchar_backend = gauss-hermite-full\n",
     "[run]\nthreads = -1\n",
     "[run]\nthreads = 2\n",
+    "[quadrature]\nmc_samples = 2000\n",
     "[run]\ngroup = torus\n[quadrature]\nchar_backend = monte-carlo\n",
     "[run]\nout_dir =\n",
     "[run]\nnormalization = none\n",
@@ -106,20 +107,6 @@ def test_rejects_finite_factors_whose_bar_is_not(text, family):
     # or scale times an override or a default underflows to 0
     with pytest.raises(config.ConfigError, match=f"\\[tolerances\\] {family} times scale"):
         config.parse_config(text)
-
-
-def test_monte_carlo_backend_only_off_tori():
-    cfg = config.parse_config("[run]\ngroup = su2\n[quadrature]\nchar_backend = monte-carlo\n")
-    assert cfg.char_backend == "monte-carlo"
-    with pytest.raises(config.ConfigError, match="monte-carlo"):
-        config.default_config(group="torus", char_backend="monte-carlo")
-
-
-def test_monte_carlo_backend_refused_on_su3():
-    # the SU(3) moment's relative standard error at the default 1e6 draws,
-    # about 2e-4, is over the 1e-6 bars of the table families
-    with pytest.raises(config.ConfigError, match="available on su2 only: .* on su3 the sampling error"):
-        config.default_config(group="su3", char_backend="monte-carlo")
 
 
 def test_rejects_zero_pairs_per_cell():

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import oracles
 from bksverify import groups, halfform, heat, pairing, quadrature
 
 TORUS = groups.group_spec("torus", n=1)
@@ -28,13 +27,6 @@ def closed_G(group, hbar0, t, irrep):
 def char_gaussian_integral(group, hbar0, t, irrep, quad):
     # value-space G_R(t) with its error estimate, from the log-space entry
     [(logv, logerr)] = pairing.char_gaussian_log(group, hbar0, t, [irrep], quad)
-    value = math.exp(logv)
-    return value, value * logerr
-
-
-def char_gaussian_integral_mc(group, hbar0, t, irrep, samples, seed):
-    # the same from the Monte Carlo route
-    logv, logerr = pairing.char_gaussian_log_mc(group, hbar0, t, irrep, samples, seed)
     value = math.exp(logv)
     return value, value * logerr
 
@@ -73,25 +65,6 @@ def test_char_gaussian_su2_backends_agree():
     vh, _ = char_gaussian_integral(SU2, hbar0, t, ir, quad_h)
     assert vc == pytest.approx(want, rel=1e-8)
     assert vh == pytest.approx(want, rel=1e-6)
-
-
-def test_char_gaussian_su2_montecarlo_is_exact():
-    # the Weyl-reduced moment is degree one in the Gaussian variable for
-    # SU(2), and antithetic pairs integrate degree one exactly: the MC
-    # backend reproduces the closed form to rounding even at tiny sample
-    # counts
-    ir = groups.make_irrep(SU2, (1,))
-    val, est = char_gaussian_integral_mc(SU2, 1.0, 1.0, ir, 100, 3)
-    assert val == pytest.approx(closed_G(SU2, 1.0, 1.0, ir), rel=1e-12)
-    assert est < 1e-10 * val
-
-
-def test_char_gaussian_su3_montecarlo_within_stderr():
-    ir = groups.make_irrep(SU3, (1, 0))
-    val, est = char_gaussian_integral_mc(SU3, 1.0, 1.0, ir, 100_000, 11)
-    want = closed_G(SU3, 1.0, 1.0, ir)
-    assert abs(val - want) < 5 * est
-    assert est < 0.01 * want
 
 
 def test_hermite_route_never_reads_the_weight_table(monkeypatch):
@@ -194,26 +167,6 @@ def test_char_log_table_rules_follow_the_backend():
     want = pairing.char_gaussian_log(
         TORUS, 1.0, 0.7, [ir], pairing.char_gaussian_quadrature(TORUS, 1.0, 0.7, [ir], points=24))
     assert pairing.char_log_table(TORUS, 1.0, hermite_points=24)(0.7, [ir]) == want
-    # Monte Carlo seeds are per (t, label): the order of asks changes nothing
-    irs = [groups.make_irrep(SU3, lab) for lab in ((1, 0), (1, 1))]
-    a = pairing.char_log_table(SU3, 1.0, backend="monte-carlo", samples=2000, seed=3)
-    b = pairing.char_log_table(SU3, 1.0, backend="monte-carlo", samples=2000, seed=3)
-    forward = [a(1.0, irs[:1]), a(2.0, irs[1:])]
-    assert [b(2.0, irs[1:]), b(1.0, irs[:1])] == forward[::-1]
-    assert a(1.0, irs[1:]) != forward[0]
-    with pytest.raises(ValueError, match="deterministic"):
-        pairing.char_log_table(TORUS, 1.0, backend="monte-carlo")
-    with pytest.raises(ValueError, match="unknown backend"):
-        pairing.char_log_table(SU2, 1.0, backend="gauss-hermite-full")
-
-
-def test_char_moment_oracle_su2_closed_form():
-    # for SU(2) the reduced moment is alpha(hbar0 (lambda + rho)) =
-    # hbar0 (m + 1) / lam, independent of t
-    for m in (0, 1, 2, 3):
-        for t in (0.7, 2.0):
-            oracle = oracles.char_moment(SU2, 1.0, t, groups.make_irrep(SU2, (m,)))
-            assert oracle == pytest.approx((m + 1) / SU2.scale, rel=1e-13)
 
 
 @pytest.mark.parametrize("group", [SU2, SU3], ids=["su2", "su3"])
@@ -326,10 +279,7 @@ def test_bks_factor_su2_two_backends():
     ir = groups.make_irrep(SU2, (1,))
     want = math.exp(-0.5 * (ir.casimir + SU2.rho_norm_sq))
     num_c = math.exp(pairing.bks_factor_log(SU2, 1.0, 2.0, 1.0, ir)[0])
-    char_log_mc = pairing.char_log_table(SU2, 1.0, backend="monte-carlo", samples=50_000)
-    num_m = math.exp(pairing.bks_factor_log(SU2, 1.0, 2.0, 1.0, ir, char_log=char_log_mc)[0])
     assert num_c == pytest.approx(want, rel=1e-8)
-    assert num_m == pytest.approx(want, rel=1e-8)   # degree-one moment, MC exact
     assert num_c == pytest.approx(pairing.bks_factor_closed(SU2, 1.0, 2.0, 1.0, ir), rel=1e-8)
 
 
@@ -405,8 +355,8 @@ def test_verify_unitarity_vertical_endpoint():
         assert rep.abs_residual <= 1e-6
 
 
-def test_verify_unitarity_su3_montecarlo():
-    char_log = pairing.char_log_table(SU3, 1.0, backend="monte-carlo", samples=200_000)
+def test_verify_unitarity_su3_cartan_table():
+    char_log = pairing.char_log_table(SU3, 1.0)
     rep = pairing.verify_unitarity(SU3, 1.0, 1.0, 2.0, groups.make_irrep(SU3, (1, 0)),
                                    char_log=char_log, tolerance=1e-3)
     assert rep.passed, rep.abs_residual

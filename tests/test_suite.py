@@ -267,23 +267,6 @@ def test_phi_flatness_job_fails_on_a_negative_slope(kind, monkeypatch):
     assert rep.abs_residual == pytest.approx(1e-3, rel=1e-3)
 
 
-def test_mc_samples_reach_the_monte_carlo_character_rule(monkeypatch):
-    # mc_samples sizes every integral the Monte Carlo character route draws
-    seen = []
-    montecarlo = pairing_mod.char_gaussian_log_mc
-
-    def spy(group, hbar0, t, irrep, samples, seed):
-        seen.append(samples)
-        return montecarlo(group, hbar0, t, irrep, samples, seed)
-
-    monkeypatch.setattr(pairing_mod, "char_gaussian_log_mc", spy)
-    cfg = fast_cfg(group="su2", band_limit=None, identities=("bks-factor",),
-                   char_backend="monte-carlo", mc_samples=2000)
-    rep = suite.run_suite(cfg)
-    assert seen and set(seen) == {2000}
-    assert rep.summary["total"] > 0 and rep.summary["passed"] == rep.summary["total"]
-
-
 @pytest.fixture(scope="module", params=["torus", "su2", "su3"])
 def default_run(request):
     """One default run per group, with every integral its char_gaussian_log
