@@ -16,7 +16,6 @@ Example::
     s_grid = 0.25, 1.0, 3.0
 
     [quadrature]
-    char_backend = cartan-reduced
     points_per_panel = 14
 
     [tolerances]
@@ -38,18 +37,18 @@ class Family(NamedTuple):
     """What the suite knows of one identity family.
 
     ``bar`` is the default tolerance: one number, or one per route or
-    group kind.  ``field`` names the report field the bar bounds;
-    "inverted" means ``abs_residual`` must exceed it.  ``groups`` are the
-    group kinds the family runs on.
+    group kind.  A report's ``residual`` must be at or below it, or, when
+    ``inverted``, exceed it.  ``groups`` are the group kinds the family
+    runs on.
     """
 
     bar: float | dict
-    field: str = "abs_residual"
+    inverted: bool = False
     groups: tuple = GROUP_KINDS
 
 
 FAMILIES = {
-    "wedge": Family(1e-8, "rel_residual"),
+    "wedge": Family(1e-8),
     "phi-flatness": Family(1e-6),
     "cst-unitarity": Family({"analytic": 1e-10, "quadrature": 1e-4}),
     "pairing": Family({"random": 1e-6, "orthogonal": 1e-8}),
@@ -60,11 +59,10 @@ FAMILIES = {
     "continuity": Family(1e-10),
     "delta": Family({"torus": 1e-8, "su2": 1e-3, "su3": 1e-3}),
     # phi is identically 1 on tori: there is no contrast to show
-    "prequantum": Family(1e-3, "inverted", ("su2", "su3")),
+    "prequantum": Family(1e-3, inverted=True, groups=("su2", "su3")),
 }
 IDENTITY_FAMILIES = tuple(FAMILIES)
 NORMALIZATIONS = ("unit_volume", "reference")
-CHAR_BACKENDS = ("cartan-reduced",)
 FORMATS = ("json", "csv")
 
 
@@ -92,11 +90,9 @@ class RunConfig:
     threads: int = 0  # 0 or 1, the same: the suite runs on one thread
 
     # [quadrature]
-    char_backend: str = "cartan-reduced"
     points_per_panel: int = 14
     panels: int = 10
     hermite_points: int = 64
-    mc_samples: int = 1_000_000  # this value only: reports echo it, nothing reads it
     hl2_points_torus: int = 300
     hl2_points_su2: int = 40
     delta_points_torus: int = 48
@@ -107,9 +103,12 @@ class RunConfig:
     tolerance_overrides: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
-        """Flat, JSON-ready view of every field in declaration order."""
+        """Flat, JSON-ready view of every field in declaration order but
+        ``out_dir``, so the report bytes do not depend on where they go."""
         out = {}
         for f in fields(self):
+            if f.name == "out_dir":
+                continue
             v = getattr(self, f.name)
             if isinstance(v, tuple):
                 v = list(v)
@@ -137,8 +136,8 @@ def _names(text: str) -> tuple[str, ...]:
 # the [quadrature] keys; every other field but the two [tolerances] ones
 # is a [run] key, under its own name
 _QUADRATURE_KEYS = (
-    "char_backend", "points_per_panel", "panels", "hermite_points", "mc_samples",
-    "hl2_points_torus", "hl2_points_su2", "delta_points_torus", "delta_points_su2",
+    "points_per_panel", "panels", "hermite_points", "hl2_points_torus",
+    "hl2_points_su2", "delta_points_torus", "delta_points_su2",
 )
 
 # declared field type -> parser of the config value
@@ -155,16 +154,15 @@ _SCHEMA = {
 }
 
 # counts that select nothing, or index an empty rule, at 0: every int
-# field but the seed and the three with bars of their own
+# field but the three with bars of their own
 _POSITIVE_COUNTS = tuple(
     f.name for f in fields(RunConfig)
-    if f.type == "int" and f.name not in ("seed", "threads", "mc_samples", "points_per_panel")
+    if f.type == "int" and f.name not in ("seed", "threads", "points_per_panel")
 )
 
 _CHOICE_FIELDS = {
     "group": GROUP_KINDS,
     "normalization": NORMALIZATIONS,
-    "char_backend": CHAR_BACKENDS,
     "format": FORMATS,
 }
 
@@ -176,19 +174,19 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
     if not cfg.out_dir:
         raise ConfigError("out_dir must not be empty")
-    if cfg.hbar0 <= 0.0:
-        raise ConfigError("hbar0 must be positive")
+    if not (math.isfinite(cfg.hbar0) and cfg.hbar0 > 0.0):
+        raise ConfigError(f"hbar0 must be finite and positive, got {cfg.hbar0!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    if cfg.band_limit is not None and not (
+            math.isfinite(cfg.band_limit) and cfg.band_limit >= 0.0):
+        raise ConfigError(f"band_limit must be finite and nonnegative, got {cfg.band_limit!r}")
     if cfg.threads not in (0, 1):
         raise ConfigError(
             f"threads must be 0 or 1, got {cfg.threads}: the suite runs on one thread"
         )
-    if cfg.mc_samples != 1_000_000:
-        raise ConfigError(
-            f"mc_samples must be 1000000, got {cfg.mc_samples}: the sampled character "
-            "backend it sized is gone"
-        )
-    if any(s < 0.0 for s in cfg.s_grid + cfg.s_prime_grid):
-        raise ConfigError("grid values must be nonnegative")
+    if not all(math.isfinite(s) and s >= 0.0 for s in cfg.s_grid + cfg.s_prime_grid):
+        raise ConfigError("grid values must be finite and nonnegative")
     if not cfg.s_grid:
         raise ConfigError("s_grid must not be empty")
     for name in ("s_grid", "s_prime_grid"):

@@ -112,8 +112,7 @@ class PairingReport:
     params: dict
     lhs: complex
     rhs: complex
-    abs_residual: float
-    rel_residual: float
+    residual: float
     error_estimate: float
     tolerance: float
     passed: bool
@@ -121,17 +120,14 @@ class PairingReport:
 
 def _report(identity, group, params, lhs, rhs, residual, error, tolerance,
             family=None):
-    # the verdict reads the field the bar of ``family`` (default: the
-    # identity) bounds, as config.FAMILIES declares it
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    rel = residual / scale
-    field = FAMILIES[family or identity].field
-    if field == "inverted":
+    # ``residual`` is the number the bar bounds, as the caller scaled it;
+    # the bar of ``family`` (default: the identity) may be inverted
+    if FAMILIES[family or identity].inverted:
         passed = residual > tolerance
     else:
-        passed = (rel if field == "rel_residual" else residual) <= tolerance
+        passed = residual <= tolerance
     return PairingReport(identity, group.describe(), params, lhs, rhs, float(residual),
-                         float(rel), float(error), float(tolerance), bool(passed))
+                         float(error), float(tolerance), bool(passed))
 
 
 # -- character-Gaussian integral -----------------------------------------

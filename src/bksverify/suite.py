@@ -63,8 +63,7 @@ def _report_jsonable(rep: PairingReport) -> dict:
         "params": {k: rep.params[k] for k in sorted(rep.params)},
         "lhs": [float(np.real(rep.lhs)), float(np.imag(rep.lhs))],
         "rhs": [float(np.real(rep.rhs)), float(np.imag(rep.rhs))],
-        "abs_residual": rep.abs_residual,
-        "rel_residual": rep.rel_residual,
+        "residual": rep.residual,
         "error_estimate": rep.error_estimate,
         "tolerance": rep.tolerance,
         "passed": rep.passed,
@@ -144,7 +143,7 @@ def _job_wedge(group, tol, seed, samples=100):
         lhs, rhs = 1.0 + 0.0j, 1.0
     return _report(
         "wedge", group, {"samples": samples},
-        lhs, rhs, abs(lhs - rhs), 0.0, tol,
+        lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs)), 0.0, tol,
     )
 
 
@@ -277,7 +276,7 @@ def _job_factorization(group, hbar0, cells, triples, irrep, tol):
     worst = max(
         (pairing.verify_factorization(group, hbar0, s, sp, irrep, tol)
          for s, sp in usable),
-        key=lambda rep: rep.abs_residual,
+        key=lambda rep: rep.residual,
     )
     comp_worst = 0.0
     for s1, s2, s3 in triples:
@@ -289,7 +288,7 @@ def _job_factorization(group, hbar0, cells, triples, irrep, tol):
         "factorization", group,
         {"hbar0": hbar0, "irrep": str(irrep.label), "cells": len(usable),
          "composition_residual": comp_worst},
-        worst.lhs, worst.rhs, max(worst.abs_residual, comp_worst), 0.0, tol,
+        worst.lhs, worst.rhs, max(worst.residual, comp_worst), 0.0, tol,
     )
 
 
@@ -566,7 +565,7 @@ def _error_report(key: str, cfg: RunConfig, exc: Exception) -> PairingReport:
     nan, inf = float("nan"), float("inf")
     return PairingReport(key.split("/", 1)[0], _group(cfg).describe(),
                          {"error": f"{type(exc).__name__}: {exc} at {where}"},
-                         nan, nan, inf, inf, inf, 0.0, False)
+                         nan, nan, inf, inf, 0.0, False)
 
 
 def _run(job: Job, cfg: RunConfig) -> PairingReport:
@@ -605,8 +604,7 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
 
 _CSV_COLUMNS = (
     "key", "identity", "group", "params", "lhs_re", "lhs_im", "rhs_re",
-    "rhs_im", "abs_residual", "rel_residual", "error_estimate", "tolerance",
-    "passed",
+    "rhs_im", "residual", "error_estimate", "tolerance", "passed",
 )
 
 
@@ -693,6 +691,6 @@ def pairing_factor_rows(cfg: RunConfig) -> tuple:
             continue
         rows.append(dict(zip(FACTOR_COLUMNS, (
             rep.params["irrep"], rep.params["s"], rep.params["s_prime"],
-            rep.lhs, rep.rhs, rep.abs_residual,
+            rep.lhs, rep.rhs, rep.residual,
         ))))
     return rows, all_passed

@@ -133,7 +133,7 @@ def test_criterion_04_pairing_theorem():
 
 def test_criterion_05_unitarity(unitarity_grid):
     assert len(unitarity_grid) == 54
-    worst = max(rep.abs_residual for rep in unitarity_grid)
+    worst = max(rep.residual for rep in unitarity_grid)
     assert all(rep.passed for rep in unitarity_grid), worst
     assert worst <= 1e-6, worst
 
@@ -144,7 +144,7 @@ def test_criterion_06_factorization_and_a_identity():
         ir = groups.make_irrep(group, lab)
         for s, sp in ((0.25, 3.0), (1.0, 0.5), (2.0, 2.0)):
             rep = pairing.verify_factorization(group, 1.0, s, sp, ir)
-            assert rep.passed and rep.abs_residual <= 1e-14, (group.kind, s, sp)
+            assert rep.passed and rep.residual <= 1e-14, (group.kind, s, sp)
             mid = heat.a_s(group, 1.0, (s + sp) / 2.0)
             geo = math.sqrt(heat.a_s(group, 1.0, s) * heat.a_s(group, 1.0, sp))
             assert mid == pytest.approx(geo, rel=1e-14)
@@ -198,22 +198,22 @@ def test_criterion_09_delta_identities():
     for k in range(3):
         rep = pairing.verify_delta_identity(TORUS, 1.0, 1.0, groups.make_irrep(TORUS, (k,)),
                                             tolerance=1e-8)
-        assert rep.passed and rep.abs_residual <= 1e-8, (k, rep.abs_residual)
+        assert rep.passed and rep.residual <= 1e-8, (k, rep.residual)
     for k in range(2):
         rep = pairing.verify_delta_two(TORUS, 1.0, 1.0, 0.5, 0.3,
                                        groups.make_irrep(TORUS, (k,)),
                                        tolerance=1e-8, t_alt=0.55, points=48)
-        assert rep.passed and rep.abs_residual <= 1e-8, (k, rep.abs_residual)
+        assert rep.passed and rep.residual <= 1e-8, (k, rep.residual)
         assert rep.params["t_dependence"] <= 1e-8
 
     for m in range(3):  # j <= 1
         rep = pairing.verify_delta_identity(SU2, 0.5, 1.0, groups.make_irrep(SU2, (m,)),
                                             tolerance=1e-3)
-        assert rep.passed and rep.abs_residual <= 1e-3, (m, rep.abs_residual)
+        assert rep.passed and rep.residual <= 1e-3, (m, rep.residual)
         rep2 = pairing.verify_delta_two(SU2, 0.5, 1.0, 0.5, 0.3,
                                         groups.make_irrep(SU2, (m,)),
                                         tolerance=1e-3, t_alt=0.55, points=32)
-        assert rep2.passed and rep2.abs_residual <= 1e-3, (m, rep2.abs_residual)
+        assert rep2.passed and rep2.residual <= 1e-3, (m, rep2.residual)
         assert rep2.params["t_dependence"] <= 1e-3
 
 
@@ -228,7 +228,7 @@ def test_criterion_10_prequantum_contrast(unitarity_grid):
     assert abs(ratio - 1.0) > 1e-3, ratio
     assert ratio ** 2 == pytest.approx(1.254109, rel=1e-5)
     # while the quantum map stays unitary on the same parameter range
-    assert all(rep.abs_residual <= 1e-6 for rep in unitarity_grid)
+    assert all(rep.residual <= 1e-6 for rep in unitarity_grid)
 
 
 def test_criterion_11_cst_unitarity():

@@ -27,6 +27,14 @@ def test_golden_report_bytes():
         assert text == fh.read()
 
 
+def test_golden_report_bytes_do_not_depend_on_out(tmp_path):
+    # the config echo leaves out out_dir, so any --out writes the same bytes
+    assert cli.main(["verify", "all", "--config", GOLDEN_CFG, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "reports.json", encoding="utf-8") as fh, \
+            open(GOLDEN_JSON, encoding="utf-8") as golden:
+        assert fh.read() == golden.read()
+
+
 def test_su3_continuity_passes_at_large_hbar0(tmp_path):
     # r(s) holds its contract e^{|rho|^2 hbar0 s} here to about 1e-15, while
     # the halving ratio of r(s) - 1 is 0.21 away from 2 at this hbar0
@@ -81,6 +89,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_exit_code(tmp_path, capsys):
+    # the job generators are seeded from it, and SeedSequence refuses it
+    code = cli.main(["verify", "unitarity", "--group", "torus", "--seed", "-1",
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: seed must be nonnegative") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, text", [
     (["verify", "unitarity", "--group", "su2", "--tolerance-scale", "inf"], None),
     (["verify", "unitarity"], "[run]\ngroup = su2\n[tolerances]\nunitarity = inf\n"),
@@ -106,7 +124,7 @@ def test_a_run_that_tests_nothing_exit_code(tmp_path, capsys, command, text):
 
 
 def test_rejected_backend_exit_code(tmp_path, capsys):
-    # the full Hermite rule is not a character backend of its own
+    # no key selects a character backend: the Cartan-reduced rule is the only one
     bad = tmp_path / "bad.cfg"
     bad.write_text("[quadrature]\nchar_backend = gauss-hermite-full\n",
                    encoding="utf-8")
@@ -116,28 +134,28 @@ def test_rejected_backend_exit_code(tmp_path, capsys):
     assert "char_backend" in capsys.readouterr().err
 
 
-_MONTE_CARLO = "[run]\ngroup = {}\n[quadrature]\nchar_backend = monte-carlo\n"
-_NO_BACKEND = "char_backend must be one of cartan-reduced"
+_REMOVED_KEY = "[run]\ngroup = {}\n[quadrature]\n{} = {}\n"
 
 
-@pytest.mark.parametrize("text, error", [
-    (_MONTE_CARLO.format("torus"), _NO_BACKEND),
-    (_MONTE_CARLO.format("su2"), _NO_BACKEND),
-    (_MONTE_CARLO.format("su3"), _NO_BACKEND),
-    ("[run]\ngroup = su2\n[quadrature]\nmc_samples = 2000\n",
-     "mc_samples must be 1000000, got 2000"),
-], ids=["torus", "su2", "su3", "mc_samples"])
+@pytest.mark.parametrize("text, key", [
+    (_REMOVED_KEY.format("torus", "char_backend", "monte-carlo"), "char_backend"),
+    (_REMOVED_KEY.format("su2", "char_backend", "monte-carlo"), "char_backend"),
+    (_REMOVED_KEY.format("su3", "char_backend", "monte-carlo"), "char_backend"),
+    (_REMOVED_KEY.format("su2", "char_backend", "cartan-reduced"), "char_backend"),
+    (_REMOVED_KEY.format("su2", "mc_samples", "1000000"), "mc_samples"),
+], ids=["torus", "su2", "su3", "cartan-reduced", "mc_samples"])
 @pytest.mark.parametrize("command", [["verify", "delta"], ["table", "pairing-factors"]],
                          ids=["verify", "table"])
-def test_monte_carlo_backend_exit_code(tmp_path, capsys, command, text, error):
+def test_monte_carlo_backend_exit_code(tmp_path, capsys, command, text, key):
     # the sampled route returned the closed contract plus noise, so it is
-    # gone on every group (su2 used to run it) and nothing reads mc_samples
+    # gone on every group (su2 used to run it); with it went the keys that
+    # chose and sized it, even at the values they used to accept
     bad = tmp_path / "bad.cfg"
     bad.write_text(text, encoding="utf-8")
     code = cli.main(command + ["--config", str(bad), "--out", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
-    assert err.startswith(f"config error: {error}")
+    assert err.startswith(f"config error: unknown key {key!r} in section [quadrature]")
     assert not (tmp_path / "r").exists()
 
 
@@ -346,7 +364,7 @@ def test_factor_table_rows_are_the_bks_factor_reports(source):
     assert sorted(keys) == sorted(by_key)
     want = [
         (r.params["irrep"], r.params["s"], r.params["s_prime"], r.lhs, r.rhs,
-         r.abs_residual)
+         r.residual)
         for r in (by_key[k] for k in keys) if r.params.get("scale") != "log"
     ]
     assert (len(want) < len(keys)) == (source == "torus")

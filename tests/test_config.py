@@ -23,8 +23,6 @@ format = csv
 threads = 1
 
 [quadrature]
-char_backend = cartan-reduced
-mc_samples = 1000000
 delta_points_torus = 32
 
 [tolerances]
@@ -41,7 +39,6 @@ def test_parse_full_config():
     assert cfg.s_grid == (0.5, 1.0) and cfg.s_prime_grid == (0.0, 1.0)
     assert cfg.identities == ("pairing", "bks-factor")
     assert cfg.format == "csv" and cfg.threads == 1
-    assert cfg.char_backend == "cartan-reduced" and cfg.mc_samples == 1_000_000
     assert cfg.delta_points_torus == 32
     assert cfg.tolerance_scale == 10.0
     assert cfg.tolerance_overrides == {"unitarity": 1e-4}
@@ -75,8 +72,16 @@ def test_identities_all_keyword():
     "[run]\nnormalization = none\n",
     "[run]\nhbar0 = 0\n",
     "[run]\nhbar0 = many\n",
+    "[run]\nhbar0 = nan\n",
+    "[run]\nhbar0 = inf\n",
+    "[run]\nseed = -1\n",
+    "[run]\nband_limit = -1\n",
+    "[run]\nband_limit = nan\n",
+    "[run]\nband_limit = inf\n",
     "[run]\ntorus_rank = 0\n",
     "[run]\ns_grid = -1.0\n",
+    "[run]\ns_grid = inf\n",
+    "[run]\ns_prime_grid = 0.5, nan\n",
     "[run]\ns_grid = ,\n",
     "[tolerances]\nscale = 0\n",
     "[tolerances]\nscale = big\n",
@@ -137,7 +142,7 @@ def test_rejects_s_prime_grid_without_positive_value(grid):
 
 
 @pytest.mark.parametrize("key", [
-    "hermite_points", "mc_samples", "hl2_points_torus", "hl2_points_su2",
+    "hermite_points", "hl2_points_torus", "hl2_points_su2",
     "delta_points_torus", "delta_points_su2",
 ])
 @pytest.mark.parametrize("value", ["0", "-4"])
@@ -153,7 +158,9 @@ def test_config_error_is_value_error():
 def test_echo_declaration_order_and_json_types():
     cfg = config.parse_config(FULL)
     echo = cfg.echo()
-    assert list(echo) == [f.name for f in dataclasses.fields(config.RunConfig)]
+    # out_dir says where the report goes, not what it holds
+    assert list(echo) == [f.name for f in dataclasses.fields(config.RunConfig)
+                          if f.name != "out_dir"]
     assert echo["s_grid"] == [0.5, 1.0]
     assert echo["identities"] == ["pairing", "bks-factor"]
     import json

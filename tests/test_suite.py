@@ -113,7 +113,7 @@ def test_errors_are_recorded_not_raised(monkeypatch):
             assert r.group == group
             assert r.params["error"] == (
                 f"RuntimeError: injected failure at test_suite.py:{raising_line}")
-            assert r.abs_residual == float("inf")
+            assert r.residual == float("inf")
 
 
 def test_empty_selection_yields_header_only_csv():
@@ -133,7 +133,7 @@ def test_csv_shape_matches_json():
     for line, entry in zip(rows[1:], payload["reports"]):
         assert line[0] == entry["key"]
         assert line[-1] == str(entry["passed"])
-        assert float(line[8]) == entry["abs_residual"]
+        assert float(line[8]) == entry["residual"]
         assert json.loads(line[3]) == entry["params"]
 
 
@@ -218,24 +218,23 @@ def test_wedge_job_fails_when_the_closed_form_is_off(kind, monkeypatch):
                         lambda *a: closed(*a) * (1.0 + 1e-3))
     rep = suite._job_wedge(group, 1e-8, 5, samples=3)
     assert not rep.passed
-    assert rep.rel_residual == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-6)
+    assert rep.residual == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
 def test_wedge_report_gives_the_worst_samples_absolute_and_relative_error(kind):
-    # abs is |det - closed| of the worst sample, rel that over its size;
-    # the verdict stays relative, and exact tori read 0 against 1
+    # the residual is |det - closed| of the worst sample over its size, the
+    # verdict reads it, and exact tori read 0 against 1
     from bksverify import groups
     group = groups.group_spec(kind)
     rep = suite._job_wedge(group, 1e-8, 5, samples=20)
     assert rep.passed
-    assert rep.abs_residual == abs(rep.lhs - rep.rhs)
-    assert rep.rel_residual == rep.abs_residual / max(abs(rep.lhs), abs(rep.rhs))
+    assert rep.residual == abs(rep.lhs - rep.rhs) / max(abs(rep.lhs), abs(rep.rhs))
     if kind == "torus":
-        assert (rep.lhs, rep.rhs, rep.abs_residual) == (1.0, 1.0, 0.0)
+        assert (rep.lhs, rep.rhs, rep.residual) == (1.0, 1.0, 0.0)
         return
-    assert 0.0 < rep.rel_residual < 1e-12 < 1.0 < abs(rep.rhs)
-    assert not suite._job_wedge(group, 0.5 * rep.rel_residual, 5, samples=20).passed
+    assert 0.0 < rep.residual < 1e-12 < 1.0 < abs(rep.rhs)
+    assert not suite._job_wedge(group, 0.5 * rep.residual, 5, samples=20).passed
 
 
 @pytest.mark.parametrize("kind", ["torus", "su2", "su3"])
@@ -246,7 +245,7 @@ def test_phi_flatness_job_matches_the_per_sample_loop(kind):
     group = groups.group_spec(kind)
     seed = suite._job_seed(0, f"phi-flatness/{kind}")
     rep = suite._job_phi_flatness(group, 1e-6, seed)
-    assert rep.abs_residual == oracles.phi_flatness_worst_per_sample(group, seed)
+    assert rep.residual == oracles.phi_flatness_worst_per_sample(group, seed)
     assert rep.passed
 
 
@@ -258,13 +257,13 @@ def test_phi_flatness_job_fails_on_a_negative_slope(kind, monkeypatch):
     group = groups.group_spec(kind)
     # the O(h^2) truncation stays visible and under the bar
     rep = suite._job_phi_flatness(group, 1e-6, 5, samples=10)
-    assert rep.passed and rep.abs_residual > 0.0
+    assert rep.passed and rep.residual > 0.0
     phi = halfform.phi
     monkeypatch.setattr(halfform, "phi",
                         lambda g, s, sp, Y: phi(g, s, sp, Y) * (1.0 - 1e-3 * (sp - s)))
     rep = suite._job_phi_flatness(group, 1e-6, 5, samples=10)
     assert not rep.passed
-    assert rep.abs_residual == pytest.approx(1e-3, rel=1e-3)
+    assert rep.residual == pytest.approx(1e-3, rel=1e-3)
 
 
 @pytest.fixture(scope="module", params=["torus", "su2", "su3"])
@@ -389,28 +388,23 @@ def test_each_family_alone_gives_its_rows_from_verify_all(kind):
 
 
 def _bar_holds(key, rep):
-    # the field each family's bar bounds (README, "Report fields"): wedge
-    # bounds the relative error, prequantum is inverted and needs its
-    # contrast above the bar, every other family bounds abs_residual
-    family = key.split("/", 1)[0]
-    if family == "wedge":
-        return rep.rel_residual <= rep.tolerance
-    if family == "prequantum":
-        return rep.abs_residual > rep.tolerance
-    return rep.abs_residual <= rep.tolerance
+    # every bar bounds the residual (README, "Report fields"), but the
+    # inverted prequantum bar needs its contrast above it
+    if config.FAMILIES[key.split("/", 1)[0]].inverted:
+        return rep.residual > rep.tolerance
+    return rep.residual <= rep.tolerance
 
 
 def test_families_agree_with_the_readme_table():
     # the README's "Report fields" table, read as an independent statement:
-    # the same families, and the same field under each bar
+    # the same families, and the same ones inverted
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
-    lines = text[text.index("| family | bar bounds |"):].split("\n\n", 1)[0].splitlines()
+    lines = text[text.index("| family | verdict |"):].split("\n\n", 1)[0].splitlines()
     rows = [line.split("|")[1:3] for line in lines[2:]]
-    table = {name.strip(" `"): "inverted" if "inverted" in field else field.strip(" `")
-             for name, field in rows}
-    assert table == {name: fam.field for name, fam in config.FAMILIES.items()}
+    table = {name.strip(" `"): "inverted" in verdict for name, verdict in rows}
+    assert table == {name: fam.inverted for name, fam in config.FAMILIES.items()}
 
 
 def test_each_bar_bounds_the_field_named_for_its_family(default_run):
@@ -467,7 +461,7 @@ def test_factorization_reports_the_worst_cells_own_values():
     rep = suite._job_factorization(su3, 1.0, [(1.0, 0.5)], [(0.5, 1.0, 3.0)], irrep, 1e-14)
     want = pairing_mod.bks_factor_closed(su3, 1.0, 1.0, 0.5, irrep)
     assert want == pytest.approx(math.exp(-su3.rho_norm_sq / 4.0), rel=1e-14)
-    assert rep.passed and rep.abs_residual == 0.0
+    assert rep.passed and rep.residual == 0.0
     assert rep.lhs == want and rep.rhs == pytest.approx(want, rel=1e-14)
     torus = groups.group_spec("torus", n=1)
     for k in (1, 2):
@@ -475,7 +469,7 @@ def test_factorization_reports_the_worst_cells_own_values():
         rep = suite._job_factorization(torus, 1.0, [(0.5, 1.0), (1.0, 1.0)],
                                        [(0.5, 1.0, 3.0)], irrep, 1e-14)
         want = pairing_mod.bks_factor_closed(torus, 1.0, 0.5, 1.0, irrep)
-        assert rep.abs_residual == 0.0 and want > 1.0
+        assert rep.residual == 0.0 and want > 1.0
         assert rep.lhs == rep.rhs == want
 
 
@@ -697,7 +691,7 @@ def test_su2_quadrature_rows_pass_at_hbar0_3():
                                 hl2_points_su2=100, delta_points_su2=100)
     rep = suite.run_suite(cfg)
     assert rep.summary == {"total": 10, "passed": 10, "failed": 0, "errors": 0}
-    assert max(r.abs_residual for _, r in rep.reports) < 1e-12
+    assert max(r.residual for _, r in rep.reports) < 1e-12
 
 
 def test_su2_delta_two_estimates_come_from_the_companion():
@@ -714,8 +708,8 @@ def test_su2_delta_two_estimates_come_from_the_companion():
     # (2,) row, and flags (1,) above its bar while its residual still passes
     rows = two_rows(delta_points_su2=16)
     r1, r2 = rows["delta/su2/two/(1,)"], rows["delta/su2/two/(2,)"]
-    assert not r2.passed and r2.error_estimate > r2.abs_residual > r2.tolerance
-    assert r1.passed and r1.abs_residual < 1e-5 and r1.error_estimate > r1.tolerance
+    assert not r2.passed and r2.error_estimate > r2.residual > r2.tolerance
+    assert r1.passed and r1.residual < 1e-5 and r1.error_estimate > r1.tolerance
 
 
 @pytest.mark.parametrize("hbar0", [0.05, 1.0, 3.0])
