@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -252,7 +251,9 @@ def group_spec(kind: str, n: int = 1, normalization: str = "unit_volume") -> Gro
 
 
 def _check_label(group: GroupSpec, label) -> tuple:
-    label = tuple(int(v) for v in np.atleast_1d(label))
+    # a tuple of plain ints (not bools) is already normal: check it as it is
+    if type(label) is not tuple or any(type(v) is not int for v in label):
+        label = tuple(int(v) for v in np.atleast_1d(label))
     if group.kind == "torus":
         if len(label) != group.rank:
             raise ValueError(f"torus label must have {group.rank} entries")
@@ -278,22 +279,21 @@ def highest_weight(group: GroupSpec, label) -> np.ndarray:
 
 
 def dim_irrep(group: GroupSpec, label) -> int:
-    """Dimension by the Weyl formula in exact rational arithmetic."""
+    """Dimension by the Weyl formula in exact integer arithmetic."""
     label = _check_label(group, label)
     if group.kind == "torus":
         return 1
     if group.kind == "su2":
-        value = Fraction(label[0] + 1, 2) / Fraction(1, 2)
-    else:
-        p, q = label
-        lam3 = (2 * p + q + 3, q - p, -p - 2 * q - 3)  # 3*(lambda + rho) in theta coords
-        rho3 = (3, 0, -3)
-        value = Fraction(1)
-        for j, k in ((0, 1), (0, 2), (1, 2)):
-            value *= Fraction(lam3[j] - lam3[k], rho3[j] - rho3[k])
-    if value.denominator != 1:
-        raise ArithmeticError(f"Weyl dimension for {label} is not integral: {value}")
-    return int(value)
+        return label[0] + 1
+    p, q = label
+    lam3 = (2 * p + q + 3, q - p, -p - 2 * q - 3)  # 3*(lambda + rho) in theta coords
+    rho3 = (3, 0, -3)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    num = math.prod(lam3[j] - lam3[k] for j, k in pairs)
+    den = math.prod(rho3[j] - rho3[k] for j, k in pairs)
+    if num % den:
+        raise ArithmeticError(f"Weyl dimension for {label} is not integral: {num}/{den}")
+    return num // den
 
 
 def casimir(group: GroupSpec, label) -> float:

@@ -270,21 +270,24 @@ def spherical_radial(group: GroupSpec, points: int, scale: float, degree: int) -
 def _gauss_hermite(n: int):
     """Gauss-Hermite nodes x and detached weights w e^{x^2} for n points.
 
-    Weight e^{-x^2}.  Nodes start as eigenvalues of the Jacobi matrix
-    (off-diagonal sqrt(k/2)).  Up to 150 points one Newton step on H_n
+    Weight e^{-x^2}.  Up to 150 points the nodes start as eigenvalues of the
+    n x n Jacobi matrix (off-diagonal sqrt(k/2)), one Newton step on H_n
     follows, then log-normalized weights, symmetrized and scaled to total
     mass sqrt(pi): step for step the reference Golub-Welsch rule that
-    tests/test_quadrature.py compares against, which it matches bit for
-    bit.  Longer rules, where H_n overflows, take Newton steps on the
-    orthonormal Hermite functions phi_n = H_n e^{-x^2/2} / sqrt(2^n n!
-    sqrt(pi)) instead; there the detached weight is 1 / (n phi_{n-1}(x)^2),
-    with the Gaussian divided out analytically.  Built once per n; the
-    arrays are read-only.
+    tests/test_quadrature.py compares against, bit for bit.  Longer rules,
+    where H_n overflows, start from a matrix half that size: as H_{2m}(x) ~
+    L_m^{(-1/2)}(x^2) and H_{2m+1}(x) ~ x L_m^{(1/2)}(x^2), the nonnegative
+    nodes are 0 for odd n and sqrt(y), y the eigenvalues of the
+    floor(n/2)-point Jacobi matrix of the Laguerre weight y^alpha e^{-y}
+    (diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha))).  One Newton
+    step on the orthonormal Hermite functions phi_n = H_n e^{-x^2/2} /
+    sqrt(2^n n! sqrt(pi)) follows; the detached weight is
+    1 / (n phi_{n-1}(x)^2), the Gaussian divided out analytically, and the
+    negative half mirrors these.  Built once per n; the arrays are read-only.
     """
-    k = np.arange(1, n, dtype=float)
-    off = np.sqrt(k / 2.0)
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     if n <= 150:  # the reference rule's own threshold; H_n overflows soon after
+        off = np.sqrt(np.arange(1, n, dtype=float) / 2.0)
+        x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
         dy = 2.0 * n * _eval_hermite(n - 1, x)
         x = x - _eval_hermite(n, x) / dy
         # fm and dy span many decades: center their logs before the product
@@ -299,13 +302,16 @@ def _gauss_hermite(n: int):
         w = w * (math.sqrt(math.pi) / w.sum())
         detached = np.exp(np.log(w) + x * x)
     else:
-        for _ in range(2):
-            phi, phi_prev = _hermite_functions(n, x)
-            x = x - phi / (math.sqrt(2.0 * n) * phi_prev - x * phi)
-        x = (x - x[::-1]) / 2
-        _, phi_prev = _hermite_functions(n, x)
-        detached = 1.0 / (n * phi_prev**2)
-        detached = (detached + detached[::-1]) / 2
+        k, alpha = np.arange(n // 2, dtype=float), n % 2 - 0.5
+        off = np.sqrt(k[1:] * (k[1:] + alpha))
+        jacobi = np.diag(2 * k + alpha + 1) + np.diag(off, 1) + np.diag(off, -1)
+        r = np.concatenate([np.zeros(n % 2), np.sqrt(np.linalg.eigvalsh(jacobi))])
+        phi, phi_prev = _hermite_functions(n, r)
+        r = r - phi / (math.sqrt(2.0 * n) * phi_prev - r * phi)
+        w = 1.0 / (n * _hermite_functions(n, r)[1] ** 2)
+        # the mirror image leaves out the node 0 of odd n
+        x = np.concatenate([-r[::-1][: n // 2], r])
+        detached = np.concatenate([w[::-1][: n // 2], w])
     x.setflags(write=False)
     detached.setflags(write=False)
     return x, detached

@@ -433,6 +433,10 @@ def build_jobs(cfg: RunConfig) -> list:
     # a miss fills the band at its t only if a selected family reads the
     # band there; otherwise it would compute integrals no job asks for
     band_reads = {"pairing", "bks-factor", "vertical-limit", "continuity"}
+    if not band_irreps and {"cst-unitarity", *band_reads} & set(cfg.identities):
+        raise ConfigError(
+            f"band_limit = {band:g} holds no irrep of positive Casimir on {group.describe()}; "
+            f"the smallest positive Casimir there is {casimir(group, _label(group, 1)):g}")
     char_log = pairing.char_log_table(
         group, cfg.hbar0, points_per_panel=cfg.points_per_panel, panels=cfg.panels,
         hermite_points=cfg.hermite_points,

@@ -233,6 +233,18 @@ def test_convergence_over_the_node_cap_exit_code(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("kind", ["torus", "su2"])
+def test_a_band_with_no_nontrivial_irrep_exit_code(tmp_path, capsys, kind):
+    cfg = tmp_path / "band.cfg"
+    cfg.write_text(f"[run]\ngroup = {kind}\nband_limit = 0\n", encoding="utf-8")
+    code = cli.main(["verify", "all", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("config error: band_limit = 0 holds no irrep of positive Casimir")
+    assert "smallest positive Casimir" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_torus_rule_over_the_length_cap_exit_code(tmp_path, capsys):
     # 400 points stay under the node cap on U(1) but over the length cap;
     # the run exits before any job builds a rule

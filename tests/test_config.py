@@ -180,3 +180,33 @@ def test_default_config_validates():
         config.default_config(group="so3")
     with pytest.raises(config.ConfigError):
         config.default_config(s_grid=())
+
+
+BAND_FAMILIES = ("cst-unitarity", "pairing", "bks-factor", "vertical-limit", "continuity")
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2"])
+@pytest.mark.parametrize("family", BAND_FAMILIES)
+def test_a_band_with_no_nontrivial_irrep_is_a_config_error(kind, family):
+    # only the trivial irrep is left: orthogonal pairs divide 0 by 0 and
+    # bks-factor builds no row, so the run is refused before any job builds
+    from bksverify import groups, suite
+    group = groups.group_spec(kind)
+    smallest = groups.casimir(group, (1,))
+    for band in (0.0, smallest * (1 - 1e-9)):
+        cfg = config.default_config(group=kind, band_limit=band, identities=(family,))
+        with pytest.raises(config.ConfigError, match="band_limit") as exc:
+            suite.build_jobs(cfg)
+        assert f"smallest positive Casimir there is {smallest:g}" in str(exc.value)
+    cfg = config.default_config(group=kind, band_limit=smallest, identities=(family,))
+    assert suite.build_jobs(cfg)
+
+
+@pytest.mark.parametrize("kind", ["torus", "su2"])
+def test_a_band_with_no_nontrivial_irrep_leaves_the_other_families_alone(kind):
+    from bksverify import suite
+    others = tuple(f for f in config.IDENTITY_FAMILIES if f not in BAND_FAMILIES)
+    cfg = config.default_config(group=kind, band_limit=0.0, identities=others)
+    assert suite.build_jobs(cfg)
+    with pytest.raises(config.ConfigError, match="band_limit = 0 "):
+        suite.build_jobs(dataclasses.replace(cfg, identities=others + ("pairing",)))

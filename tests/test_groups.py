@@ -52,6 +52,56 @@ def test_weyl_dimension_formula_is_integral():
         assert groups.make_irrep(su3, label).dim == d
 
 
+def test_dim_irrep_matches_a_rational_weyl_formula():
+    from fractions import Fraction
+
+    su2, su3 = groups.group_spec("su2"), groups.group_spec("su3")
+    for m in range(21):
+        # dim = <lambda + rho, alpha> / <rho, alpha> with lambda = m/2, rho = 1/2
+        want = Fraction(m + 1, 2) / Fraction(1, 2)
+        got = groups.dim_irrep(su2, (m,))
+        assert type(got) is int and got == want, m
+    for p in range(9):
+        for q in range(9):
+            # positive roots e1 - e2, e1 - e3, e2 - e3 in theta coordinates
+            lam = (Fraction(2 * p + q, 3) + 1, Fraction(q - p, 3), Fraction(-p - 2 * q, 3) - 1)
+            rho = (1, 0, -1)
+            want = Fraction(1)
+            for j, k in ((0, 1), (0, 2), (1, 2)):
+                want *= Fraction(lam[j] - lam[k]) / (rho[j] - rho[k])
+            got = groups.dim_irrep(su3, (p, q))
+            assert type(got) is int and got == want, (p, q)
+
+
+@pytest.mark.parametrize("kind, n, label", [
+    ("su2", 1, (-1,)), ("torus", 1, (1, 2)), ("su3", 1, (1, -1)),
+    ("su2", 1, (1, 2)), ("su3", 1, (3,)), ("torus", 2, (1,)),
+])
+def test_label_tuples_of_ints_still_checked(kind, n, label):
+    group = groups.group_spec(kind, n=n)
+    assert all(type(v) is int for v in label)
+    with pytest.raises(ValueError, match="label"):
+        groups.make_irrep(group, label)
+    with pytest.raises(ValueError, match="label"):
+        groups.dim_irrep(group, label)
+
+
+def test_labels_of_other_spellings_normalize_to_tuples_of_ints():
+    su2, su3 = groups.group_spec("su2"), groups.group_spec("su3")
+    torus = groups.group_spec("torus", n=2)
+    for group, label, want in (
+        (su2, np.int64(3), (3,)), (su2, [3], (3,)), (su2, (np.int32(3),), (3,)),
+        (su2, True, (1,)), (su2, (True,), (1,)), (su3, [1, 2], (1, 2)),
+        (su3, np.array([2, 0]), (2, 0)), (su3, (np.int64(1), 1), (1, 1)),
+        (torus, [-1, np.int8(2)], (-1, 2)), (torus, (False, True), (0, 1)),
+    ):
+        got = groups._check_label(group, label)
+        assert got == want and all(type(v) is int for v in got), label
+        assert groups.make_irrep(group, label).label == want
+    with pytest.raises(ValueError, match="label"):
+        groups._check_label(su2, [np.int64(-2)])
+
+
 def test_su2_casimir_closed_form():
     # c(m) = ((m+1)^2 - 1) |rho|^2 in the unit-volume metric
     su2 = groups.group_spec("su2")

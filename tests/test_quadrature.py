@@ -352,16 +352,35 @@ def test_gauss_hermite_bit_identical_to_scipy_up_to_150_points():
         assert np.array_equal(detached, np.exp(np.log(ws) + xs * xs)), n
 
 
-@pytest.mark.parametrize("n", [151, 225, 300, 350])
+@pytest.mark.parametrize("n", [151, 152, 199, 200, 225, 263, 300, 349, 350])
 def test_gauss_hermite_long_rules_match_scipy_nodes_and_moments(n):
     sp = _scipy_special()
     x, detached = quadrature._gauss_hermite(n)
+    assert len(x) == n and np.array_equal(x, -x[::-1])
+    assert np.array_equal(detached, detached[::-1])
     assert np.max(np.abs(x - sp.roots_hermite(n)[0])) < 1e-13
     w = detached * np.exp(-x * x)
     for k in range(11):
         # int x^{2k} e^{-x^2} dx = Gamma(k + 1/2)
         exact = math.gamma(k + 0.5)
         assert abs(math.fsum(w * x ** (2 * k)) - exact) < 1e-13 * exact, k
+
+
+@pytest.mark.parametrize("n", [151, 300, 350])
+def test_gauss_hermite_long_rules_solve_a_half_size_eigenproblem(monkeypatch, n):
+    # past 150 points the nodes start from the floor(n/2)-point Laguerre
+    # rule in x^2, never from the n x n Hermite Jacobi matrix
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    x, detached = quadrature._gauss_hermite.__wrapped__(n)
+    assert shapes and all(rows <= n // 2 for rows, _ in shapes), shapes
+    assert len(x) == len(detached) == n
 
 
 def test_gauss_hermite_cached_arrays_are_read_only():
